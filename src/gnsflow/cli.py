@@ -9,20 +9,18 @@ import numpy as np
 
 from . import __version__
 from . import io as gio
-from .config import ConfigError, parse_config
-from .diagnostics import BoundReport, InconclusiveFitError
+from .config import parse_config
+from .diagnostics import BoundReport
 from .runner import (
     EXIT_CONFIG,
     EXIT_FAILURE,
-    EXIT_NO_CONVERGENCE,
-    ScenarioError,
     diagnose_trajectory,
     emit_plot_data,
+    exit_code_for,
     override_seed,
     run_scenario,
 )
-from .solver import BlowupError
-from .spectral import CorruptedFieldError, set_fft_workers
+from .spectral import set_fft_workers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,27 +173,11 @@ def main(argv=None) -> int:
                "report": _cmd_report, "selftest": _cmd_selftest}[args.command]
     try:
         return handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (gio.FormatError, CorruptedFieldError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InconclusiveFitError as exc:
-        print(f"error: radius fit inconclusive: {exc}", file=sys.stderr)
-        return 5
-    except BlowupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover - last-resort guard
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    except Exception as exc:
+        code = exit_code_for(exc)
+        detail = f"{type(exc).__name__}: {exc}" if code == EXIT_FAILURE else exc
+        print(f"error: {detail}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -383,11 +383,19 @@ def _validate(v: dict) -> list[str]:
         lattice_ok = t_final > 0.0 and n_times >= 2
         lattice = np.linspace(0.0, t_final, n_times) if lattice_ok else None
         tol = 1e-9 * max(1.0, t_final)
+        # lambda_subcritical is defined for t < 1/e, beta and lambda_critical for t < 1
+        limit = {"subcritical": (1.0 / math.e, "1/e"),
+                 "critical": (1.0, "1")}.get(v["diagnostics_mode"])
         for i, t in enumerate(times):
             if not (0.0 < t <= t_final + tol):
                 p.append(f"diagnostics.sample_times[{i}]: {t!r} is outside "
                          f"(0, t_final={t_final}]")
-            elif lattice is not None and float(np.min(np.abs(lattice - t))) > tol:
+                continue
+            if limit is not None and t >= limit[0]:
+                p.append(f"diagnostics.sample_times[{i}]: {t!r} is not below "
+                         f"{limit[1]}, the end of the {v['diagnostics_mode']} "
+                         f"bound's time domain")
+            if lattice is not None and float(np.min(np.abs(lattice - t))) > tol:
                 p.append(f"diagnostics.sample_times[{i}]: {t!r} is not on the "
                          f"solver time lattice (t_final={t_final}, "
                          f"n_times={n_times})")

@@ -20,10 +20,9 @@ from .operators import (
     stack_coefficients,
     velocity_from_stack,
 )
-from .solver import Trajectory, _duhamel_lattice, _gauss_nodes, _stacks
+from .solver import Trajectory, _duhamel_lattice, _lattice_quadrature, _stacks
 from .spectral import (
     EXP_GUARD,
-    Grid,
     SpectralField,
     inverse_transform,
     shell_reduce_max,
@@ -102,35 +101,13 @@ class NormParams:
                 f"gamma={self.gamma}, delta={self.delta}")
 
 
-def _homogeneous_weight(grid: Grid, s: float) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(grid.k_sq > 0.0, grid.k_sq**s, 1.0 if s == 0.0 else 0.0)
-
-
-def _check_zero_mean_for_negative_s(u: VelocityField, s: float) -> None:
-    if s >= 0.0:
-        return
-    peak = max(float(np.max(np.abs(c.coeffs))) for c in u.components)
-    mean = max(abs(complex(c.coeffs[0, 0, 0])) for c in u.components)
-    if mean > 1e-13 * (1.0 + peak):
-        raise ValueError(
-            "homogeneous norm with s < 0 is undefined for data with nonzero mean")
-
-
 def sobolev_norm(u: VelocityField, s: float, homogeneous: bool) -> float:
     """Lattice-weighted Sobolev norm of a velocity field.
 
     homogeneous: weight |k|^{2s} (k = 0 contributes only for s = 0);
     otherwise (1 + |k|^2)^s.
     """
-    grid = u.grid
-    if homogeneous:
-        _check_zero_mean_for_negative_s(u, s)
-        w2 = _homogeneous_weight(grid, s)
-    else:
-        w2 = (1.0 + grid.k_sq) ** s
-    total = sum(float(np.sum(w2 * np.abs(c.coeffs) ** 2)) for c in u.components)
-    return math.sqrt(grid.mode_weight * total)
+    return weighted_l2_stack(u.grid, stack_coefficients(u), s, homogeneous)
 
 
 def gevrey_norm(u: VelocityField, r: float, s: float) -> float:
@@ -144,11 +121,10 @@ def gevrey_norm(u: VelocityField, r: float, s: float) -> float:
     grid = u.grid
     if r * grid.k_max > EXP_GUARD:
         return math.inf
-    _check_zero_mean_for_negative_s(u, s)
     shift = r * grid.k_max
-    w2 = _homogeneous_weight(grid, s) * np.exp(2.0 * (r * grid.k_norm - shift))
-    total = sum(float(np.sum(w2 * np.abs(c.coeffs) ** 2)) for c in u.components)
-    return math.exp(shift) * math.sqrt(grid.mode_weight * total)
+    return math.exp(shift) * weighted_l2_stack(
+        grid, stack_coefficients(u), s, True,
+        factor=np.exp(2.0 * (r * grid.k_norm - shift)))
 
 
 def _tail_running_max(traj: Trajectory, cutoff: float, gamma: float, t: float) -> float:
@@ -253,13 +229,10 @@ def envelope_norm(u: VelocityField, t: float, params: NormParams,
     peak_expo = drift * grid.k_max - sink
     if peak_expo > EXP_GUARD:
         return math.inf
-    s = delta + 0.5
-    w2 = _homogeneous_weight(grid, s) * np.exp(2.0 * (drift * grid.k_norm - sink - max(peak_expo, 0.0)))
-    mask = grid.k_norm >= cutoff
-    total = sum(float(np.sum(w2 * np.abs(c.coeffs) ** 2, where=mask))
-                for c in u.components)
-    return (t ** (0.5 * delta) * math.exp(max(peak_expo, 0.0))
-            * math.sqrt(grid.mode_weight * total))
+    peak = max(peak_expo, 0.0)
+    return t ** (0.5 * delta) * math.exp(peak) * weighted_l2_stack(
+        grid, stack_coefficients(u), delta + 0.5, True, cutoff=cutoff,
+        factor=np.exp(2.0 * (drift * grid.k_norm - sink - peak)))
 
 
 def _trajectory_sup_envelope(traj: Trajectory, params: NormParams,
@@ -510,28 +483,6 @@ def bound_report(traj: Trajectory, gamma: float, mode: str, fit_lo: float,
         k_t=k_t, grid_n=grid.n_per_axis, grid_period=grid.period)
 
 
-def _time_weighted_integral(grid: Grid, times: np.ndarray,
-                            stacks: Sequence[np.ndarray], lo: float, hi: float,
-                            weight_fn, quad_order: int) -> np.ndarray:
-    """int_lo^hi weight_fn(s) * F(s) ds with linear-in-s stack interpolation."""
-    nodes, wts = _gauss_nodes(quad_order)
-    acc = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    for i in range(len(times) - 1):
-        t_lo, t_hi = float(times[i]), float(times[i + 1])
-        seg_lo, seg_hi = max(t_lo, lo), min(t_hi, hi)
-        if seg_hi <= seg_lo:
-            continue
-        half = 0.5 * (seg_hi - seg_lo)
-        mid = 0.5 * (seg_hi + seg_lo)
-        inv_h = 1.0 / (t_hi - t_lo)
-        for x, w in zip(nodes, wts):
-            s = mid + half * x
-            theta = (s - t_lo) * inv_h
-            f_s = (1.0 - theta) * stacks[i] + theta * stacks[i + 1]
-            acc += (w * half) * weight_fn(s) * f_s
-    return acc
-
-
 def bilinear_tail_bound_sides(coeffs: QCoefficients, f: Trajectory, g: Trajectory,
                               params: NormParams, n1: float,
                               quad_order: int = 3) -> tuple[float, float]:
@@ -603,8 +554,6 @@ def smoothing_kernel_bound_sides(F: Trajectory, params: NormParams, n0: float,
     grid = F.grid
     tol = F.time_tolerance()
     stacks = _stacks(F)
-    s_pow = 1.5 + delta
-    w2 = _homogeneous_weight(grid, s_pow)
     if region == "low":
         mask = grid.k_norm <= 2.0 * n0
     else:
@@ -616,16 +565,15 @@ def smoothing_kernel_bound_sides(F: Trajectory, params: NormParams, n0: float,
         if t == 0.0 or t > T + tol:
             continue
         if region == "low":
-            def weight_fn(s):
+            def kernel(s):
                 return math.exp(n0**2 * s)
         else:
-            def weight_fn(s, _t=t):
+            def kernel(s, _t=t):
                 return np.exp(-(_t - s) * grid.k_sq / 10.0)
-        integral = _time_weighted_integral(grid, F.times, stacks, eta0 * t, t,
-                                           weight_fn, quad_order)
-        total = sum(float(np.sum(w2 * np.abs(integral[j]) ** 2, where=mask))
-                    for j in range(3))
-        lhs = max(lhs, t ** (0.5 * delta) * math.sqrt(grid.mode_weight * total))
+        integral = _lattice_quadrature(F.times, (stacks,), eta0 * t, t, quad_order,
+                                       kernel, lambda f: f)
+        lhs = max(lhs, t ** (0.5 * delta) * weighted_l2_stack(
+            grid, integral, 1.5 + delta, True, factor=mask))
 
     p = 3.0 / (2.0 * (1.0 - delta))
     sup_forcing = 0.0

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as gio
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .diagnostics import (
     BoundReport,
     InconclusiveFitError,
@@ -35,6 +35,7 @@ from .operators import (
     stack_coefficients,
 )
 from .solver import BlowupError, PicardReport, Trajectory, etd_integrate, picard_solve
+from .spectral import CorruptedFieldError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -52,6 +53,28 @@ class ScenarioError(RuntimeError):
     def __init__(self, message: str, exit_code: int):
         super().__init__(message)
         self.exit_code = exit_code
+
+
+# exception type -> process exit status, first match wins; ScenarioError
+# carries its own code and anything unlisted is an internal error
+EXIT_CODES: tuple[tuple[type[BaseException], int], ...] = (
+    (ConfigError, EXIT_CONFIG),
+    (gio.FormatError, EXIT_CONFIG),
+    (CorruptedFieldError, EXIT_CONFIG),
+    (FileNotFoundError, EXIT_CONFIG),
+    (InconclusiveFitError, EXIT_INCONCLUSIVE_FIT),
+    (BlowupError, EXIT_NO_CONVERGENCE),
+)
+
+
+def exit_code_for(exc: BaseException) -> int:
+    """The documented exit status for an exception reaching the command line."""
+    if isinstance(exc, ScenarioError):
+        return exc.exit_code
+    for exc_type, code in EXIT_CODES:
+        if isinstance(exc, exc_type):
+            return code
+    return EXIT_FAILURE
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ from .operators import (
     QCoefficients,
     VelocityField,
     apply_Q_stack,
+    heat_factor,
     stack_coefficients,
     velocity_from_stack,
 )
@@ -30,7 +32,6 @@ __all__ = [
     "PicardReport",
     "BlowupError",
     "duhamel_B",
-    "duhamel_B_lattice",
     "picard_solve",
     "etd_integrate",
     "mild_residual",
@@ -139,10 +140,6 @@ def _stacks(traj: Trajectory) -> list[np.ndarray]:
     return [stack_coefficients(s) for s in traj.states]
 
 
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
 def _check_same_lattice(u: Trajectory, v: Trajectory) -> None:
     if u.grid != v.grid:
         raise ValueError("trajectories must share one grid")
@@ -150,31 +147,38 @@ def _check_same_lattice(u: Trajectory, v: Trajectory) -> None:
         raise ValueError("trajectories must share one time lattice")
 
 
-def _segment_heat_quad(coeffs: QCoefficients, grid: Grid, seg_lo: float, seg_hi: float,
-                       t_lo: float, t_hi: float, u_lo: np.ndarray, u_hi: np.ndarray,
-                       v_lo, v_hi, t_target: float, nodes: np.ndarray,
-                       weights: np.ndarray) -> np.ndarray:
-    """GL quadrature of e^{-(t_target - s)|k|^2} Q(u(s), v(s)) over [seg_lo, seg_hi].
+@lru_cache(maxsize=16)
+def _gauss_nodes(order: int) -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of the order-point Gauss-Legendre rule on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return tuple(zip(nodes.tolist(), weights.tolist()))
 
-    (t_lo, t_hi) bracket the lattice interval used for linear interpolation;
-    the integration segment may be a sub-interval of it.
+
+def _lattice_quadrature(times: np.ndarray, stacks: Sequence[Sequence[np.ndarray]],
+                        lo: float, hi: float, quad_order: int, kernel,
+                        integrand) -> np.ndarray:
+    """int_lo^hi kernel(s) * integrand(*states(s)) ds over a time lattice.
+
+    stacks holds one lattice-aligned sequence of (3, n, n, n) stacks per
+    state; states(s) interpolates each linearly in s between lattice times.
+    Every lattice interval meeting [lo, hi] gets a quad_order Gauss-Legendre
+    rule; kernel(s) is a scalar or a per-mode array.
     """
-    half = 0.5 * (seg_hi - seg_lo)
-    mid = 0.5 * (seg_hi + seg_lo)
-    same = v_lo is None
-    out = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    inv_h = 1.0 / (t_hi - t_lo)
-    for x, w in zip(nodes, weights):
-        s = mid + half * x
-        theta = (s - t_lo) * inv_h
-        u_s = (1.0 - theta) * u_lo + theta * u_hi
-        if same:
-            q = apply_Q_stack(coeffs, grid, u_s)
-        else:
-            v_s = (1.0 - theta) * v_lo + theta * v_hi
-            q = apply_Q_stack(coeffs, grid, u_s, v_s)
-        out += (w * half) * np.exp(-(t_target - s) * grid.k_sq) * q
-    return out
+    acc = np.zeros(stacks[0][0].shape, dtype=np.complex128)
+    for i in range(len(times) - 1):
+        t_lo, t_hi = float(times[i]), float(times[i + 1])
+        seg_lo, seg_hi = max(t_lo, lo), min(t_hi, hi)
+        if seg_hi <= seg_lo:
+            continue
+        half = 0.5 * (seg_hi - seg_lo)
+        mid = 0.5 * (seg_hi + seg_lo)
+        inv_h = 1.0 / (t_hi - t_lo)
+        for x, w in _gauss_nodes(quad_order):
+            s = mid + half * x
+            theta = (s - t_lo) * inv_h
+            states = [(1.0 - theta) * st[i] + theta * st[i + 1] for st in stacks]
+            acc += (w * half) * kernel(s) * integrand(*states)
+    return acc
 
 
 def duhamel_B(coeffs: QCoefficients, u: Trajectory, v: Trajectory, t_eval: float,
@@ -192,27 +196,11 @@ def duhamel_B(coeffs: QCoefficients, u: Trajectory, v: Trajectory, t_eval: float
         raise ValueError(f"t_eval {t_eval} outside the trajectory span [0, {u.horizon}]")
     grid = u.grid
     same = all(a is b for a, b in zip(u.states, v.states))
-    nodes, weights = _gauss_nodes(quad_order)
-    acc = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    times = u.times
-    u_stacks = _stacks(u)
-    v_stacks = u_stacks if same else _stacks(v)
-    for i in range(len(times) - 1):
-        t_lo, t_hi = float(times[i]), float(times[i + 1])
-        if t_lo >= t_eval:
-            break
-        seg_hi = min(t_hi, t_eval)
-        if seg_hi <= t_lo:
-            break
-        acc += _segment_heat_quad(
-            coeffs, grid, t_lo, seg_hi, t_lo, t_hi, u_stacks[i], u_stacks[i + 1],
-            None if same else v_stacks[i], None if same else v_stacks[i + 1],
-            t_eval, nodes, weights)
+    stacks = (_stacks(u),) if same else (_stacks(u), _stacks(v))
+    acc = _lattice_quadrature(u.times, stacks, 0.0, t_eval, quad_order,
+                              lambda s: heat_factor(grid, t_eval - s),
+                              partial(apply_Q_stack, coeffs, grid))
     return velocity_from_stack(grid, acc)
-
-
-def _heat_stack(grid: Grid, stack: np.ndarray, t: float) -> np.ndarray:
-    return stack * np.exp(-t * grid.k_sq)
 
 
 def _duhamel_lattice(coeffs: QCoefficients, grid: Grid, times: np.ndarray,
@@ -224,31 +212,16 @@ def _duhamel_lattice(coeffs: QCoefficients, grid: Grid, times: np.ndarray,
     matches the direct integral exactly for the per-mode heat kernel.
     v_stacks = None means v = u.
     """
-    nodes, weights = _gauss_nodes(quad_order)
-    same = v_stacks is None
+    integrand = partial(apply_Q_stack, coeffs, grid)
+    per_state = (stacks,) if v_stacks is None else (stacks, v_stacks)
     acc = np.zeros((3,) + grid.shape, dtype=np.complex128)
     yield acc
     for i in range(len(times) - 1):
         t_lo, t_hi = float(times[i]), float(times[i + 1])
-        acc = _heat_stack(grid, acc, t_hi - t_lo) + _segment_heat_quad(
-            coeffs, grid, t_lo, t_hi, t_lo, t_hi, stacks[i], stacks[i + 1],
-            None if same else v_stacks[i], None if same else v_stacks[i + 1],
-            t_hi, nodes, weights)
+        acc = heat_factor(grid, t_hi - t_lo) * acc + _lattice_quadrature(
+            times[i:i + 2], [st[i:i + 2] for st in per_state], t_lo, t_hi,
+            quad_order, lambda s: heat_factor(grid, t_hi - s), integrand)
         yield acc
-
-
-def duhamel_B_lattice(coeffs: QCoefficients, u: Trajectory, v: Trajectory,
-                      quad_order: int = 2) -> list[VelocityField]:
-    """B(u, v) at every lattice time, via the exact semigroup recursion."""
-    _check_same_lattice(u, v)
-    if not isinstance(quad_order, int) or quad_order < 1:
-        raise ValueError(f"quad_order must be an int >= 1, got {quad_order!r}")
-    grid = u.grid
-    same = all(a is b for a, b in zip(u.states, v.states))
-    u_stacks = _stacks(u)
-    v_stacks = None if same else _stacks(v)
-    return [velocity_from_stack(grid, b) for b in _duhamel_lattice(
-        coeffs, grid, u.times, u_stacks, quad_order, v_stacks)]
 
 
 @dataclass(frozen=True)
@@ -288,7 +261,7 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
         return traj, report
 
     guard = DIVERGENCE_FACTOR * (1.0 + norm0)
-    prev: list = [_heat_stack(grid, u0_stack, float(t)) for t in times]
+    prev: list = [u0_stack * heat_factor(grid, float(t)) for t in times]
     iterates = 1
     deltas: list[float] = []
     converged = False
@@ -300,7 +273,7 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
         b_iter = _duhamel_lattice(coeffs, grid, times, prev, config.quad_order)
         next(b_iter)  # B(0) = 0
         for i, b in enumerate(b_iter, start=1):
-            nxt = _heat_stack(grid, u0_stack, float(times[i])) + b
+            nxt = u0_stack * heat_factor(grid, float(times[i])) + b
             delta = max(delta, weighted_l2_stack(
                 grid, nxt - prev[i], config.gamma, homogeneous=False))
             out.append(nxt)
@@ -341,7 +314,7 @@ def mild_residual(traj: Trajectory, u0: VelocityField, coeffs: QCoefficients,
     out = np.empty(len(traj.times))
     b_iter = _duhamel_lattice(coeffs, grid, traj.times, stacks, quad_order)
     for i, b in enumerate(b_iter):
-        defect = stacks[i] - _heat_stack(grid, u0_stack, float(traj.times[i])) - b
+        defect = stacks[i] - u0_stack * heat_factor(grid, float(traj.times[i])) - b
         out[i] = weighted_l2_stack(grid, defect, gamma, homogeneous=False)
     return out
 

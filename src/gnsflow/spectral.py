@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -26,7 +26,7 @@ __all__ = [
     "inverse_transform",
     "dealias",
     "shell_reduce_max",
-    "shell_reduce_weighted_l2",
+    "weighted_l2_stack",
     "hermitian_deviation",
     "hermitian_symmetrize",
     "set_fft_workers",
@@ -314,52 +314,46 @@ def shell_reduce_max(spectral: SpectralField, n_shells: int) -> ShellSpectrum:
                          peak_wavenumbers=peaks)
 
 
-def shell_reduce_weighted_l2(spectral: SpectralField, s: float,
-                             homogeneous: bool, cutoff: float = 0.0) -> float:
-    """Weighted coefficient sum ( sum_{|k| >= cutoff} w(k)^{2s} |coeffs|^2 )^{1/2}.
+@lru_cache(maxsize=8)
+def _weight_table(grid: Grid, s: float, homogeneous: bool) -> np.ndarray:
+    """Read-only w(k)^{2s}: w = |k| when homogeneous, sqrt(1 + |k|^2) otherwise.
 
-    w(k) = |k| when homogeneous, sqrt(1 + |k|^2) otherwise. No lattice measure
-    is applied; this is the raw coefficient reduction. The k = 0 mode in the
-    homogeneous case contributes 0 for s > 0, its plain magnitude for s = 0,
-    and is undefined for s < 0 unless the coefficient vanishes (domain error).
+    Homogeneous k = 0 entry: 1 for s = 0, else 0.
     """
-    if cutoff < 0.0:
-        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    grid = spectral.grid
-    c = spectral.coeffs
-    mask = grid.k_norm >= cutoff
-
     if homogeneous:
-        c0 = abs(complex(c[0, 0, 0]))
-        if s < 0.0 and cutoff == 0.0 and c0 > 1e-13 * (1.0 + float(np.max(np.abs(c)))):
-            raise ValueError(
-                "homogeneous norm with s < 0 is undefined for a field with nonzero mean")
         with np.errstate(divide="ignore", invalid="ignore"):
-            w2s = np.where(grid.k_sq > 0.0, grid.k_sq**s, 0.0 if s != 0.0 else 1.0)
+            table = np.where(grid.k_sq > 0.0, grid.k_sq**s, 0.0 if s != 0.0 else 1.0)
     else:
-        w2s = (1.0 + grid.k_sq) ** s
-
-    total = float(np.sum(w2s * np.abs(c) ** 2, where=mask))
-    return math.sqrt(total)
+        table = (1.0 + grid.k_sq) ** s
+    table.setflags(write=False)
+    return table
 
 
 def weighted_l2_stack(grid: Grid, stacks: np.ndarray, s: float, homogeneous: bool,
-                      cutoff: float = 0.0) -> float:
+                      cutoff: float = 0.0, factor: np.ndarray | None = None) -> float:
     """Lattice-weighted Sobolev-type norm of a (..., n, n, n) coefficient stack.
 
-    Returns sqrt( mode_weight * sum_components sum_{|k| >= cutoff} w^{2s} |c|^2 ),
-    the discretized integral norm shared by the solver metric and diagnostics.
+    Returns sqrt( mode_weight * sum_components sum_{|k| >= cutoff}
+    factor * w^{2s} |c|^2 ) with w(k) = |k| when homogeneous, sqrt(1 + |k|^2)
+    otherwise; factor (an exponential weight or a mode mask) defaults to 1.
+    In the homogeneous case the k = 0 mode contributes its plain magnitude
+    for s = 0 and nothing for s != 0; for s < 0 without a cutoff the norm is
+    undefined unless every component has zero mean, so a nonzero mean raises
+    ValueError.
     """
     if cutoff < 0.0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    if homogeneous:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w2s = np.where(grid.k_sq > 0.0, grid.k_sq**s, 0.0 if s != 0.0 else 1.0)
-    else:
-        w2s = (1.0 + grid.k_sq) ** s
-    mask = grid.k_norm >= cutoff
     flat = stacks.reshape((-1,) + grid.shape)
+    if homogeneous and s < 0.0 and cutoff == 0.0:
+        mean = float(np.max(np.abs(flat[:, 0, 0, 0])))
+        if mean > 1e-13 * (1.0 + float(np.max(np.abs(flat)))):
+            raise ValueError(
+                "homogeneous norm with s < 0 is undefined for data with nonzero mean")
+    table = _weight_table(grid, s, homogeneous)
+    if factor is not None:
+        table = table * factor
+    mask = grid.k_norm >= cutoff
     total = 0.0
     for comp in flat:
-        total += float(np.sum(w2s * np.abs(comp) ** 2, where=mask))
+        total += float(np.sum(table * np.abs(comp) ** 2, where=mask))
     return math.sqrt(grid.mode_weight * total)

@@ -5,9 +5,11 @@ import pytest
 
 from gnsflow import cli
 from gnsflow import io as gio
-from gnsflow.config import parse_config_text
+from gnsflow.config import ConfigError, parse_config_text
+from gnsflow.diagnostics import InconclusiveFitError
 from gnsflow.runner import (
     EXIT_CONFIG,
+    EXIT_FAILURE,
     EXIT_INCONCLUSIVE_FIT,
     EXIT_NO_CONVERGENCE,
     EXIT_ORACLE_DISAGREEMENT,
@@ -18,6 +20,8 @@ from gnsflow.runner import (
     resolve_output_dir,
     run_scenario,
 )
+from gnsflow.solver import BlowupError
+from gnsflow.spectral import CorruptedFieldError
 
 BASE_CFG = """
 grid.n = 16
@@ -255,6 +259,35 @@ class TestCliCommands:
             "diagnostics.n_shells = 48\n")
         rc = cli.main(["solve", str(cfg_path), "--out", str(tmp_path / "run")])
         assert rc == EXIT_INCONCLUSIVE_FIT
+
+    def test_solve_sample_time_past_bound_domain_fails_at_parse(self, tmp_path, capsys):
+        # lambda_subcritical needs t < 1/e: rejected before any solve runs
+        cfg_path = write_cfg(
+            tmp_path,
+            "grid.n = 8\nsolver.t_final = 0.5\nsolver.n_times = 5\n"
+            "diagnostics.mode = subcritical\ndiagnostics.sample_times = 0.5\n")
+        rc = cli.main(["solve", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_CONFIG
+        assert "diagnostics.sample_times[0]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize("exc, code", [
+        (ConfigError(["grid.n: bad"]), EXIT_CONFIG),
+        (gio.FormatError("bad header"), EXIT_CONFIG),
+        (CorruptedFieldError("not Hermitian", 1.0), EXIT_CONFIG),
+        (FileNotFoundError("missing"), EXIT_CONFIG),
+        (ScenarioError("oracle", EXIT_ORACLE_DISAGREEMENT), EXIT_ORACLE_DISAGREEMENT),
+        (InconclusiveFitError("flat spectrum"), EXIT_INCONCLUSIVE_FIT),
+        (BlowupError("blew up", 0.1, 1e9), EXIT_NO_CONVERGENCE),
+        (ValueError("unexpected"), EXIT_FAILURE),
+        (RuntimeError("unexpected"), EXIT_FAILURE),
+    ])
+    def test_exception_exit_codes(self, tmp_path, capsys, monkeypatch, exc, code):
+        def handler(args):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_report", handler)
+        assert cli.main(["report", str(tmp_path)]) == code
+        assert str(exc) in capsys.readouterr().err
 
     def test_diagnose_matches_solve(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, BASE_CFG)

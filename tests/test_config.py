@@ -161,6 +161,26 @@ class TestErrorCollection:
             "diagnostics.sample_times = 0.005, 0.0025\n",
             "strictly increasing")
 
+    def test_sample_times_inside_bound_domain(self):
+        # subcritical lambda(t) needs t < 1/e, critical needs t < 1
+        self.assert_problems(
+            "solver.t_final = 0.5\nsolver.n_times = 5\n"
+            "diagnostics.sample_times = 0.25, 0.5\n",
+            "diagnostics.sample_times[1]: 0.5 is not below 1/e")
+        self.assert_problems(  # auto picks 0.125, 0.25, 0.5
+            "solver.t_final = 0.5\nsolver.n_times = 5\n", "not below 1/e")
+        self.assert_problems(
+            "solver.t_final = 1.0\nsolver.n_times = 5\nphysics.gamma = 0.5\n"
+            "diagnostics.mode = critical\n", "not below 1,")
+        cfg = parse_config_text(
+            "solver.t_final = 0.5\nsolver.n_times = 5\nphysics.gamma = 0.5\n"
+            "diagnostics.mode = critical\n")
+        assert cfg.diagnostics_sample_times == (0.125, 0.25, 0.5)
+        cfg = parse_config_text(
+            "solver.t_final = 0.5\nsolver.n_times = 5\n"
+            "diagnostics.sample_times = 0.125, 0.25\n")
+        assert cfg.diagnostics_sample_times == (0.125, 0.25)
+
     def test_etd_divisibility(self):
         self.assert_problems(
             "solver.etd_check = true\nsolver.t_final = 0.01\nsolver.dt = 0.0003\n",

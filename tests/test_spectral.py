@@ -18,7 +18,6 @@ from gnsflow.spectral import (
     hermitian_symmetrize,
     inverse_transform,
     shell_reduce_max,
-    shell_reduce_weighted_l2,
     weighted_l2_stack,
 )
 
@@ -226,72 +225,73 @@ class TestShellReduceMax:
 
 
 class TestWeightedL2:
+    """weighted_l2_stack on single (n, n, n) coefficient arrays.
+
+    The reduction applies the lattice measure, so each closed form carries a
+    factor sqrt(mode_weight) (1 on the unit-spacing 2 pi box).
+    """
+
     def test_single_mode_homogeneous_example(self, grid8):
         # one unit coefficient at |k| = 2, s = 1/2: (|k|^{2s})^{1/2} = sqrt(2)
         c = np.zeros(grid8.shape, dtype=complex)
         c[2, 0, 0] = 1.0
-        f = SpectralField(grid8, c)
-        assert shell_reduce_weighted_l2(f, 0.5, homogeneous=True) == pytest.approx(
-            math.sqrt(2), abs=1e-15)
+        assert weighted_l2_stack(grid8, c, 0.5, homogeneous=True) == pytest.approx(
+            math.sqrt(grid8.mode_weight) * math.sqrt(2), abs=1e-15)
 
     def test_single_mode_inhomogeneous_example(self, grid8):
         # one unit coefficient at |k| = 2, s = 1/2: ((1+4)^{1/2})^{1/2} = 5^{1/4}
         c = np.zeros(grid8.shape, dtype=complex)
         c[2, 0, 0] = 1.0
-        f = SpectralField(grid8, c)
-        assert shell_reduce_weighted_l2(f, 0.5, homogeneous=False) == pytest.approx(
-            5**0.25, abs=1e-15)
+        assert weighted_l2_stack(grid8, c, 0.5, homogeneous=False) == pytest.approx(
+            math.sqrt(grid8.mode_weight) * 5**0.25, abs=1e-15)
 
     def test_s_zero_equals_plain_l2(self, grid8, rng):
         c = random_hermitian_coeffs(grid8, rng)
-        f = SpectralField(grid8, c)
-        plain = math.sqrt(float(np.sum(np.abs(c) ** 2)))
-        assert shell_reduce_weighted_l2(f, 0.0, True) == pytest.approx(plain, rel=1e-14)
-        assert shell_reduce_weighted_l2(f, 0.0, False) == pytest.approx(plain, rel=1e-14)
+        plain = math.sqrt(grid8.mode_weight * float(np.sum(np.abs(c) ** 2)))
+        assert weighted_l2_stack(grid8, c, 0.0, True) == pytest.approx(plain, rel=1e-14)
+        assert weighted_l2_stack(grid8, c, 0.0, False) == pytest.approx(plain, rel=1e-14)
 
     def test_homogeneous_zero_mode_dropped_for_positive_s(self, grid8):
         c = np.zeros(grid8.shape, dtype=complex)
         c[0, 0, 0] = 7.0
-        f = SpectralField(grid8, c)
-        assert shell_reduce_weighted_l2(f, 1.0, homogeneous=True) == 0.0
+        assert weighted_l2_stack(grid8, c, 1.0, homogeneous=True) == 0.0
 
     def test_homogeneous_negative_s_rejects_nonzero_mean(self, grid8):
         c = np.zeros(grid8.shape, dtype=complex)
         c[0, 0, 0] = 1.0
         c[1, 0, 0] = c[-1, 0, 0] = 0.5
         with pytest.raises(ValueError):
-            shell_reduce_weighted_l2(SpectralField(grid8, c), -1.0, homogeneous=True)
+            weighted_l2_stack(grid8, c, -1.0, homogeneous=True)
 
     def test_homogeneous_negative_s_fine_with_zero_mean(self, grid8):
         c = np.zeros(grid8.shape, dtype=complex)
         c[2, 0, 0] = c[-2, 0, 0] = 1.0
-        val = shell_reduce_weighted_l2(SpectralField(grid8, c), -1.0, homogeneous=True)
-        assert val == pytest.approx(math.sqrt(2 * 2.0**-2), rel=1e-14)
+        val = weighted_l2_stack(grid8, c, -1.0, homogeneous=True)
+        assert val == pytest.approx(
+            math.sqrt(grid8.mode_weight) * math.sqrt(2 * 2.0**-2), rel=1e-14)
 
     def test_brute_force_agreement(self, grid8, rng):
         c = random_hermitian_coeffs(grid8, rng)
-        f = SpectralField(grid8, c)
         for s, hom, cut in [(0.7, True, 0.0), (1.0, True, 2.5), (-0.3, False, 0.0),
                             (0.5, False, 3.0), (0.0, True, 1.0)]:
             want = helpers.oracle_weighted_tail_sum(c, 8, 2 * math.pi, s, hom, cut)
-            assert shell_reduce_weighted_l2(f, s, hom, cut) == pytest.approx(
-                want, rel=1e-12, abs=1e-300)
+            assert weighted_l2_stack(grid8, c, s, hom, cut) == pytest.approx(
+                math.sqrt(grid8.mode_weight) * want, rel=1e-12, abs=1e-300)
 
     def test_cutoff_monotonicity(self, grid8, rng):
-        f = SpectralField(grid8, random_hermitian_coeffs(grid8, rng))
+        c = random_hermitian_coeffs(grid8, rng)
         cuts = [0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 8.0]
-        vals = [shell_reduce_weighted_l2(f, 0.8, True, c) for c in cuts]
+        vals = [weighted_l2_stack(grid8, c, 0.8, True, cut) for cut in cuts]
         for lo, hi in zip(vals[1:], vals[:-1]):
             assert lo <= hi + 1e-15
 
     def test_cutoff_beyond_kmax_gives_zero(self, grid8, rng):
-        f = SpectralField(grid8, random_hermitian_coeffs(grid8, rng))
-        assert shell_reduce_weighted_l2(f, 1.0, True, grid8.k_max + 1.0) == 0.0
+        c = random_hermitian_coeffs(grid8, rng)
+        assert weighted_l2_stack(grid8, c, 1.0, True, grid8.k_max + 1.0) == 0.0
 
     def test_rejects_negative_cutoff(self, grid8):
-        f = SpectralField(grid8, np.zeros(grid8.shape, complex))
         with pytest.raises(ValueError):
-            shell_reduce_weighted_l2(f, 1.0, True, -1.0)
+            weighted_l2_stack(grid8, np.zeros(grid8.shape, complex), 1.0, True, -1.0)
 
     @settings(max_examples=20, deadline=None)
     @given(s=st.floats(-1.0, 2.0), cutoff=st.floats(0.0, 6.0), seed=st.integers(0, 999))
@@ -299,19 +299,16 @@ class TestWeightedL2:
         g = build_grid(8)
         c = spectral.fftn(np.random.default_rng(seed).standard_normal(g.shape))
         c[0, 0, 0] = 0.0  # keep negative-s homogeneous case in domain
-        f = SpectralField(g, c)
-        lo = shell_reduce_weighted_l2(f, s, True, cutoff)
-        hi = shell_reduce_weighted_l2(f, s, True, 0.0)
+        lo = weighted_l2_stack(g, c, s, True, cutoff)
+        hi = weighted_l2_stack(g, c, s, True, 0.0)
         assert lo <= hi * (1 + 1e-12) + 1e-300
 
 
 class TestWeightedStack:
     def test_matches_componentwise_reduction_with_lattice_weight(self, grid8, rng):
         stacks = np.stack([random_hermitian_coeffs(grid8, rng) for _ in range(3)])
-        total = 0.0
-        for j in range(3):
-            total += shell_reduce_weighted_l2(
-                SpectralField(grid8, stacks[j]), 0.9, False, 1.0) ** 2
+        total = sum(helpers.oracle_weighted_tail_sum(
+            stacks[j], 8, 2 * math.pi, 0.9, False, 1.0) ** 2 for j in range(3))
         want = math.sqrt(grid8.mode_weight * total)
         got = weighted_l2_stack(grid8, stacks, 0.9, False, 1.0)
         assert got == pytest.approx(want, rel=1e-12)
@@ -319,8 +316,37 @@ class TestWeightedStack:
     def test_lattice_weight_is_identity_on_unit_box(self, grid8, rng):
         c = random_hermitian_coeffs(grid8, rng)
         one = weighted_l2_stack(grid8, c[None], 0.5, True)
-        raw = shell_reduce_weighted_l2(SpectralField(grid8, c), 0.5, True)
+        raw = helpers.oracle_weighted_tail_sum(c, 8, 2 * math.pi, 0.5, True, 0.0)
+        assert grid8.mode_weight == 1.0
         assert one == pytest.approx(raw, rel=1e-14)
+
+    def test_negative_s_rejects_stack_with_nonzero_mean(self, grid8):
+        stack = np.zeros((3,) + grid8.shape, dtype=complex)
+        stack[1, 2, 0, 0] = stack[1, -2, 0, 0] = 1.0
+        assert weighted_l2_stack(grid8, stack, -1.0, True) > 0.0
+        stack[2, 0, 0, 0] = 0.5  # one component with a mean
+        with pytest.raises(ValueError, match="nonzero mean"):
+            weighted_l2_stack(grid8, stack, -1.0, True)
+        # a cutoff above k = 0 drops the mean mode, so the tail norm is defined
+        assert weighted_l2_stack(grid8, stack, -1.0, True, cutoff=1.0) > 0.0
+
+    def test_weight_table_is_cached_and_read_only(self, grid8):
+        table = spectral._weight_table(grid8, 0.75, True)
+        assert spectral._weight_table(build_grid(8), 0.75, True) is table
+        with pytest.raises(ValueError):
+            table[1, 0, 0] = 0.0
+
+    def test_factor_multiplies_the_weight(self, grid8, rng):
+        c = random_hermitian_coeffs(grid8, rng)
+        knorm = np.asarray(grid8.k_norm)
+        factor = np.exp(0.3 * knorm)
+        want = math.sqrt(float(np.sum(knorm**2 * factor * np.abs(c) ** 2)))
+        assert weighted_l2_stack(grid8, c, 1.0, True, factor=factor) == pytest.approx(
+            want, rel=1e-13)
+        low = knorm <= 2.0
+        want_low = math.sqrt(float(np.sum((knorm**2 * np.abs(c) ** 2)[low])))
+        assert weighted_l2_stack(grid8, c, 1.0, True, factor=low) == pytest.approx(
+            want_low, rel=1e-13)
 
 
 class TestWorkers:
