@@ -20,7 +20,6 @@ from .spectral import (
     SpectralField,
     fftn,
     hermitian_deviation,
-    hermitian_symmetrize,
     ifftn,
 )
 
@@ -40,6 +39,11 @@ __all__ = [
 
 ALPHA_INDEX_ORDER = ("j", "m", "n", "p", "k", "l")
 
+# product component pairs (a, b) in apply_Q_stack: u_a u_b = u_b u_a halves
+# the self-interaction to 6 pairs
+_SAME_PAIRS = tuple((a, b) for a in range(3) for b in range(a, 3))
+_ALL_PAIRS = tuple((a, b) for a in range(3) for b in range(3))
+
 
 @dataclass(frozen=True)
 class QCoefficients:
@@ -51,6 +55,7 @@ class QCoefficients:
 
     alpha: np.ndarray = field(repr=False)
     _multipliers: dict = field(default_factory=dict, repr=False, compare=False)
+    _pair_weights: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.alpha, dtype=np.float64)
@@ -73,6 +78,27 @@ class QCoefficients:
             if len(self._multipliers) >= 4:
                 self._multipliers.pop(next(iter(self._multipliers)))
             self._multipliers[key] = cached
+        return cached
+
+    def pair_weights(self, grid: Grid, same: bool) -> np.ndarray:
+        """Cached (3, n_pairs, n_kept) multiplier per product pair on the kept modes.
+
+        Pairs run over _SAME_PAIRS when same (off-diagonal weight
+        M[j, a, b] + M[j, b, a]), else over _ALL_PAIRS; the last axis follows
+        grid.dealias_modes.
+        """
+        key = (grid, same)
+        cached = self._pair_weights.get(key)
+        if cached is None:
+            M = self.multiplier(grid).reshape((3, 3, 3, -1))[..., grid.dealias_modes[0]]
+            cached = np.stack([
+                np.stack([M[j, a, b] + M[j, b, a] if same and a != b else M[j, a, b]
+                          for a, b in (_SAME_PAIRS if same else _ALL_PAIRS)])
+                for j in range(3)])
+            cached.setflags(write=False)
+            if len(self._pair_weights) >= 4:
+                self._pair_weights.pop(next(iter(self._pair_weights)))
+            self._pair_weights[key] = cached
         return cached
 
 
@@ -199,34 +225,29 @@ def apply_Q_stack(coeffs: QCoefficients, grid: Grid, u_stack: np.ndarray,
     Hermitian-symmetrized to hold the real-field invariant against FFT
     round-off.
     """
-    M = coeffs.multiplier(grid)
-    mask = grid.dealias_mask
     same = v_stack is None or v_stack is u_stack
+    modes, partner = grid.dealias_modes
+    weights = coeffs.pair_weights(grid, same)
 
     u_phys = ifftn(u_stack).real
     v_phys = u_phys if same else ifftn(v_stack).real
 
-    out = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    if same:
-        # u_a v_b = u_b v_a: 6 unique products, symmetrized multiplier
-        for a in range(3):
-            for b in range(a, 3):
-                prod_hat = fftn(u_phys[a] * u_phys[b])
-                prod_hat *= mask
-                for j in range(3):
-                    w = M[j, a, b] if a == b else M[j, a, b] + M[j, b, a]
-                    out[j] += w * prod_hat
-    else:
-        for a in range(3):
-            for b in range(3):
-                prod_hat = fftn(u_phys[a] * v_phys[b])
-                prod_hat *= mask
-                for j in range(3):
-                    out[j] += M[j, a, b] * prod_hat
-    out *= 1j
+    # only the kept modes are accumulated; the dealiased ones stay exactly 0
+    acc = np.zeros((3, modes.size), dtype=np.complex128)
+    term = np.empty(modes.size, dtype=np.complex128)
+    for p, (a, b) in enumerate(_SAME_PAIRS if same else _ALL_PAIRS):
+        prod_hat = fftn(u_phys[a] * v_phys[b]).reshape(-1)[modes]
+        for j in range(3):
+            acc[j] += np.multiply(weights[j, p], prod_hat, out=term)
+    acc *= 1j
+    out = np.zeros((3, grid.n_per_axis**3), dtype=np.complex128)
     for j in range(3):
-        out[j] = hermitian_symmetrize(out[j])
-    return out
+        # c(k) <- (c(k) + conj c(-k)) / 2
+        sym = np.conj(acc[j].take(partner))
+        sym += acc[j]
+        sym *= 0.5
+        out[j, modes] = sym
+    return out.reshape((3,) + grid.shape)
 
 
 def apply_Q(coeffs: QCoefficients, u: VelocityField, v: VelocityField) -> VelocityField:

@@ -162,7 +162,8 @@ def _lattice_quadrature(times: np.ndarray, stacks: Sequence[Sequence[np.ndarray]
     stacks holds one lattice-aligned sequence of (3, n, n, n) stacks per
     state; states(s) interpolates each linearly in s between lattice times.
     Every lattice interval meeting [lo, hi] gets a quad_order Gauss-Legendre
-    rule; kernel(s) is a scalar or a per-mode array.
+    rule; kernel(s) is a scalar or a per-mode array. integrand must return
+    a new array: it is scaled in place.
     """
     acc = np.zeros(stacks[0][0].shape, dtype=np.complex128)
     for i in range(len(times) - 1):
@@ -176,8 +177,14 @@ def _lattice_quadrature(times: np.ndarray, stacks: Sequence[Sequence[np.ndarray]
         for x, w in _gauss_nodes(quad_order):
             s = mid + half * x
             theta = (s - t_lo) * inv_h
-            states = [(1.0 - theta) * st[i] + theta * st[i + 1] for st in stacks]
-            acc += (w * half) * kernel(s) * integrand(*states)
+            states = []
+            for st in stacks:
+                state = (1.0 - theta) * st[i]
+                state += theta * st[i + 1]
+                states.append(state)
+            term = integrand(*states)
+            term *= (w * half) * kernel(s)
+            acc += term
     return acc
 
 

@@ -167,6 +167,21 @@ class Grid:
         return mask
 
     @cached_property
+    def dealias_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Kept modes as flat C-order indices, and the list position of each -k.
+
+        The keep-mask is symmetric under k -> -k, so every partner is kept.
+        """
+        modes = np.flatnonzero(self.dealias_mask)
+        n = self.n_per_axis
+        negated = np.ravel_multi_index(
+            tuple((-i) % n for i in np.unravel_index(modes, self.shape)), self.shape)
+        partner = np.searchsorted(modes, negated)
+        for arr in (modes, partner):
+            arr.setflags(write=False)
+        return modes, partner
+
+    @cached_property
     def inv_k_sq(self) -> np.ndarray:
         """1/|k|^2 with the k = 0 entry set to 0."""
         with np.errstate(divide="ignore"):

@@ -243,6 +243,43 @@ class TestApplyQ:
         g2 = build_grid(8, period=1.0)
         assert a.multiplier(g2) is not m1
 
+    def test_pair_weights_cached_and_read_only(self, rng):
+        a = QCoefficients(rng.standard_normal((3,) * 6))
+        g = build_grid(8)
+        w = a.pair_weights(g, True)
+        assert a.pair_weights(g, True) is w
+        assert w.shape == (3, 6, g.dealias_modes[0].size)
+        assert a.pair_weights(g, False).shape == (3, 9, g.dealias_modes[0].size)
+        assert not w.flags.writeable
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_stack_matches_full_lattice_accumulation(self, rng, fraction, distinct):
+        # the kept-mode accumulation reproduces, bit for bit, the sum of
+        # M[j, a, b] * dealias(FFT(u_a v_b)) over the whole lattice followed
+        # by i * and Hermitian symmetrization
+        grid = build_grid(8, dealias_fraction=fraction)
+        a = QCoefficients(rng.standard_normal((3,) * 6))
+        u = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
+        v = (rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
+             if distinct else None)
+        M = a.multiplier(grid)
+        u_phys = spectral.ifftn(u).real
+        v_phys = u_phys if v is None else spectral.ifftn(v).real
+        pairs = ([(p, q) for p in range(3) for q in range(3)] if distinct
+                 else [(p, q) for p in range(3) for q in range(p, 3)])
+        want = np.zeros((3,) + grid.shape, dtype=np.complex128)
+        for p, q in pairs:
+            prod_hat = spectral.fftn(u_phys[p] * v_phys[q])
+            prod_hat *= grid.dealias_mask
+            for j in range(3):
+                w = M[j, p, q] if distinct or p == q else M[j, p, q] + M[j, q, p]
+                want[j] += w * prod_hat
+        want *= 1j
+        want = np.stack([spectral.hermitian_symmetrize(want[j]) for j in range(3)])
+        got = operators.apply_Q_stack(a, grid, u, v)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestLeray:
     def test_idempotent(self, rng):

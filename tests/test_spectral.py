@@ -166,6 +166,19 @@ class TestDealias:
         c = random_hermitian_coeffs(g, rng)
         np.testing.assert_array_equal(dealias(SpectralField(g, c)).coeffs, c)
 
+    @pytest.mark.parametrize("n,fraction", [(8, 2.0 / 3.0), (16, 2.0 / 3.0),
+                                            (8, 1.0), (12, 0.5)])
+    def test_dealias_modes_list_kept_modes_and_their_negatives(self, n, fraction):
+        g = build_grid(n, dealias_fraction=fraction)
+        modes, partner = g.dealias_modes
+        mask = helpers.oracle_dealias_mask(n, fraction)
+        np.testing.assert_array_equal(modes, np.flatnonzero(mask))
+        idx = np.array(np.unravel_index(modes, g.shape))
+        np.testing.assert_array_equal(
+            np.array(np.unravel_index(modes[partner], g.shape)), (-idx) % n)
+        np.testing.assert_array_equal(partner[partner], np.arange(modes.size))
+        assert not modes.flags.writeable and not partner.flags.writeable
+
 
 class TestShellReduceMax:
     def test_exponential_profile_shell_maxima(self):
