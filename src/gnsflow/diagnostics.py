@@ -27,6 +27,7 @@ from .spectral import (
     inverse_transform,
     shell_reduce_max,
     weighted_l2_stack,
+    weighted_tail_sums,
 )
 
 __all__ = [
@@ -127,31 +128,52 @@ def gevrey_norm(u: VelocityField, r: float, s: float) -> float:
         factor=np.exp(2.0 * (r * grid.k_norm - shift)))
 
 
+def _build_tail_table(traj: Trajectory, gamma: float) -> np.ndarray:
+    """Row i, column m: max over tau <= times[i] of the homogeneous-H^gamma
+    tail norm with cutoff levels[m] (levels of grid.k_norm_levels)."""
+    grid = traj.grid
+    tails = np.array([weighted_tail_sums(grid, stack_coefficients(state), gamma, True)
+                      for state in traj.states])
+    table = np.maximum.accumulate(np.sqrt(tails), axis=0)
+    table.setflags(write=False)
+    return table
+
+
 def _tail_running_max(traj: Trajectory, cutoff: float, gamma: float, t: float) -> float:
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     tol = traj.time_tolerance()
     if t < -tol or t > traj.horizon + tol:
         raise ValueError(f"t = {t} outside the trajectory span [0, {traj.horizon}]")
-    best = 0.0
-    for tau, state in zip(traj.times, traj.states):
-        if float(tau) > t + tol:
-            break
-        val = weighted_l2_stack(traj.grid, stack_coefficients(state), gamma,
-                                homogeneous=True, cutoff=cutoff)
-        best = max(best, val)
-    return best
+    key = float(gamma)
+    table = traj.tail_tables.get(key)
+    if table is None:
+        table = traj.tail_tables[key] = _build_tail_table(traj, key)
+    levels, _ = traj.grid.k_norm_levels
+    # first level >= cutoff: the modes kept are those of a k_norm >= cutoff mask
+    col = int(np.searchsorted(levels, cutoff, side="left"))
+    if col == levels.size:
+        return 0.0
+    row = int(np.searchsorted(traj.times, t + tol, side="right")) - 1
+    return float(table[row, col])
 
 
 def eta_J(traj: Trajectory, J: float, gamma: float, t: float) -> float:
-    """Running max over [0, t] of the homogeneous-H^gamma tail norm, cutoff 0.01 J."""
+    """Running max over [0, t] of the homogeneous-H^gamma tail norm, cutoff 0.01 J.
+
+    A lookup into a per-(trajectory, gamma) table of every state's tail norms
+    at every |k| level, built on first use and cached on the trajectory.
+    """
     if not (J > 0.0 and math.isfinite(J)):
         raise ValueError(f"J must be positive and finite, got {J}")
     return _tail_running_max(traj, 0.01 * J, gamma, t)
 
 
 def zeta_J(traj: Trajectory, J: float, gamma: float, t: float) -> float:
-    """Running max over [0, t] of the homogeneous-H^gamma tail norm, cutoff J."""
+    """Running max over [0, t] of the homogeneous-H^gamma tail norm, cutoff J.
+
+    A lookup into the same cached table as eta_J.
+    """
     if not (J > 0.0 and math.isfinite(J)):
         raise ValueError(f"J must be positive and finite, got {J}")
     return _tail_running_max(traj, J, gamma, t)

@@ -130,7 +130,11 @@ def read_field(path: Path, check: bool = True) -> VelocityField:
     velocity).
     """
     path = Path(path)
-    data = path.read_bytes()
+    return _parse_field(path, path.read_bytes(), check)
+
+
+def _parse_field(path: Path, data: bytes, check: bool) -> VelocityField:
+    """Decode the bytes of a write_field snapshot; path only labels errors."""
     if len(data) < _HEADER.size:
         raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
     magic, version, n, ncomp, period, frac = _HEADER.unpack_from(data)
@@ -192,7 +196,11 @@ def write_trajectory(directory: Path, traj: Trajectory,
 
 
 def read_trajectory(manifest_path: Path, check: bool = True) -> Trajectory:
-    """Reload a trajectory from its manifest; verifies sha256 and grid match."""
+    """Reload a trajectory from its manifest; verifies sha256 and grid match.
+
+    Each state file is read once: the bytes that are hashed are the bytes
+    that are parsed.
+    """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
@@ -208,12 +216,13 @@ def read_trajectory(manifest_path: Path, check: bool = True) -> Trajectory:
     states = []
     for entry in manifest["files"]:
         fpath = directory / entry["name"]
+        data = fpath.read_bytes()
         if check:
-            digest = hashlib.sha256(fpath.read_bytes()).hexdigest()
+            digest = hashlib.sha256(data).hexdigest()
             if digest != entry["sha256"]:
                 raise FormatError(f"{fpath}: sha256 mismatch (file {digest}, "
                                   f"manifest {entry['sha256']})")
-        state = read_field(fpath, check=check)
+        state = _parse_field(fpath, data, check)
         if state.grid != grid:
             raise FormatError(f"{fpath}: grid differs from manifest grid")
         states.append(state)

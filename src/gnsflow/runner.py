@@ -3,7 +3,7 @@
 The output directory appears atomically (everything is written into a
 same-parent temp directory that is renamed into place), including on the
 failure paths that leave partial evidence behind (non-convergence, an
-inconclusive radius fit).
+inconclusive radius fit, an internal error).
 """
 from __future__ import annotations
 
@@ -168,7 +168,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None,
 
     Raises ScenarioError with the appropriate exit code; partial artifacts
     (config, norms, Picard evidence) are still published for the
-    non-convergence and inconclusive-fit failures.
+    non-convergence and inconclusive-fit failures. Any other exception
+    publishes what was written plus error.json and propagates; an interrupt
+    (KeyboardInterrupt, SystemExit) removes the partial directory.
     """
     out = resolve_output_dir(cfg, None if out_dir is None else str(out_dir))
     if out.exists() and any(out.iterdir()):
@@ -188,6 +190,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None,
     try:
         artifacts = _run_into(tmp, out, cfg, coeffs, u0)
     except ScenarioError:
+        _publish(tmp, out)
+        raise
+    except Exception as exc:
+        gio.write_text(tmp / "error.json",
+                       gio.dump_json({"error": f"{type(exc).__name__}: {exc}"}))
         _publish(tmp, out)
         raise
     except BaseException:

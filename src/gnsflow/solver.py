@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -93,7 +93,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States on a strictly increasing time lattice starting at 0."""
+    """States on a strictly increasing time lattice starting at 0.
+
+    Diagnostics cache tables derived from the states on the instance, so the
+    states' coefficients must not be mutated once they are wrapped.
+    """
 
     times: np.ndarray = field(repr=False)
     states: tuple[VelocityField, ...] = field(repr=False)
@@ -134,6 +138,11 @@ class Trajectory:
 
     def state_at(self, t: float) -> VelocityField:
         return self.states[self.index_at_time(t)]
+
+    @cached_property
+    def tail_tables(self) -> dict[float, np.ndarray]:
+        """Per-gamma running-max tail tables, filled by the diagnostics on first use."""
+        return {}
 
 
 def _stacks(traj: Trajectory) -> list[np.ndarray]:

@@ -27,6 +27,7 @@ __all__ = [
     "dealias",
     "shell_reduce_max",
     "weighted_l2_stack",
+    "weighted_tail_sums",
     "hermitian_deviation",
     "hermitian_symmetrize",
     "set_fft_workers",
@@ -151,6 +152,20 @@ class Grid:
         arr = np.sqrt(self.k_sq)
         arr.setflags(write=False)
         return arr
+
+    @cached_property
+    def k_norm_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct k_norm values, and the level index of each mode (flat C order).
+
+        Levels are the k_norm floats themselves (distinct k_sq floats can
+        share one sqrt), so the modes at or above level m are exactly those
+        with k_norm >= levels[m].
+        """
+        levels, mode_level = np.unique(self.k_norm, return_inverse=True)
+        mode_level = mode_level.ravel()
+        for arr in (levels, mode_level):
+            arr.setflags(write=False)
+        return levels, mode_level
 
     @cached_property
     def k_max(self) -> float:
@@ -344,6 +359,13 @@ def _weight_table(grid: Grid, s: float, homogeneous: bool) -> np.ndarray:
     return table
 
 
+def _require_zero_mean(flat: np.ndarray) -> None:
+    mean = float(np.max(np.abs(flat[:, 0, 0, 0])))
+    if mean > 1e-13 * (1.0 + float(np.max(np.abs(flat)))):
+        raise ValueError(
+            "homogeneous norm with s < 0 is undefined for data with nonzero mean")
+
+
 def weighted_l2_stack(grid: Grid, stacks: np.ndarray, s: float, homogeneous: bool,
                       cutoff: float = 0.0, factor: np.ndarray | None = None) -> float:
     """Lattice-weighted Sobolev-type norm of a (..., n, n, n) coefficient stack.
@@ -360,10 +382,7 @@ def weighted_l2_stack(grid: Grid, stacks: np.ndarray, s: float, homogeneous: boo
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     flat = stacks.reshape((-1,) + grid.shape)
     if homogeneous and s < 0.0 and cutoff == 0.0:
-        mean = float(np.max(np.abs(flat[:, 0, 0, 0])))
-        if mean > 1e-13 * (1.0 + float(np.max(np.abs(flat)))):
-            raise ValueError(
-                "homogeneous norm with s < 0 is undefined for data with nonzero mean")
+        _require_zero_mean(flat)
     table = _weight_table(grid, s, homogeneous)
     if factor is not None:
         table = table * factor
@@ -372,3 +391,25 @@ def weighted_l2_stack(grid: Grid, stacks: np.ndarray, s: float, homogeneous: boo
     for comp in flat:
         total += float(np.sum(table * np.abs(comp) ** 2, where=mask))
     return math.sqrt(grid.mode_weight * total)
+
+
+def weighted_tail_sums(grid: Grid, stacks: np.ndarray, s: float,
+                       homogeneous: bool) -> np.ndarray:
+    """Squared weighted tail norms of a (..., n, n, n) stack at every |k| level.
+
+    Entry m is mode_weight * sum_components sum_{|k| >= levels[m]}
+    w^{2s} |c|^2 over the levels of grid.k_norm_levels, so its sqrt is
+    weighted_l2_stack with cutoff levels[m]. Weights and the
+    homogeneous s < 0 domain error are those of weighted_l2_stack; entry 0
+    is the untruncated norm, so the error applies whatever level is read.
+    """
+    flat = stacks.reshape((-1,) + grid.shape)
+    if homogeneous and s < 0.0:
+        _require_zero_mean(flat)
+    power = np.zeros(grid.shape)
+    for comp in flat:
+        power += np.abs(comp) ** 2
+    levels, mode_level = grid.k_norm_levels
+    per_level = np.bincount(mode_level, minlength=levels.size,
+                            weights=(_weight_table(grid, s, homogeneous) * power).ravel())
+    return grid.mode_weight * np.cumsum(per_level[::-1])[::-1]

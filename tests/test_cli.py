@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gnsflow import cli
+from gnsflow import cli, runner
 from gnsflow import io as gio
 from gnsflow.config import ConfigError, parse_config_text
 from gnsflow.diagnostics import InconclusiveFitError
@@ -288,6 +288,22 @@ class TestCliCommands:
         monkeypatch.setattr(cli, "_cmd_report", handler)
         assert cli.main(["report", str(tmp_path)]) == code
         assert str(exc) in capsys.readouterr().err
+
+    def test_solve_internal_error_publishes_evidence(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def broken_report(*args, **kwargs):
+            raise RuntimeError("report exploded")
+        monkeypatch.setattr(runner, "bound_report", broken_report)
+        cfg_path = write_cfg(tmp_path, BASE_CFG)
+        out = tmp_path / "run"
+        assert cli.main(["solve", str(cfg_path), "--out", str(out)]) == EXIT_FAILURE
+        assert "report exploded" in capsys.readouterr().err
+        assert (out / "config.txt").exists()
+        assert (out / "norms.csv").exists()
+        assert (out / "trajectory" / "manifest.json").exists()
+        doc = json.loads((out / "error.json").read_text())
+        assert doc == {"error": "RuntimeError: report exploded"}
+        assert [p for p in tmp_path.iterdir() if "partial" in p.name] == []
 
     def test_diagnose_matches_solve(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, BASE_CFG)

@@ -270,6 +270,53 @@ class TestEtaZeta:
         first = diagnostics.eta_J(traj, 100.0, 1.0, 0.0)
         assert got == pytest.approx(first, rel=1e-12)
 
+    def test_cutoff_on_a_shell_radius_includes_that_shell(self):
+        grid = build_grid(8)
+        u = single_pair_velocity(grid, (0, 3, 0), 2.0)
+        traj = Trajectory(np.array([0.0, 0.1]), (u, u))
+        want = math.sqrt(2 * 3.0**2 * 4.0)
+        assert zeta_J(traj, 3.0, 1.0, 0.1) == pytest.approx(want, rel=1e-14)
+        assert zeta_J(traj, float(np.nextafter(3.0, 4.0)), 1.0, 0.1) == 0.0
+
+    def test_cutoff_above_kmax_gives_zero(self, rng):
+        grid = build_grid(8)
+        stack = np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)])
+        u = velocity_from_stack(grid, stack)   # corner modes populated
+        traj = Trajectory(np.array([0.0, 0.1]), (u, u))
+        assert zeta_J(traj, 0.99 * grid.k_max, 1.0, 0.1) > 0.0
+        assert zeta_J(traj, 1.01 * grid.k_max, 1.0, 0.1) == 0.0
+        assert eta_J(traj, 101.0 * grid.k_max, 1.0, 0.1) == 0.0
+
+    def test_lookup_at_start_and_horizon(self, rng):
+        traj = self.make_traj(rng)
+        grid = traj.grid
+        stacks = [stack_coefficients(s) for s in traj.states]
+        for t, upto in ((0.0, 1), (traj.horizon, len(stacks))):
+            want = helpers.oracle_eta(stacks[:upto], 8, 2 * math.pi, 150.0, 1.0,
+                                      grid.mode_weight)
+            assert eta_J(traj, 150.0, 1.0, t) == pytest.approx(want, rel=1e-12)
+
+    def test_table_built_once_per_gamma(self, rng, monkeypatch):
+        traj = self.make_traj(rng)
+        built = []
+        real = diagnostics._build_tail_table
+
+        def spy(tr, gamma):
+            built.append(gamma)
+            return real(tr, gamma)
+        monkeypatch.setattr(diagnostics, "_build_tail_table", spy)
+        for J in (10.0, 50.0, 400.0):
+            for t in (0.0, 0.05, 0.1):
+                eta_J(traj, J, 1.0, t)
+                zeta_J(traj, J, 1.0, t)
+        assert built == [1.0]
+        eta_J(traj, 10.0, 0.5, 0.1)
+        assert built == [1.0, 0.5]
+        assert traj.tail_tables[1.0] is not traj.tail_tables[0.5]
+        other = self.make_traj(rng)
+        eta_J(other, 10.0, 1.0, 0.1)
+        assert built == [1.0, 0.5, 1.0]
+
     def test_domain_errors(self, rng):
         traj = self.make_traj(rng)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +140,20 @@ class TestTrajectoryRoundTrip:
         target.write_bytes(bytes(data))
         with pytest.raises(gio.FormatError, match="sha256"):
             gio.read_trajectory(tmp_path / "run")
+
+    def test_reads_each_state_file_once(self, rng, tmp_path, monkeypatch):
+        traj = heat_traj(make_field(build_grid(8), rng), [0.0, 0.005, 0.01])
+        gio.write_trajectory(tmp_path / "run", traj)
+        calls = []
+        real = Path.read_bytes
+
+        def spy(self):
+            calls.append(self.name)
+            return real(self)
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        back = gio.read_trajectory(tmp_path / "run")
+        assert len(back.states) == 3
+        assert sorted(calls) == ["state_0000.gsf", "state_0001.gsf", "state_0002.gsf"]
 
     def test_rejects_wrong_manifest_format(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"format": "other"}))

@@ -19,6 +19,7 @@ from gnsflow.spectral import (
     inverse_transform,
     shell_reduce_max,
     weighted_l2_stack,
+    weighted_tail_sums,
 )
 
 
@@ -360,6 +361,39 @@ class TestWeightedStack:
         want_low = math.sqrt(float(np.sum((knorm**2 * np.abs(c) ** 2)[low])))
         assert weighted_l2_stack(grid8, c, 1.0, True, factor=low) == pytest.approx(
             want_low, rel=1e-13)
+
+
+class TestWeightedTailSums:
+    @pytest.mark.parametrize("homogeneous, s", [
+        (True, 0.0), (True, 1.0), (False, 0.0), (False, 0.75)])
+    def test_every_level_matches_cutoff_reduction(self, rng, homogeneous, s):
+        grid = build_grid(8, period=3.0)
+        stacks = np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)])
+        levels, _ = grid.k_norm_levels
+        tails = weighted_tail_sums(grid, stacks, s, homogeneous)
+        assert tails.shape == levels.shape
+        for m, level in enumerate(levels):
+            want = weighted_l2_stack(grid, stacks, s, homogeneous, cutoff=float(level))
+            assert math.sqrt(tails[m]) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("period", [2 * math.pi, 3.0])
+    def test_levels_reproduce_k_norm_and_are_read_only(self, period):
+        grid = build_grid(16, period=period)
+        levels, mode_level = grid.k_norm_levels
+        assert np.all(np.diff(levels) > 0.0)
+        np.testing.assert_array_equal(levels[mode_level], np.asarray(grid.k_norm).ravel())
+        assert grid.k_norm_levels is grid.k_norm_levels
+        for arr in (levels, mode_level):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_negative_s_rejects_stack_with_nonzero_mean(self, grid8):
+        stack = np.zeros((3,) + grid8.shape, dtype=complex)
+        stack[0, 1, 0, 0] = stack[0, -1, 0, 0] = 1.0
+        assert weighted_tail_sums(grid8, stack, -1.0, True)[0] > 0.0
+        stack[0, 0, 0, 0] = 0.5
+        with pytest.raises(ValueError, match="nonzero mean"):
+            weighted_tail_sums(grid8, stack, -1.0, True)
 
 
 class TestWorkers:
