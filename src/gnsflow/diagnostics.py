@@ -20,12 +20,19 @@ from .operators import (
     stack_coefficients,
     velocity_from_stack,
 )
-from .solver import Trajectory, _duhamel_lattice, _lattice_quadrature, _stacks
+from .solver import (
+    Trajectory,
+    _duhamel_lattice,
+    _half_stacks,
+    _lattice_quadrature,
+    _stacks,
+)
 from .spectral import (
     EXP_GUARD,
     SpectralField,
     inverse_transform,
     shell_reduce_max,
+    to_full,
     weighted_l2_stack,
     weighted_tail_sums,
 )
@@ -526,12 +533,14 @@ def bilinear_tail_bound_sides(coeffs: QCoefficients, f: Trajectory, g: Trajector
     g_stacks = _stacks(g)
 
     lhs = 0.0
-    b_iter = _duhamel_lattice(coeffs, grid, f.times, f_stacks, quad_order, g_stacks)
+    b_iter = _duhamel_lattice(coeffs, grid, f.times, _half_stacks(f), quad_order,
+                              _half_stacks(g))
     for t, b in zip(f.times, b_iter):
         t = float(t)
         if t == 0.0 or t > T + tol:
             continue
-        val = envelope_norm(velocity_from_stack(grid, b), t, params, 0.1 * n1)
+        val = envelope_norm(velocity_from_stack(grid, to_full(grid, b)), t, params,
+                            0.1 * n1)
         lhs = max(lhs, val)
 
     def sup_h_gamma(stacks, cutoff=0.0):

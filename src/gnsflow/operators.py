@@ -3,7 +3,8 @@
 The nonlinearity is Q^j(u, v) = sum_{k,l,m} q^{j,m}_{k,l}(D) d_m (u^k v^l)
 with zero-order symbols q^{j,m}_{k,l}(xi) = sum_{n,p} alpha[j,m,n,p,k,l]
 xi_n xi_p / |xi|^2 built from a real rank-6 coefficient tensor (q(0) = 0).
-Products are formed pseudo-spectrally with 2/3-rule dealiasing.
+Products are formed pseudo-spectrally with 2/3-rule dealiasing, on the half
+spectrum of real fields (see apply_Q_stack).
 """
 
 from __future__ import annotations
@@ -15,12 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import (
+# fftn is no longer called here; it stays importable under this name
+# because the benchmark's trace hooks rebind operators.fftn and ifftn.
+from .spectral import (  # noqa: F401
     Grid,
     SpectralField,
     fftn,
     hermitian_deviation,
     ifftn,
+    irfftn,
+    rfftn,
+    to_full,
+    to_half,
 )
 
 __all__ = [
@@ -81,18 +88,22 @@ class QCoefficients:
         return cached
 
     def pair_weights(self, grid: Grid, same: bool) -> np.ndarray:
-        """Cached (3, n_pairs, n_kept) multiplier per product pair on the kept modes.
+        """Cached (3, n_pairs, n_kept) symmetrized multiplier per product pair.
 
-        Pairs run over _SAME_PAIRS when same (off-diagonal weight
-        M[j, a, b] + M[j, b, a]), else over _ALL_PAIRS; the last axis follows
-        grid.dealias_modes.
+        W = (M(k) - M(-k)) / 2 on the kept half-spectrum modes (the last axis
+        follows grid.half_dealias_modes), with M(-k) read at the storage
+        index of -k: M is odd in k, so W = M except on Nyquist planes, whose
+        alias -n/2 is its own negative. Pairs run over _SAME_PAIRS when same
+        (off-diagonal weight W[j, a, b] + W[j, b, a]), else over _ALL_PAIRS.
         """
         key = (grid, same)
         cached = self._pair_weights.get(key)
         if cached is None:
-            M = self.multiplier(grid).reshape((3, 3, 3, -1))[..., grid.dealias_modes[0]]
+            kept = grid.half_dealias_modes[1]
+            M = self.multiplier(grid).reshape((3, 3, 3, -1))
+            W = 0.5 * (M[..., kept] - M[..., grid.negated_modes[kept]])
             cached = np.stack([
-                np.stack([M[j, a, b] + M[j, b, a] if same and a != b else M[j, a, b]
+                np.stack([W[j, a, b] + W[j, b, a] if same and a != b else W[j, a, b]
                           for a, b in (_SAME_PAIRS if same else _ALL_PAIRS)])
                 for j in range(3)])
             cached.setflags(write=False)
@@ -219,35 +230,40 @@ def stack_coefficients(u: VelocityField) -> np.ndarray:
 
 def apply_Q_stack(coeffs: QCoefficients, grid: Grid, u_stack: np.ndarray,
                   v_stack: np.ndarray | None = None) -> np.ndarray:
-    """Q(u, v) on raw (3, n, n, n) coefficient stacks (solver hot path).
+    """Q(u, v) on half-spectrum (3, n, n, n//2+1) coefficient stacks (solver hot path).
 
-    result_j = i * sum_{a,b} M[j,a,b] * dealias(FFT(u_a v_b)); output is
-    Hermitian-symmetrized to hold the real-field invariant against FFT
-    round-off.
+    The solver computes on the half spectrum of its real fields (the rfftn
+    layout); stored fields and VelocityField stay full, and apply_Q converts
+    at its edge. result_j = i * sum_{a,b} W[j,a,b] * dealias(rfftn(u_a v_b))
+    with the symmetrized multiplier of QCoefficients.pair_weights; the kz = 0
+    and kz = n/2 planes, which hold both k and -k, are then set to
+    (c(k) + conj c(-k)) / 2, so the full spectrum of the output is exactly
+    Hermitian.
     """
     same = v_stack is None or v_stack is u_stack
-    modes, partner = grid.dealias_modes
+    modes, _, plane, partner = grid.half_dealias_modes
     weights = coeffs.pair_weights(grid, same)
+    pairs = _SAME_PAIRS if same else _ALL_PAIRS
 
-    u_phys = ifftn(u_stack).real
-    v_phys = u_phys if same else ifftn(v_stack).real
-
+    u_phys = irfftn(u_stack)
+    v_phys = u_phys if same else irfftn(v_stack)
+    products = np.empty((len(pairs),) + grid.shape)
+    for p, (a, b) in enumerate(pairs):
+        np.multiply(u_phys[a], v_phys[b], out=products[p])
     # only the kept modes are accumulated; the dealiased ones stay exactly 0
-    acc = np.zeros((3, modes.size), dtype=np.complex128)
-    term = np.empty(modes.size, dtype=np.complex128)
-    for p, (a, b) in enumerate(_SAME_PAIRS if same else _ALL_PAIRS):
-        prod_hat = fftn(u_phys[a] * v_phys[b]).reshape(-1)[modes]
-        for j in range(3):
-            acc[j] += np.multiply(weights[j, p], prod_hat, out=term)
+    prod_hat = rfftn(products).reshape(len(pairs), -1).take(modes, axis=1)
+
+    acc = (weights * prod_hat).sum(axis=1)
     acc *= 1j
-    out = np.zeros((3, grid.n_per_axis**3), dtype=np.complex128)
+    # c(k) <- (c(k) + conj c(-k)) / 2 on the self-paired planes
+    sym = np.conj(acc.take(partner, axis=1))
+    sym += acc.take(plane, axis=1)
+    sym *= 0.5
+    acc[:, plane] = sym
+    out = np.zeros((3, math.prod(grid.half_shape)), dtype=np.complex128)
     for j in range(3):
-        # c(k) <- (c(k) + conj c(-k)) / 2
-        sym = np.conj(acc[j].take(partner))
-        sym += acc[j]
-        sym *= 0.5
-        out[j, modes] = sym
-    return out.reshape((3,) + grid.shape)
+        out[j][modes] = acc[j]
+    return out.reshape((3,) + grid.half_shape)
 
 
 def apply_Q(coeffs: QCoefficients, u: VelocityField, v: VelocityField) -> VelocityField:
@@ -255,9 +271,16 @@ def apply_Q(coeffs: QCoefficients, u: VelocityField, v: VelocityField) -> Veloci
     if u.grid != v.grid:
         raise ValueError("apply_Q operands must share one grid")
     same = all(uc is vc for uc, vc in zip(u.components, v.components))
-    u_stack = stack_coefficients(u)
-    v_stack = None if same else stack_coefficients(v)
-    return velocity_from_stack(u.grid, apply_Q_stack(coeffs, u.grid, u_stack, v_stack))
+    u_stack = _real_half(u)
+    v_stack = None if same else _real_half(v)
+    return velocity_from_stack(
+        u.grid, to_full(u.grid, apply_Q_stack(coeffs, u.grid, u_stack, v_stack)))
+
+
+def _real_half(u: VelocityField) -> np.ndarray:
+    """Half spectrum of the real field Re(ifftn(c)) of each component, which
+    is what Q(u, v) reads when u is not exactly Hermitian."""
+    return rfftn(ifftn(stack_coefficients(u)).real)
 
 
 def leray_project_stack(grid: Grid, stack: np.ndarray) -> np.ndarray:
@@ -281,10 +304,11 @@ def leray_project(u: VelocityField) -> VelocityField:
     return velocity_from_stack(u.grid, leray_project_stack(u.grid, stack_coefficients(u)))
 
 
-def heat_factor(grid: Grid, t: float) -> np.ndarray:
+def heat_factor(grid: Grid, t: float, half: bool = False) -> np.ndarray:
+    """exp(-t |k|^2) on the full lattice, or on the half spectrum when half."""
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"heat semigroup time must be finite and >= 0, got {t}")
-    return np.exp(-t * grid.k_sq)
+    return np.exp(-t * (to_half(grid.k_sq) if half else grid.k_sq))
 
 
 def heat_semigroup(u: VelocityField, t: float) -> VelocityField:

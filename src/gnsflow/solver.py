@@ -5,6 +5,15 @@ B(u, v)(t) = int_0^t e^{(t-s)L} Q(u(s), v(s)) ds and L the Laplacian (unit
 viscosity). Trajectories are piecewise linear in their spectral coefficients
 between lattice times; Duhamel integrals use composite Gauss-Legendre
 quadrature against the exact per-mode heat kernel.
+
+Sweeps, the residual pass and the ETD steps compute on the half spectrum
+(3, n, n, n//2+1) of the real fields (see operators.apply_Q_stack). Stored
+fields stay full: every state a Trajectory returns is converted back to
+full (3, n, n, n) coefficients, and state 0 is the caller's initial data as
+given. Initial data that is not exactly Hermitian (Leray-projected noise
+with Nyquist content, say) has upper kz planes that the half spectrum does
+not carry; that unpaired part never enters Q and is returned under the heat
+flow.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from .operators import (
     stack_coefficients,
     velocity_from_stack,
 )
-from .spectral import Grid, weighted_l2_stack
+from .spectral import Grid, to_full, to_half, weighted_l2_stack
 
 __all__ = [
     "SolverConfig",
@@ -149,6 +158,27 @@ def _stacks(traj: Trajectory) -> list[np.ndarray]:
     return [stack_coefficients(s) for s in traj.states]
 
 
+def _half_stacks(traj: Trajectory) -> list[np.ndarray]:
+    return [np.stack([to_half(c.coeffs) for c in s.components]) for s in traj.states]
+
+
+def _unpaired(grid: Grid, u0_stack: np.ndarray) -> np.ndarray | None:
+    """u0 - to_full(to_half(u0)), the upper-plane part of u0 that its half
+    spectrum does not carry; None when u0 is exactly Hermitian."""
+    rest = u0_stack - to_full(grid, to_half(u0_stack))
+    return rest if rest.any() else None
+
+
+def _full_state(grid: Grid, half: np.ndarray, unpaired: np.ndarray | None,
+                t: float) -> VelocityField:
+    """A half-spectrum state at time t as a full field, plus the heat flow of
+    the initial data's unpaired part."""
+    full = to_full(grid, half)
+    if unpaired is not None:
+        full += heat_factor(grid, t) * unpaired
+    return velocity_from_stack(grid, full)
+
+
 def _check_same_lattice(u: Trajectory, v: Trajectory) -> None:
     if u.grid != v.grid:
         raise ValueError("trajectories must share one grid")
@@ -168,8 +198,9 @@ def _lattice_quadrature(times: np.ndarray, stacks: Sequence[Sequence[np.ndarray]
                         integrand) -> np.ndarray:
     """int_lo^hi kernel(s) * integrand(*states(s)) ds over a time lattice.
 
-    stacks holds one lattice-aligned sequence of (3, n, n, n) stacks per
-    state; states(s) interpolates each linearly in s between lattice times.
+    stacks holds one lattice-aligned sequence of coefficient stacks per
+    state, all in one layout; states(s) interpolates each linearly in s
+    between lattice times.
     Every lattice interval meeting [lo, hi] gets a quad_order Gauss-Legendre
     rule; kernel(s) is a scalar or a per-mode array. integrand must return
     a new array: it is scaled in place.
@@ -212,31 +243,32 @@ def duhamel_B(coeffs: QCoefficients, u: Trajectory, v: Trajectory, t_eval: float
         raise ValueError(f"t_eval {t_eval} outside the trajectory span [0, {u.horizon}]")
     grid = u.grid
     same = all(a is b for a, b in zip(u.states, v.states))
-    stacks = (_stacks(u),) if same else (_stacks(u), _stacks(v))
+    stacks = (_half_stacks(u),) if same else (_half_stacks(u), _half_stacks(v))
     acc = _lattice_quadrature(u.times, stacks, 0.0, t_eval, quad_order,
-                              lambda s: heat_factor(grid, t_eval - s),
+                              lambda s: heat_factor(grid, t_eval - s, half=True),
                               partial(apply_Q_stack, coeffs, grid))
-    return velocity_from_stack(grid, acc)
+    return velocity_from_stack(grid, to_full(grid, acc))
 
 
 def _duhamel_lattice(coeffs: QCoefficients, grid: Grid, times: np.ndarray,
                      stacks: Sequence[np.ndarray], quad_order: int,
                      v_stacks: Sequence[np.ndarray] | None = None):
-    """Yield B(u, v)(t_i) for every lattice time via the semigroup recursion.
+    """Yield the half spectrum of B(u, v)(t_i) at every lattice time.
 
+    stacks (and v_stacks) are half-spectrum stacks. Semigroup recursion:
     B_{i+1} = e^{-h L} B_i + int_{t_i}^{t_{i+1}} e^{-(t_{i+1}-s)L} Q ds, which
     matches the direct integral exactly for the per-mode heat kernel.
     v_stacks = None means v = u.
     """
     integrand = partial(apply_Q_stack, coeffs, grid)
     per_state = (stacks,) if v_stacks is None else (stacks, v_stacks)
-    acc = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    acc = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
     yield acc
     for i in range(len(times) - 1):
         t_lo, t_hi = float(times[i]), float(times[i + 1])
-        acc = heat_factor(grid, t_hi - t_lo) * acc + _lattice_quadrature(
+        acc = heat_factor(grid, t_hi - t_lo, half=True) * acc + _lattice_quadrature(
             times[i:i + 2], [st[i:i + 2] for st in per_state], t_lo, t_hi,
-            quad_order, lambda s: heat_factor(grid, t_hi - s), integrand)
+            quad_order, lambda s: heat_factor(grid, t_hi - s, half=True), integrand)
         yield acc
 
 
@@ -277,19 +309,21 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
         return traj, report
 
     guard = DIVERGENCE_FACTOR * (1.0 + norm0)
-    prev: list = [u0_stack * heat_factor(grid, float(t)) for t in times]
+    u0_half = to_half(u0_stack)
+    unpaired = _unpaired(grid, u0_stack)
+    prev: list = [u0_half * heat_factor(grid, float(t), half=True) for t in times]
     iterates = 1
     deltas: list[float] = []
     converged = False
     diverged = False
 
     while iterates < config.max_iter and not converged and not diverged:
-        out: list = [u0_stack.copy()]
+        out: list = [u0_half]
         delta = 0.0
         b_iter = _duhamel_lattice(coeffs, grid, times, prev, config.quad_order)
         next(b_iter)  # B(0) = 0
         for i, b in enumerate(b_iter, start=1):
-            nxt = u0_stack * heat_factor(grid, float(times[i])) + b
+            nxt = u0_half * heat_factor(grid, float(times[i]), half=True) + b
             delta = max(delta, weighted_l2_stack(
                 grid, nxt - prev[i], config.gamma, homogeneous=False))
             out.append(nxt)
@@ -302,7 +336,11 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
         elif delta <= config.tol:
             converged = True
 
-    traj = Trajectory(times, tuple(velocity_from_stack(grid, st) for st in prev))
+    states = [velocity_from_stack(grid, u0_stack)]
+    for i in range(1, len(prev)):
+        states.append(_full_state(grid, prev[i], unpaired, float(times[i])))
+        prev[i] = None
+    traj = Trajectory(times, tuple(states))
     if diverged:
         residual_max = math.inf
     else:
@@ -326,11 +364,13 @@ def mild_residual(traj: Trajectory, u0: VelocityField, coeffs: QCoefficients,
     scale = max(1.0, float(np.max(np.abs(u0_stack))))
     if np.max(np.abs(first - u0_stack)) > 1e-12 * scale:
         raise ValueError("trajectory does not start at the supplied initial data")
-    stacks = _stacks(traj)
+    u0_half = to_half(u0_stack)
+    stacks = _half_stacks(traj)
     out = np.empty(len(traj.times))
     b_iter = _duhamel_lattice(coeffs, grid, traj.times, stacks, quad_order)
     for i, b in enumerate(b_iter):
-        defect = stacks[i] - u0_stack * heat_factor(grid, float(traj.times[i])) - b
+        heat = heat_factor(grid, float(traj.times[i]), half=True)
+        defect = stacks[i] - u0_half * heat - b
         out[i] = weighted_l2_stack(grid, defect, gamma, homogeneous=False)
     return out
 
@@ -355,12 +395,14 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
         raise ValueError(f"t_final {t_final} is not an integer multiple of dt {dt}")
 
     grid = u0.grid
-    E = np.exp(-0.5 * dt * grid.k_sq)
+    E = heat_factor(grid, 0.5 * dt, half=True)
     E2 = E * E
-    c = stack_coefficients(u0)
-    scale0 = 1.0 + float(np.max(np.abs(c)))
+    u0_stack = stack_coefficients(u0)
+    c = to_half(u0_stack)
+    unpaired = _unpaired(grid, u0_stack)
+    scale0 = 1.0 + float(np.max(np.abs(u0_stack)))
     times = np.linspace(0.0, t_final, n_steps + 1)
-    states = [velocity_from_stack(grid, c.copy())]
+    states = [velocity_from_stack(grid, u0_stack)]
 
     def N(stack: np.ndarray) -> np.ndarray:
         return apply_Q_stack(coeffs, grid, stack)
@@ -378,8 +420,8 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
                 f"integrator blew up at t = {t_here:.6g}: max coefficient "
                 f"{peak:.3e} vs initial scale {scale0:.3e}", t_here, peak)
         if keep == "all":
-            states.append(velocity_from_stack(grid, c.copy()))
+            states.append(_full_state(grid, c, unpaired, float(times[step + 1])))
     if keep == "all":
         return Trajectory(times, tuple(states))
-    states.append(velocity_from_stack(grid, c.copy()))
+    states.append(_full_state(grid, c, unpaired, t_final))
     return Trajectory(np.asarray([0.0, t_final]), tuple(states))

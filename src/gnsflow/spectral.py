@@ -5,6 +5,10 @@ coefficients follow the convention ``coeffs = fftn(values) / n^3``, so a
 constant field c has ``coeffs[0,0,0] = c`` and Parseval reads
 ``mean(|f|^2) = sum(|coeffs|^2)``. Wavenumbers are ``(2*pi/period) * m`` with
 integer aliases m in [-n/2, n/2).
+
+A real field's coefficients satisfy c(-k) = conj c(k), so the half spectrum
+``coeffs[..., :n//2+1]`` (the ``rfftn`` layout) determines them: ``to_half``
+and ``to_full`` convert between the two layouts.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ __all__ = [
     "build_grid",
     "forward_transform",
     "inverse_transform",
+    "rfftn",
+    "irfftn",
+    "to_half",
+    "to_full",
     "dealias",
     "shell_reduce_max",
     "weighted_l2_stack",
@@ -66,6 +74,18 @@ def ifftn(coeffs: np.ndarray) -> np.ndarray:
     return scipy.fft.ifftn(coeffs, axes=(-3, -2, -1), norm="forward", workers=_fft_workers)
 
 
+def rfftn(values: np.ndarray) -> np.ndarray:
+    """Forward real 3-D FFT: the half spectrum (..., n, n, n//2+1) of :func:`fftn`."""
+    return scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward", workers=_fft_workers)
+
+
+def irfftn(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`rfftn`: real (..., n, n, n) values from a half spectrum."""
+    n = coeffs.shape[-2]
+    return scipy.fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward",
+                            workers=_fft_workers)
+
+
 class CorruptedFieldError(ValueError):
     """A spectral field violates Hermitian symmetry beyond tolerance."""
 
@@ -100,6 +120,17 @@ class Grid:
     def shape(self) -> tuple[int, int, int]:
         n = self.n_per_axis
         return (n, n, n)
+
+    @property
+    def half_shape(self) -> tuple[int, int, int]:
+        """Shape of the half spectrum: kz indices 0..n/2 only."""
+        n = self.n_per_axis
+        return (n, n, n // 2 + 1)
+
+    @property
+    def negated_modes(self) -> np.ndarray:
+        """Flat C-order index of the mode -k for every mode k (read-only)."""
+        return _negated_index(self.n_per_axis)
 
     @property
     def spacing(self) -> float:
@@ -188,13 +219,30 @@ class Grid:
         The keep-mask is symmetric under k -> -k, so every partner is kept.
         """
         modes = np.flatnonzero(self.dealias_mask)
-        n = self.n_per_axis
-        negated = np.ravel_multi_index(
-            tuple((-i) % n for i in np.unravel_index(modes, self.shape)), self.shape)
-        partner = np.searchsorted(modes, negated)
+        partner = np.searchsorted(modes, self.negated_modes[modes])
         for arr in (modes, partner):
             arr.setflags(write=False)
         return modes, partner
+
+    @cached_property
+    def half_dealias_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Kept modes of the half spectrum, and how to pair up its self-paired planes.
+
+        Returns the kept modes as flat C-order indices into half_shape, the
+        full-lattice flat index of each, the list positions of the kept
+        modes on the kz = 0 and kz = n/2 planes (each plane holds both k
+        and -k), and the list position of each of their -k.
+        """
+        n = self.n_per_axis
+        modes = np.flatnonzero(self.dealias_mask[..., :n // 2 + 1])
+        i, j, l = np.unravel_index(modes, self.half_shape)
+        full = np.ravel_multi_index((i, j, l), self.shape)
+        plane = np.flatnonzero((l == 0) | (l == n // 2))
+        negated = np.unravel_index(self.negated_modes[full[plane]], self.shape)
+        partner = np.searchsorted(modes, np.ravel_multi_index(negated, self.half_shape))
+        for arr in (modes, full, plane, partner):
+            arr.setflags(write=False)
+        return modes, full, plane, partner
 
     @cached_property
     def inv_k_sq(self) -> np.ndarray:
@@ -212,29 +260,65 @@ def build_grid(n_per_axis: int, period: float = 2.0 * math.pi,
                 dealias_fraction=float(dealias_fraction))
 
 
-def _reverse_modes(coeffs: np.ndarray) -> np.ndarray:
-    """Return c[-i mod n, -j mod n, -l mod n] for the trailing three axes."""
-    rev = coeffs[..., ::-1, ::-1, ::-1]
-    return np.roll(rev, shift=(1, 1, 1), axis=(-3, -2, -1))
+@lru_cache(maxsize=8)
+def _negated_index(n: int) -> np.ndarray:
+    """Read-only flat C-order index of -k for every mode of an n^3 lattice."""
+    neg = (-np.arange(n)) % n
+    index = ((neg[:, None, None] * n + neg[None, :, None]) * n + neg[None, None, :]).ravel()
+    index.setflags(write=False)
+    return index
 
 
 def hermitian_deviation(coeffs: np.ndarray) -> float:
-    """Max absolute deviation |c(k) - conj(c(-k))| over the lattice."""
-    return float(np.max(np.abs(coeffs - np.conj(_reverse_modes(coeffs)))))
+    """Max absolute deviation |c(k) - conj(c(-k))| over the lattice.
+
+    The pairs k, -k each have a member in the half spectrum and both give
+    the same value, so only the half is scanned.
+    """
+    n = coeffs.shape[-1]
+    negated = _negated_index(n).reshape((n, n, n))[..., :n // 2 + 1]
+    gap = coeffs.reshape(coeffs.shape[:-3] + (-1,)).take(negated, axis=-1)
+    np.conjugate(gap, out=gap)
+    np.subtract(to_half(coeffs), gap, out=gap)
+    return float(np.max(np.abs(gap)))
 
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian-symmetric subspace (real physical fields)."""
-    return 0.5 * (coeffs + np.conj(_reverse_modes(coeffs)))
+    flat = coeffs.reshape(coeffs.shape[:-3] + (-1,))
+    negated = flat.take(_negated_index(coeffs.shape[-1]), axis=-1).reshape(coeffs.shape)
+    return 0.5 * (coeffs + np.conj(negated))
+
+
+def to_half(stack: np.ndarray) -> np.ndarray:
+    """View of the half spectrum (..., n, n, n//2+1) of a full (..., n, n, n) array."""
+    return stack[..., :stack.shape[-2] // 2 + 1]
+
+
+def to_full(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Full (..., n, n, n) coefficients of a half spectrum.
+
+    The half is copied as is (kz = 0 and kz = n/2 planes included); each
+    upper plane kz > n/2 is the conjugate of the mode -k, which the half
+    holds.
+    """
+    h = grid.n_per_axis // 2 + 1
+    lead = half.shape[:-3]
+    full = np.empty(lead + grid.shape, dtype=np.complex128)
+    full[..., :h] = half
+    mirror = grid.negated_modes.reshape(grid.shape)[..., h:]
+    np.conj(full.reshape(lead + (-1,))[..., mirror], out=full[..., h:])
+    return full
 
 
 @dataclass(frozen=True)
 class SpectralField:
-    """A scalar periodic field stored by its spectral coefficients.
+    """A scalar periodic field stored by its full (n, n, n) spectral coefficients.
 
-    Coefficients are Hermitian-symmetric within HERMITIAN_BUILD_TOL at
-    construction; callers may bypass the check for internally produced data
-    via check=False paths in the module functions.
+    Construction does not check Hermitian symmetry: check_symmetry tests it
+    against HERMITIAN_BUILD_TOL on demand, and inverse_transform and the
+    field readers reject data beyond HERMITIAN_REJECT_TOL unless called
+    with check=False.
     """
 
     grid: Grid
@@ -359,6 +443,17 @@ def _weight_table(grid: Grid, s: float, homogeneous: bool) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=8)
+def _half_weight_table(grid: Grid, s: float, homogeneous: bool) -> np.ndarray:
+    """_weight_table on half_shape, with each mode of an interior kz plane
+    counted twice: once for itself and once for its unstored -k."""
+    multiplicity = np.full(grid.n_per_axis // 2 + 1, 2.0)
+    multiplicity[[0, -1]] = 1.0
+    table = to_half(_weight_table(grid, s, homogeneous)) * multiplicity
+    table.setflags(write=False)
+    return table
+
+
 def _require_zero_mean(flat: np.ndarray) -> None:
     mean = float(np.max(np.abs(flat[:, 0, 0, 0])))
     if mean > 1e-13 * (1.0 + float(np.max(np.abs(flat)))):
@@ -368,11 +463,14 @@ def _require_zero_mean(flat: np.ndarray) -> None:
 
 def weighted_l2_stack(grid: Grid, stacks: np.ndarray, s: float, homogeneous: bool,
                       cutoff: float = 0.0, factor: np.ndarray | None = None) -> float:
-    """Lattice-weighted Sobolev-type norm of a (..., n, n, n) coefficient stack.
+    """Lattice-weighted Sobolev-type norm of a coefficient stack in either layout.
 
-    Returns sqrt( mode_weight * sum_components sum_{|k| >= cutoff}
-    factor * w^{2s} |c|^2 ) with w(k) = |k| when homogeneous, sqrt(1 + |k|^2)
-    otherwise; factor (an exponential weight or a mode mask) defaults to 1.
+    The layout is read off the trailing axis: (..., n, n, n) full or
+    (..., n, n, n//2+1) half spectrum of Hermitian data; factor is a full
+    (n, n, n) array either way. Returns sqrt( mode_weight * sum_components
+    sum_{|k| >= cutoff} factor * w^{2s} |c|^2 ) with w(k) = |k| when
+    homogeneous, sqrt(1 + |k|^2) otherwise; factor (an exponential weight or
+    a mode mask) defaults to 1.
     In the homogeneous case the k = 0 mode contributes its plain magnitude
     for s = 0 and nothing for s != 0; for s < 0 without a cutoff the norm is
     undefined unless every component has zero mean, so a nonzero mean raises
@@ -380,13 +478,14 @@ def weighted_l2_stack(grid: Grid, stacks: np.ndarray, s: float, homogeneous: boo
     """
     if cutoff < 0.0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    flat = stacks.reshape((-1,) + grid.shape)
+    half = stacks.shape[-1] != grid.n_per_axis
+    flat = stacks.reshape((-1,) + (grid.half_shape if half else grid.shape))
     if homogeneous and s < 0.0 and cutoff == 0.0:
         _require_zero_mean(flat)
-    table = _weight_table(grid, s, homogeneous)
+    table = (_half_weight_table if half else _weight_table)(grid, s, homogeneous)
     if factor is not None:
-        table = table * factor
-    mask = grid.k_norm >= cutoff
+        table = table * (to_half(factor) if half else factor)
+    mask = (to_half(grid.k_norm) if half else grid.k_norm) >= cutoff
     total = 0.0
     for comp in flat:
         total += float(np.sum(table * np.abs(comp) ** 2, where=mask))

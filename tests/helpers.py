@@ -40,6 +40,18 @@ def oracle_dealias_mask(n: int, fraction: float = 2.0 / 3.0) -> np.ndarray:
     return keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
 
 
+def oracle_negated(coeffs: np.ndarray) -> np.ndarray:
+    """c(-k): the alias index -m mod n on each of the trailing three axes."""
+    n = coeffs.shape[-1]
+    idx = (-np.arange(n)) % n
+    return coeffs[..., idx, :, :][..., :, idx, :][..., :, :, idx]
+
+
+def oracle_hermitian_deviation(coeffs: np.ndarray) -> float:
+    """max |c(k) - conj c(-k)| by direct index arithmetic."""
+    return float(np.max(np.abs(coeffs - np.conj(oracle_negated(coeffs)))))
+
+
 def oracle_leray(coeffs3: np.ndarray, n: int, period: float) -> np.ndarray:
     """Projection c_j - k_j (k.c)/|k|^2 computed with explicit loops over axes."""
     kx, ky, kz = oracle_k_vectors(n, period)

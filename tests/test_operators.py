@@ -217,7 +217,8 @@ class TestApplyQ:
         g1 = build_grid(n, period=2 * math.pi)
         g2 = build_grid(n, period=math.pi)
         a = QCoefficients(rng.standard_normal((3,) * 6))
-        stack = np.stack([random_hermitian_coeffs(g1, rng) for _ in range(3)])
+        stack = spectral.to_half(
+            np.stack([random_hermitian_coeffs(g1, rng) for _ in range(3)]))
         q1 = operators.apply_Q_stack(a, g1, stack)
         q2 = operators.apply_Q_stack(a, g2, 2.0 * stack)
         assert np.max(np.abs(q2 - 8.0 * q1)) <= 1e-12 * max(1.0, np.max(np.abs(q1)))
@@ -229,7 +230,8 @@ class TestApplyQ:
         rng = np.random.default_rng(seed)
         grid = build_grid(8)
         a = QCoefficients(rng.standard_normal((3,) * 6))
-        stack = np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)])
+        stack = spectral.to_half(
+            np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)]))
         q1 = operators.apply_Q_stack(a, grid, stack)
         q2 = operators.apply_Q_stack(a, grid, 3.0 * stack)
         assert np.max(np.abs(q2 - 9.0 * q1)) <= 1e-11 * max(1.0, np.max(np.abs(q1)))
@@ -248,21 +250,25 @@ class TestApplyQ:
         g = build_grid(8)
         w = a.pair_weights(g, True)
         assert a.pair_weights(g, True) is w
-        assert w.shape == (3, 6, g.dealias_modes[0].size)
-        assert a.pair_weights(g, False).shape == (3, 9, g.dealias_modes[0].size)
+        assert w.shape == (3, 6, g.half_dealias_modes[0].size)
+        assert a.pair_weights(g, False).shape == (3, 9, g.half_dealias_modes[0].size)
         assert not w.flags.writeable
 
-    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0, 0.5])
     @pytest.mark.parametrize("distinct", [False, True])
     def test_stack_matches_full_lattice_accumulation(self, rng, fraction, distinct):
-        # the kept-mode accumulation reproduces, bit for bit, the sum of
+        # the half-spectrum accumulation reproduces the sum of
         # M[j, a, b] * dealias(FFT(u_a v_b)) over the whole lattice followed
-        # by i * and Hermitian symmetrization
+        # by i * and Hermitian symmetrization, and is exactly Hermitian
         grid = build_grid(8, dealias_fraction=fraction)
         a = QCoefficients(rng.standard_normal((3,) * 6))
-        u = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
-        v = (rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
-             if distinct else None)
+
+        def real_stack():
+            return np.stack([spectral.hermitian_symmetrize(
+                spectral.fftn(rng.standard_normal(grid.shape))) for _ in range(3)])
+
+        u = real_stack()
+        v = real_stack() if distinct else None
         M = a.multiplier(grid)
         u_phys = spectral.ifftn(u).real
         v_phys = u_phys if v is None else spectral.ifftn(v).real
@@ -277,8 +283,22 @@ class TestApplyQ:
                 want[j] += w * prod_hat
         want *= 1j
         want = np.stack([spectral.hermitian_symmetrize(want[j]) for j in range(3)])
-        got = operators.apply_Q_stack(a, grid, u, v)
-        assert got.tobytes() == want.tobytes()
+        got = spectral.to_full(grid, operators.apply_Q_stack(
+            a, grid, spectral.to_half(u), None if v is None else spectral.to_half(v)))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert max(spectral.hermitian_deviation(got[j]) for j in range(3)) == 0.0
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+    def test_symmetrized_weights_equal_multiplier_off_nyquist(self, rng, fraction):
+        grid = build_grid(8, dealias_fraction=fraction)
+        a = QCoefficients(rng.standard_normal((3,) * 6))
+        w = a.pair_weights(grid, False)
+        kept = grid.half_dealias_modes[1]
+        M = a.multiplier(grid).reshape((3, 9, -1))[..., kept]
+        alias = np.array(np.unravel_index(kept, grid.shape))
+        off_nyquist = np.all(alias != grid.n_per_axis // 2, axis=0)
+        np.testing.assert_array_equal(w[..., off_nyquist], M[..., off_nyquist])
+        assert fraction < 1.0 or not np.all(off_nyquist)
 
 
 class TestLeray:

@@ -23,7 +23,12 @@ from gnsflow.solver import (
     mild_residual,
     picard_solve,
 )
-from gnsflow.spectral import build_grid, weighted_l2_stack
+from gnsflow.spectral import (
+    build_grid,
+    hermitian_deviation,
+    hermitian_symmetrize,
+    weighted_l2_stack,
+)
 
 
 def vortex_velocity(n=16, period=2 * math.pi, amplitude=1.0):
@@ -346,6 +351,45 @@ class TestEtdIntegrate:
         grid, u0 = vortex_velocity(n=8)
         with pytest.raises(ValueError):
             etd_integrate(u0, navier_stokes_coeffs(), 0.01, 0.001, keep="weird")
+
+
+class TestHalfSpectrumStates:
+    """The solver computes on the half spectrum; every state it returns is the
+    full spectrum of a real field, exactly."""
+
+    @staticmethod
+    def real_vortex(n=12):
+        grid, u = vortex_velocity(n=n, amplitude=1.0)
+        stack = np.stack([hermitian_symmetrize(c.coeffs) for c in u.components])
+        return grid, velocity_from_stack(grid, stack)
+
+    @staticmethod
+    def deviation(traj):
+        return max(hermitian_deviation(stack_coefficients(s)) for s in traj.states)
+
+    def test_picard_states_are_exactly_hermitian(self):
+        grid, u0 = self.real_vortex()
+        traj, report = picard_solve(u0, navier_stokes_coeffs(),
+                                    SolverConfig(t_final=0.01, n_times=6, tol=1e-8))
+        assert report.iterates > 2
+        assert self.deviation(traj) == 0.0
+        assert stack_coefficients(traj.states[0]).tobytes() == \
+            stack_coefficients(u0).tobytes()
+
+    @pytest.mark.parametrize("keep", ["all", "final"])
+    def test_etd_states_are_exactly_hermitian(self, keep):
+        grid, u0 = self.real_vortex()
+        traj = etd_integrate(u0, navier_stokes_coeffs(), 0.004, 0.001, keep=keep)
+        assert self.deviation(traj) == 0.0
+        assert stack_coefficients(traj.states[0]).tobytes() == \
+            stack_coefficients(u0).tobytes()
+
+    def test_duhamel_b_is_exactly_hermitian(self):
+        grid, u0 = self.real_vortex()
+        traj = etd_integrate(u0, navier_stokes_coeffs(), 0.004, 0.001)
+        b = duhamel_B(navier_stokes_coeffs(), traj, traj, 0.0025)
+        assert b.hermitian_deviation() == 0.0
+        assert b.l2_coefficient_norm() > 0.0
 
 
 class TestPicardVsEtd:

@@ -18,6 +18,8 @@ from gnsflow.spectral import (
     hermitian_symmetrize,
     inverse_transform,
     shell_reduce_max,
+    to_full,
+    to_half,
     weighted_l2_stack,
     weighted_tail_sums,
 )
@@ -179,6 +181,98 @@ class TestDealias:
             np.array(np.unravel_index(modes[partner], g.shape)), (-idx) % n)
         np.testing.assert_array_equal(partner[partner], np.arange(modes.size))
         assert not modes.flags.writeable and not partner.flags.writeable
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (3, 12, 12, 12)])
+    def test_hermitian_check_matches_oracle_bitwise(self, rng, shape):
+        # non-Hermitian input: every c(k) differs from conj c(-k)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert hermitian_deviation(c) == helpers.oracle_hermitian_deviation(c)
+        want = 0.5 * (c + np.conj(helpers.oracle_negated(c)))
+        assert hermitian_symmetrize(c).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 8, 10])
+    def test_negated_modes_index_minus_k_and_is_read_only(self, n):
+        g = build_grid(n)
+        neg = g.negated_modes
+        idx = np.array(np.unravel_index(np.arange(n**3), g.shape))
+        np.testing.assert_array_equal(
+            np.array(np.unravel_index(neg, g.shape)), (-idx) % n)
+        np.testing.assert_array_equal(neg[neg], np.arange(n**3))
+        assert not neg.flags.writeable
+        assert build_grid(n, period=3.0).negated_modes is neg
+
+    @pytest.mark.parametrize("n", [4, 8, 10])
+    def test_half_full_half_round_trip_is_bitwise(self, rng, n):
+        # arbitrary data, Nyquist planes kz = 0 and kz = n/2 included
+        g = build_grid(n)
+        shape = (3,) + g.half_shape
+        half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = to_full(g, half)
+        assert full.shape == (3,) + g.shape
+        assert to_half(full).tobytes() == half.tobytes()
+        upper = full[..., n // 2 + 1:]
+        np.testing.assert_array_equal(
+            upper, np.conj(helpers.oracle_negated(full))[..., n // 2 + 1:])
+
+    def test_full_of_hermitian_half_restores_the_coefficients(self, grid8, rng):
+        c = hermitian_symmetrize(random_hermitian_coeffs(grid8, rng))
+        assert to_full(grid8, to_half(c)).tobytes() == c.tobytes()
+        assert hermitian_deviation(to_full(grid8, to_half(c))) == 0.0
+
+    def test_real_transforms_match_the_full_ones(self, grid8, rng):
+        x = rng.standard_normal((3,) + grid8.shape)
+        half = spectral.rfftn(x)
+        want = spectral.fftn(x)
+        assert half.shape == (3,) + grid8.half_shape
+        assert np.max(np.abs(half - to_half(want))) <= 1e-15 * np.max(np.abs(want))
+        assert np.max(np.abs(spectral.irfftn(half) - x)) <= 1e-14
+
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    @pytest.mark.parametrize("s,cutoff,use_factor", [
+        (0.0, 0.0, False), (1.3, 0.0, False), (0.7, 2.5, False), (1.0, 0.0, True)])
+    def test_weighted_l2_same_on_half_and_full(self, rng, homogeneous, s, cutoff,
+                                               use_factor):
+        g = build_grid(10, period=3.0)
+        full = np.stack([hermitian_symmetrize(random_hermitian_coeffs(g, rng))
+                         for _ in range(3)])
+        factor = np.exp(0.3 * np.asarray(g.k_norm)) if use_factor else None
+        want = weighted_l2_stack(g, full, s, homogeneous, cutoff=cutoff, factor=factor)
+        got = weighted_l2_stack(g, to_half(full), s, homogeneous, cutoff=cutoff,
+                                factor=factor)
+        assert want > 0.0
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_negative_s_nonzero_mean_rejected_in_both_layouts(self, grid8):
+        stack = np.zeros((3,) + grid8.shape, dtype=complex)
+        stack[1, 2, 0, 0] = stack[1, -2, 0, 0] = 1.0
+        stack[2, 0, 0, 0] = 0.5
+        for layout in (stack, to_half(stack)):
+            with pytest.raises(ValueError, match="nonzero mean"):
+                weighted_l2_stack(grid8, layout, -1.0, True)
+
+    def test_half_weight_table_counts_interior_planes_twice(self, grid8):
+        table = spectral._half_weight_table(grid8, 0.5, False)
+        full = spectral._weight_table(grid8, 0.5, False)
+        np.testing.assert_array_equal(table[..., 0], full[..., 0])
+        np.testing.assert_array_equal(table[..., 4], full[..., 4])
+        np.testing.assert_array_equal(table[..., 1:4], 2.0 * full[..., 1:4])
+        assert not table.flags.writeable
+
+    @pytest.mark.parametrize("n,fraction", [(8, 2.0 / 3.0), (8, 1.0), (12, 0.5)])
+    def test_half_dealias_modes_pair_the_self_paired_planes(self, n, fraction):
+        g = build_grid(n, dealias_fraction=fraction)
+        modes, full, plane, partner = g.half_dealias_modes
+        mask = helpers.oracle_dealias_mask(n, fraction)[..., :n // 2 + 1]
+        np.testing.assert_array_equal(modes, np.flatnonzero(mask))
+        idx = np.array(np.unravel_index(modes, g.half_shape))
+        np.testing.assert_array_equal(np.array(np.unravel_index(full, g.shape)), idx)
+        np.testing.assert_array_equal(plane, np.flatnonzero(
+            (idx[2] == 0) | (idx[2] == n // 2)))
+        np.testing.assert_array_equal(idx[:, partner], (-idx[:, plane]) % n)
+        for arr in (modes, full, plane, partner):
+            assert not arr.flags.writeable
 
 
 class TestShellReduceMax:
