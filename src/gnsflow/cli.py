@@ -80,7 +80,7 @@ def _cmd_solve(args) -> int:
     artifacts = run_scenario(cfg, out_dir=args.out,
                              base_dir=Path(args.config).parent)
     pic = artifacts.picard
-    print(f"solve: converged in {pic.iterates} iterates "
+    print(f"solve: converged in at most {pic.iterates} iterations per interval "
           f"(residual {gio.format_float(pic.residual_max)})")
     if artifacts.etd_rel_error is not None:
         print(f"solve: reference integrator agrees to "

@@ -135,6 +135,14 @@ def read_field(path: Path, check: bool = True) -> VelocityField:
 
 def _parse_field(path: Path, data: bytes, check: bool) -> VelocityField:
     """Decode the bytes of a write_field snapshot; path only labels errors."""
+    grid = _field_grid(path, data)
+    stack = np.empty((3,) + grid.shape, dtype=np.complex128)
+    _decode_payload(path, data, stack, check)
+    return velocity_from_stack(grid, stack)
+
+
+def _field_grid(path: Path, data: bytes) -> Grid:
+    """The grid of a write_field snapshot, after its header and size checks."""
     if len(data) < _HEADER.size:
         raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
     magic, version, n, ncomp, period, frac = _HEADER.unpack_from(data)
@@ -148,15 +156,20 @@ def _parse_field(path: Path, data: bytes, check: bool) -> VelocityField:
     want = _HEADER.size + ncomp * n**3 * 16
     if len(data) != want:
         raise FormatError(f"{path}: payload size {len(data)} != expected {want}")
-    stack = np.frombuffer(data, dtype="<c16", offset=_HEADER.size).reshape(
-        (3, n, n, n)).astype(np.complex128)
+    return grid
+
+
+def _decode_payload(path: Path, data: bytes, stack: np.ndarray, check: bool) -> None:
+    """Copy the payload of a snapshot checked by _field_grid into stack, a
+    (3, n, n, n) complex128 array of its grid."""
+    stack[...] = np.frombuffer(data, dtype="<c16", offset=_HEADER.size).reshape(
+        stack.shape)
     if check:
-        dev = max(hermitian_deviation(stack[j]) for j in range(3))
+        dev = hermitian_deviation(stack)
         if dev > HERMITIAN_REJECT_TOL:
             raise CorruptedFieldError(
                 f"{path}: Hermitian deviation {dev:.3e} exceeds "
                 f"{HERMITIAN_REJECT_TOL:.1e}", dev)
-    return velocity_from_stack(grid, stack)
 
 
 def _versions() -> dict[str, str]:
@@ -199,7 +212,7 @@ def read_trajectory(manifest_path: Path, check: bool = True) -> Trajectory:
     """Reload a trajectory from its manifest; verifies sha256 and grid match.
 
     Each state file is read once: the bytes that are hashed are the bytes
-    that are parsed.
+    that are parsed. The states are views of one (T, 3, n, n, n) array.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -213,8 +226,13 @@ def read_trajectory(manifest_path: Path, check: bool = True) -> Trajectory:
     grid = build_grid(g["n_per_axis"], period=g["period"],
                       dealias_fraction=g["dealias_fraction"])
     directory = manifest_path.parent
-    states = []
-    for entry in manifest["files"]:
+    files = manifest["files"]
+    times = np.asarray(manifest["times"], dtype=float)
+    if len(files) != times.size:
+        raise FormatError(f"{manifest_path}: {len(files)} files for "
+                          f"{times.size} times")
+    block = np.empty((len(files), 3) + grid.shape, dtype=np.complex128)
+    for entry, stack in zip(files, block):
         fpath = directory / entry["name"]
         data = fpath.read_bytes()
         if check:
@@ -222,15 +240,10 @@ def read_trajectory(manifest_path: Path, check: bool = True) -> Trajectory:
             if digest != entry["sha256"]:
                 raise FormatError(f"{fpath}: sha256 mismatch (file {digest}, "
                                   f"manifest {entry['sha256']})")
-        state = _parse_field(fpath, data, check)
-        if state.grid != grid:
+        if _field_grid(fpath, data) != grid:
             raise FormatError(f"{fpath}: grid differs from manifest grid")
-        states.append(state)
-    times = np.asarray(manifest["times"], dtype=float)
-    if len(states) != times.size:
-        raise FormatError(f"{manifest_path}: {len(states)} files for "
-                          f"{times.size} times")
-    return Trajectory(times, tuple(states))
+        _decode_payload(fpath, data, stack, check)
+    return Trajectory(times, tuple(velocity_from_stack(grid, s) for s in block))
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -143,6 +143,7 @@ def _write_run_json(path: Path, cfg: ScenarioConfig, picard: PicardReport,
         "config_sha256": cfg.sha256(),
         "picard": {
             "iterates": picard.iterates,
+            "interval_iterates": list(picard.interval_iterates),
             "deltas": [gio.json_safe_float(d) for d in picard.deltas],
             "residual_max": gio.json_safe_float(picard.residual_max),
             "converged": picard.converged,
@@ -210,13 +211,18 @@ def _run_into(tmp: Path, out: Path, cfg: ScenarioConfig, coeffs,
 
     traj, picard = picard_solve(u0, coeffs, cfg.solver_config())
     if not picard.converged:
-        gio.write_csv(tmp / "deltas.csv", ("iteration", "delta"),
-                      [(i + 1, d) for i, d in enumerate(picard.deltas)])
+        updates = iter(picard.deltas)
+        gio.write_csv(tmp / "deltas.csv", ("interval", "iteration", "delta"),
+                      [(i, k, next(updates))
+                       for i, count in enumerate(picard.interval_iterates)
+                       for k in range(1, count + 1)])
         _write_run_json(tmp / "run.json", cfg, picard, None,
                         "diverged" if picard.diverged else "not_converged")
         word = "diverged" if picard.diverged else "did not converge"
         raise ScenarioError(
-            f"fixed-point iteration {word} after {picard.iterates} iterates "
+            f"fixed-point iteration {word} on interval "
+            f"{len(picard.interval_iterates) - 1} after "
+            f"{picard.interval_iterates[-1]} iterations "
             f"(last delta {picard.deltas[-1] if picard.deltas else math.nan:.3e}, "
             f"tol {picard.tol:.1e}); see {out / 'deltas.csv'}",
             EXIT_NO_CONVERGENCE)

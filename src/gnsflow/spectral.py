@@ -213,18 +213,6 @@ class Grid:
         return mask
 
     @cached_property
-    def dealias_modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Kept modes as flat C-order indices, and the list position of each -k.
-
-        The keep-mask is symmetric under k -> -k, so every partner is kept.
-        """
-        modes = np.flatnonzero(self.dealias_mask)
-        partner = np.searchsorted(modes, self.negated_modes[modes])
-        for arr in (modes, partner):
-            arr.setflags(write=False)
-        return modes, partner
-
-    @cached_property
     def half_dealias_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Kept modes of the half spectrum, and how to pair up its self-paired planes.
 
@@ -295,8 +283,8 @@ def to_half(stack: np.ndarray) -> np.ndarray:
     return stack[..., :stack.shape[-2] // 2 + 1]
 
 
-def to_full(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Full (..., n, n, n) coefficients of a half spectrum.
+def to_full(grid: Grid, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Full (..., n, n, n) coefficients of a half spectrum (into out when given).
 
     The half is copied as is (kz = 0 and kz = n/2 planes included); each
     upper plane kz > n/2 is the conjugate of the mode -k, which the half
@@ -304,7 +292,7 @@ def to_full(grid: Grid, half: np.ndarray) -> np.ndarray:
     """
     h = grid.n_per_axis // 2 + 1
     lead = half.shape[:-3]
-    full = np.empty(lead + grid.shape, dtype=np.complex128)
+    full = np.empty(lead + grid.shape, dtype=np.complex128) if out is None else out
     full[..., :h] = half
     mirror = grid.negated_modes.reshape(grid.shape)[..., h:]
     np.conj(full.reshape(lead + (-1,))[..., mirror], out=full[..., h:])
@@ -454,6 +442,14 @@ def _half_weight_table(grid: Grid, s: float, homogeneous: bool) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=16)
+def _cutoff_mask(grid: Grid, half: bool, cutoff: float) -> np.ndarray:
+    """Read-only k_norm >= cutoff mask on the half or the full lattice."""
+    mask = (to_half(grid.k_norm) if half else grid.k_norm) >= cutoff
+    mask.setflags(write=False)
+    return mask
+
+
 def _require_zero_mean(flat: np.ndarray) -> None:
     mean = float(np.max(np.abs(flat[:, 0, 0, 0])))
     if mean > 1e-13 * (1.0 + float(np.max(np.abs(flat)))):
@@ -485,7 +481,7 @@ def weighted_l2_stack(grid: Grid, stacks: np.ndarray, s: float, homogeneous: boo
     table = (_half_weight_table if half else _weight_table)(grid, s, homogeneous)
     if factor is not None:
         table = table * (to_half(factor) if half else factor)
-    mask = (to_half(grid.k_norm) if half else grid.k_norm) >= cutoff
+    mask = _cutoff_mask(grid, half, cutoff)
     total = 0.0
     for comp in flat:
         total += float(np.sum(table * np.abs(comp) ** 2, where=mask))

@@ -93,10 +93,11 @@ class TestRunScenario:
         assert exc.value.exit_code == EXIT_NO_CONVERGENCE
         out = tmp_path / "run"
         deltas = (out / "deltas.csv").read_text().splitlines()
-        assert deltas[0] == "iteration,delta"
-        assert len(deltas) == 2
+        assert deltas[0] == "interval,iteration,delta"
+        assert [row.split(",")[:2] for row in deltas[1:]] == [["0", "1"], ["0", "2"]]
         doc = json.loads((out / "run.json").read_text())
         assert doc["status"] == "not_converged"
+        assert doc["picard"]["interval_iterates"] == [2]
         assert not (out / "report.csv").exists()
 
     def test_oracle_disagreement_exit(self, tmp_path):

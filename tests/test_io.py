@@ -155,6 +155,27 @@ class TestTrajectoryRoundTrip:
         assert len(back.states) == 3
         assert sorted(calls) == ["state_0000.gsf", "state_0001.gsf", "state_0002.gsf"]
 
+    def test_states_share_one_array_and_match_read_field(self, rng, tmp_path):
+        grid = build_grid(8)
+        traj = heat_traj(make_field(grid, rng), [0.0, 0.005, 0.01])
+        gio.write_trajectory(tmp_path / "run", traj)
+        back = gio.read_trajectory(tmp_path / "run")
+        block = back.states[0].components[0].coeffs.base
+        assert block.shape == (3, 3) + grid.shape
+        for i, state in enumerate(back.states):
+            assert all(np.shares_memory(block, c.coeffs) for c in state.components)
+            single = gio.read_field(tmp_path / "run" / f"state_{i:04d}.gsf")
+            assert stack_coefficients(state).tobytes() == \
+                stack_coefficients(single).tobytes()
+
+    def test_rejects_state_file_on_another_grid(self, rng, tmp_path):
+        traj = heat_traj(make_field(build_grid(8), rng), [0.0, 0.01])
+        gio.write_trajectory(tmp_path / "run", traj)
+        gio.write_field(tmp_path / "run" / "state_0001.gsf",
+                        make_field(build_grid(8, period=3.0), rng), sidecar=False)
+        with pytest.raises(gio.FormatError, match="grid differs"):
+            gio.read_trajectory(tmp_path / "run", check=False)
+
     def test_rejects_wrong_manifest_format(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"format": "other"}))
         with pytest.raises(gio.FormatError, match="format"):

@@ -6,6 +6,7 @@ import pytest
 import helpers
 from conftest import random_hermitian_coeffs
 from gnsflow import operators, solver
+from gnsflow.initial_data import DataParams, make_initial_data
 from gnsflow.operators import (
     QCoefficients,
     apply_Q,
@@ -43,6 +44,12 @@ def divergence_free_velocity(grid, rng, scale=1.0):
     stack = operators.leray_project_stack(grid, stack)
     stack[:, 0, 0, 0] = 0.0
     return velocity_from_stack(grid, stack)
+
+
+def per_interval(report):
+    """report.deltas split into the update history of each interval."""
+    ends = np.cumsum(report.interval_iterates)
+    return [report.deltas[a:b] for a, b in zip(np.concatenate(([0], ends[:-1])), ends)]
 
 
 def constant_trajectory(u, times):
@@ -206,9 +213,10 @@ class TestPicard:
         u0 = divergence_free_velocity(grid, rng)
         cfg = SolverConfig(t_final=0.05, n_times=6, tol=1e-10)
         traj, report = picard_solve(u0, QCoefficients(np.zeros((3,) * 6)), cfg)
+        # each interval's last update is exactly 0; extrapolated starts need one more
         assert report.iterates == 2
         assert report.converged
-        assert report.deltas == (0.0,)
+        assert all(history[-1] == 0.0 for history in per_interval(report))
         for t, state in zip(traj.times, traj.states):
             want = stack_coefficients(u0) * np.exp(-float(t) * np.asarray(grid.k_sq))
             got = stack_coefficients(state)
@@ -230,10 +238,11 @@ class TestPicard:
         grid, u0 = vortex_velocity(n=16, amplitude=1.0)
         cfg = SolverConfig(t_final=0.02, n_times=21, tol=1e-12, max_iter=16)
         _, report = picard_solve(u0, navier_stokes_coeffs(), cfg)
-        small = [d for d in report.deltas if d < 1e-2]
-        assert len(small) >= 2
-        for a, b in zip(small, small[1:]):
-            assert b <= 0.9 * a
+        histories = [[d for d in h if d < 1e-2] for h in per_interval(report)]
+        assert max(len(small) for small in histories) >= 2
+        for small in histories:
+            for a, b in zip(small, small[1:]):
+                assert b <= 0.9 * a
 
     def test_trajectory_stays_divergence_free_and_hermitian(self):
         grid, u0 = vortex_velocity(n=16, amplitude=1.0)
@@ -259,7 +268,9 @@ class TestPicard:
         traj, report = picard_solve(u0, navier_stokes_coeffs(), cfg)
         assert not report.converged
         assert report.iterates == 3
-        assert len(report.deltas) == 2
+        assert report.interval_iterates[-1] == cfg.max_iter
+        assert len(report.deltas) == sum(report.interval_iterates)
+        assert len(traj.times) == len(report.interval_iterates) + 1
 
     def test_divergence_guard_trips_on_huge_data(self):
         grid, u0 = vortex_velocity(n=8, amplitude=1e6)
@@ -268,6 +279,74 @@ class TestPicard:
         assert report.diverged
         assert not report.converged
         assert report.residual_max == math.inf
+
+
+class TestMarchCertificate:
+    """The residual the march reports is mild_residual's, without its pass."""
+
+    @staticmethod
+    def sobolev_tail_velocity(n=16):
+        grid = build_grid(n)
+        return grid, make_initial_data("random_sobolev_tail", grid,
+                                       DataParams(amplitude=0.5, band_lo=1.0,
+                                                  band_hi=4.0), seed=7)
+
+    @pytest.mark.parametrize("data", ["vortex", "sobolev_tail"])
+    def test_reported_residual_matches_mild_residual(self, data):
+        grid, u0 = (vortex_velocity(n=16, amplitude=1.0) if data == "vortex"
+                    else self.sobolev_tail_velocity())
+        cfg = SolverConfig(t_final=0.02, n_times=11, quad_order=2, tol=1e-8)
+        traj, report = picard_solve(u0, navier_stokes_coeffs(), cfg)
+        assert report.converged
+        oracle = mild_residual(traj, u0, navier_stokes_coeffs(), cfg.gamma,
+                               quad_order=cfg.quad_order)
+        scale = max(weighted_l2_stack(grid, stack_coefficients(s), cfg.gamma, False)
+                    for s in traj.states)
+        assert len(report.residuals) == len(oracle)
+        np.testing.assert_allclose(report.residuals, oracle, rtol=0.0,
+                                   atol=1e-13 * scale)
+        assert report.residual_max == max(report.residuals)
+
+    def test_stalled_interval_reports_the_defect_it_leaves(self):
+        # one update short of settling: the residual is that update, not rounding
+        grid, u0 = vortex_velocity(n=16, amplitude=1.0)
+        cfg = SolverConfig(t_final=0.02, n_times=11, quad_order=2, tol=1e-8,
+                           max_iter=2)
+        traj, report = picard_solve(u0, navier_stokes_coeffs(), cfg)
+        assert not report.converged and len(traj.times) == 2
+        oracle = mild_residual(traj, u0, navier_stokes_coeffs(), cfg.gamma,
+                               quad_order=cfg.quad_order)
+        assert report.residuals[-1] == pytest.approx(report.deltas[-1], rel=1e-12)
+        assert report.residuals[-1] > 1e-9
+        np.testing.assert_allclose(report.residuals, oracle, rtol=1e-9)
+
+    def test_no_residual_pass_and_quad_order_q_calls_per_update(self, monkeypatch):
+        calls = {"q": 0}
+        real_q = solver.apply_Q_stack
+
+        def counting_q(*args, **kwargs):
+            calls["q"] += 1
+            return real_q(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("picard_solve called mild_residual")
+
+        monkeypatch.setattr(solver, "apply_Q_stack", counting_q)
+        monkeypatch.setattr(solver, "mild_residual", forbidden)
+        grid, u0 = vortex_velocity(n=8, amplitude=1.0)
+        cfg = SolverConfig(t_final=0.02, n_times=6, quad_order=3, tol=1e-10)
+        _, report = picard_solve(u0, navier_stokes_coeffs(), cfg)
+        assert report.converged
+        assert calls["q"] == cfg.quad_order * sum(report.interval_iterates)
+
+    def test_states_share_one_array(self):
+        grid, u0 = vortex_velocity(n=8, amplitude=1.0)
+        traj, _ = picard_solve(u0, navier_stokes_coeffs(),
+                               SolverConfig(t_final=0.01, n_times=5, tol=1e-8))
+        block = traj.states[0].components[0].coeffs.base
+        assert block.shape == (len(traj.times), 3) + grid.shape
+        for state in traj.states:
+            assert all(np.shares_memory(block, c.coeffs) for c in state.components)
 
 
 class TestMildResidual:

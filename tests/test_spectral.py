@@ -169,19 +169,6 @@ class TestDealias:
         c = random_hermitian_coeffs(g, rng)
         np.testing.assert_array_equal(dealias(SpectralField(g, c)).coeffs, c)
 
-    @pytest.mark.parametrize("n,fraction", [(8, 2.0 / 3.0), (16, 2.0 / 3.0),
-                                            (8, 1.0), (12, 0.5)])
-    def test_dealias_modes_list_kept_modes_and_their_negatives(self, n, fraction):
-        g = build_grid(n, dealias_fraction=fraction)
-        modes, partner = g.dealias_modes
-        mask = helpers.oracle_dealias_mask(n, fraction)
-        np.testing.assert_array_equal(modes, np.flatnonzero(mask))
-        idx = np.array(np.unravel_index(modes, g.shape))
-        np.testing.assert_array_equal(
-            np.array(np.unravel_index(modes[partner], g.shape)), (-idx) % n)
-        np.testing.assert_array_equal(partner[partner], np.arange(modes.size))
-        assert not modes.flags.writeable and not partner.flags.writeable
-
 
 class TestHalfSpectrum:
     @pytest.mark.parametrize("shape", [(8, 8, 8), (3, 12, 12, 12)])
@@ -392,6 +379,24 @@ class TestWeightedL2:
         vals = [weighted_l2_stack(grid8, c, 0.8, True, cut) for cut in cuts]
         for lo, hi in zip(vals[1:], vals[:-1]):
             assert lo <= hi + 1e-15
+
+    @pytest.mark.parametrize("half", [False, True])
+    def test_cached_cutoff_mask_gives_the_freshly_masked_sum(self, grid8, rng, half):
+        full = np.stack([random_hermitian_coeffs(grid8, rng) for _ in range(3)])
+        stack = to_half(full) if half else full
+        table = (spectral._half_weight_table if half else spectral._weight_table)(
+            grid8, 0.8, True)
+        knorm = to_half(grid8.k_norm) if half else grid8.k_norm
+        shell_radius = float(grid8.k_norm_levels[0][5])
+        for cut in (0.0, shell_radius, grid8.k_max + 1.0):
+            total = 0.0
+            for comp in stack:
+                total += float(np.sum(table * np.abs(comp) ** 2, where=knorm >= cut))
+            assert weighted_l2_stack(grid8, stack, 0.8, True, cut) == \
+                math.sqrt(grid8.mode_weight * total)
+            mask = spectral._cutoff_mask(grid8, half, cut)
+            assert not mask.flags.writeable
+            assert spectral._cutoff_mask(grid8, half, cut) is mask
 
     def test_cutoff_beyond_kmax_gives_zero(self, grid8, rng):
         c = random_hermitian_coeffs(grid8, rng)
