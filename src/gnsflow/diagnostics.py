@@ -14,25 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import (
-    QCoefficients,
-    VelocityField,
-    stack_coefficients,
-    velocity_from_stack,
-)
-from .solver import (
-    Trajectory,
-    _duhamel_lattice,
-    _half_stacks,
-    _lattice_quadrature,
-    _stacks,
-)
+from .operators import QCoefficients, VelocityField
+from .solver import Trajectory, _duhamel_lattice, _lattice_quadrature
 from .spectral import (
     EXP_GUARD,
     SpectralField,
-    inverse_transform,
+    irfftn,
     shell_reduce_max,
-    to_full,
+    to_half,
     weighted_l2_stack,
     weighted_tail_sums,
 )
@@ -113,9 +102,9 @@ def sobolev_norm(u: VelocityField, s: float, homogeneous: bool) -> float:
     """Lattice-weighted Sobolev norm of a velocity field.
 
     homogeneous: weight |k|^{2s} (k = 0 contributes only for s = 0);
-    otherwise (1 + |k|^2)^s.
+    otherwise (1 + |k|^2)^s. Reads the half spectrum of the real field u.
     """
-    return weighted_l2_stack(u.grid, stack_coefficients(u), s, homogeneous)
+    return weighted_l2_stack(u.grid, u.half_spectrum(), s, homogeneous)
 
 
 def gevrey_norm(u: VelocityField, r: float, s: float) -> float:
@@ -131,16 +120,16 @@ def gevrey_norm(u: VelocityField, r: float, s: float) -> float:
         return math.inf
     shift = r * grid.k_max
     return math.exp(shift) * weighted_l2_stack(
-        grid, stack_coefficients(u), s, True,
-        factor=np.exp(2.0 * (r * grid.k_norm - shift)))
+        grid, u.half_spectrum(), s, True,
+        factor=np.exp(2.0 * (r * to_half(grid.k_norm) - shift)))
 
 
 def _build_tail_table(traj: Trajectory, gamma: float) -> np.ndarray:
     """Row i, column m: max over tau <= times[i] of the homogeneous-H^gamma
     tail norm with cutoff levels[m] (levels of grid.k_norm_levels)."""
     grid = traj.grid
-    tails = np.array([weighted_tail_sums(grid, stack_coefficients(state), gamma, True)
-                      for state in traj.states])
+    tails = np.array([weighted_tail_sums(grid, traj.half_state(i), gamma, True)
+                      for i in range(len(traj.times))])
     table = np.maximum.accumulate(np.sqrt(tails), axis=0)
     table.setflags(write=False)
     return table
@@ -260,8 +249,8 @@ def envelope_norm(u: VelocityField, t: float, params: NormParams,
         return math.inf
     peak = max(peak_expo, 0.0)
     return t ** (0.5 * delta) * math.exp(peak) * weighted_l2_stack(
-        grid, stack_coefficients(u), delta + 0.5, True, cutoff=cutoff,
-        factor=np.exp(2.0 * (drift * grid.k_norm - sink - peak)))
+        grid, u.half_spectrum(), delta + 0.5, True, cutoff=cutoff,
+        factor=np.exp(2.0 * (drift * to_half(grid.k_norm) - sink - peak)))
 
 
 def _trajectory_sup_envelope(traj: Trajectory, params: NormParams,
@@ -297,13 +286,18 @@ def Y_norm(traj: Trajectory, params: NormParams) -> float:
 
 
 def lebesgue_norm(u: VelocityField, p: float) -> float:
-    """Physical-space L^p norm (cell_volume * sum |u(x)|^p)^{1/p}, |.| Euclidean."""
+    """Physical-space L^p norm (cell_volume * sum |u(x)|^p)^{1/p}, |.| Euclidean.
+
+    One batched inverse real transform of the half spectrum of the real field u.
+    """
     if not (p >= 1.0):
         raise ValueError(f"p must be >= 1, got {p}")
     grid = u.grid
-    phys_sq = np.zeros(grid.shape)
-    for c in u.components:
-        phys_sq += inverse_transform(c, check=False) ** 2
+    phys = irfftn(u.half_spectrum())
+    np.square(phys, out=phys)
+    phys_sq = phys[0]
+    phys_sq += phys[1]
+    phys_sq += phys[2]
     mag = np.sqrt(phys_sq)
     return float((grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
 
@@ -529,28 +523,27 @@ def bilinear_tail_bound_sides(coeffs: QCoefficients, f: Trajectory, g: Trajector
         raise ValueError("the bilinear bound needs lam > 0")
     grid = f.grid
     tol = f.time_tolerance()
-    f_stacks = _stacks(f)
-    g_stacks = _stacks(g)
+    count = len(f.times)
 
     lhs = 0.0
-    b_iter = _duhamel_lattice(coeffs, grid, f.times, _half_stacks(f), quad_order,
-                              _half_stacks(g))
+    b_iter = _duhamel_lattice(coeffs, grid, f.times,
+                              (f.half_state(i) for i in range(count)), quad_order,
+                              (g.half_state(i) for i in range(count)))
     for t, b in zip(f.times, b_iter):
         t = float(t)
         if t == 0.0 or t > T + tol:
             continue
-        val = envelope_norm(velocity_from_stack(grid, to_full(grid, b)), t, params,
-                            0.1 * n1)
-        lhs = max(lhs, val)
+        lhs = max(lhs, envelope_norm(VelocityField.from_half(grid, b), t, params,
+                                     0.1 * n1))
 
-    def sup_h_gamma(stacks, cutoff=0.0):
-        return max(weighted_l2_stack(grid, st, gamma, homogeneous=False,
-                                     cutoff=cutoff) for st in stacks)
+    def sup_h_gamma(traj, cutoff=0.0):
+        return max(weighted_l2_stack(grid, traj.half_state(i), gamma, homogeneous=False,
+                                     cutoff=cutoff) for i in range(count))
 
-    f_full = sup_h_gamma(f_stacks)
-    g_full = sup_h_gamma(g_stacks)
-    f_high = sup_h_gamma(f_stacks, cutoff=0.01 * n1)
-    g_high = sup_h_gamma(g_stacks, cutoff=0.01 * n1)
+    f_full = sup_h_gamma(f)
+    g_full = sup_h_gamma(g)
+    f_high = sup_h_gamma(f, cutoff=0.01 * n1)
+    g_high = sup_h_gamma(g, cutoff=0.01 * n1)
     x_f = X_norm(f, params)
     x_g = X_norm(g, params)
 
@@ -584,11 +577,15 @@ def smoothing_kernel_bound_sides(F: Trajectory, params: NormParams, n0: float,
         raise ValueError("the kernel bound needs lam > 0")
     grid = F.grid
     tol = F.time_tolerance()
-    stacks = _stacks(F)
+    k_sq = to_half(grid.k_sq)
+    k_norm = to_half(grid.k_norm)
     if region == "low":
-        mask = grid.k_norm <= 2.0 * n0
+        mask = k_norm <= 2.0 * n0
     else:
-        mask = grid.k_norm >= 2.0 * n0
+        mask = k_norm >= 2.0 * n0
+
+    def state_at(j):
+        return (F.half_state(j),)
 
     lhs = 0.0
     for t in F.times:
@@ -600,19 +597,18 @@ def smoothing_kernel_bound_sides(F: Trajectory, params: NormParams, n0: float,
                 return math.exp(n0**2 * s)
         else:
             def kernel(s, _t=t):
-                return np.exp(-(_t - s) * grid.k_sq / 10.0)
-        integral = _lattice_quadrature(F.times, (stacks,), eta0 * t, t, quad_order,
+                return np.exp(-(_t - s) * k_sq / 10.0)
+        integral = _lattice_quadrature(F.times, state_at, eta0 * t, t, quad_order,
                                        kernel, lambda f: f)
         lhs = max(lhs, t ** (0.5 * delta) * weighted_l2_stack(
             grid, integral, 1.5 + delta, True, factor=mask))
 
     p = 3.0 / (2.0 * (1.0 - delta))
     sup_forcing = 0.0
-    for t, st in zip(F.times, stacks):
+    for t, state in zip(F.times, F.states):
         t = float(t)
         if t == 0.0 or t > T + tol:
             continue
-        sup_forcing = max(sup_forcing,
-                          t**delta * lebesgue_norm(velocity_from_stack(grid, st), p))
+        sup_forcing = max(sup_forcing, t**delta * lebesgue_norm(state, p))
     rhs = lam**-delta * math.exp(n0**2 * T) * sup_forcing
     return lhs, rhs

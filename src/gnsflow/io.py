@@ -23,22 +23,22 @@ import scipy
 
 from .diagnostics import BoundReport
 from .operators import VelocityField, stack_coefficients, velocity_from_stack
-from .solver import Trajectory
-from .spectral import (
-    CorruptedFieldError,
-    HERMITIAN_REJECT_TOL,
-    Grid,
-    build_grid,
-    hermitian_deviation,
-)
+from .solver import Trajectory, band_modes
+from .spectral import CorruptedFieldError, Grid, build_grid, hermitian_half, to_half
 
 FIELD_MAGIC = b"GSF1"
 FIELD_VERSION = 1
 _HEADER = struct.Struct("<4sIIIdd")  # magic, version, n_per_axis, n_components, period, dealias_fraction
 
+INCREMENTS_MAGIC = b"GSI1"
+INCREMENTS_VERSION = 1
+_INCREMENTS_HEADER = struct.Struct("<4sIIII")  # magic, version, n_per_axis, n_times, band size
+
 FIELD_FORMAT = "gns-field-v1"
-TRAJECTORY_FORMAT = "gns-trajectory-v1"
+TRAJECTORY_FORMAT = "gns-trajectory-v2"
 BOUND_REPORT_FORMAT = "gns-bound-report-v1"
+U0_FILE = "u0.gsf"
+INCREMENTS_FILE = "increments.gsi"
 
 _FIELD_LAYOUT = (
     "header 32 bytes: magic 'GSF1', uint32 version, uint32 n_per_axis, "
@@ -52,13 +52,15 @@ class FormatError(ValueError):
     """A file does not conform to the expected on-disk format."""
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write via a same-directory temp file and os.replace (no torn files)."""
+def _atomic_write_bytes(path: Path, *chunks) -> None:
+    """Write the chunks (bytes-like) in order via a same-directory temp file
+    and os.replace (no torn files)."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -125,20 +127,18 @@ def write_field(path: Path, u: VelocityField, sidecar: bool = True) -> str:
 def read_field(path: Path, check: bool = True) -> VelocityField:
     """Read a velocity field snapshot written by write_field.
 
-    check=True rejects content whose Hermitian deviation exceeds
-    HERMITIAN_REJECT_TOL (the field could not have come from a real-valued
-    velocity).
+    check=True holds the content to the real-field contract: within
+    HERMITIAN_REJECT_TOL of Hermitian it comes back symmetrized (exactly
+    Hermitian content unchanged), beyond it CorruptedFieldError is raised
+    (the field could not have come from a real-valued velocity).
+    check=False returns the coefficients as stored.
     """
     path = Path(path)
-    return _parse_field(path, path.read_bytes(), check)
-
-
-def _parse_field(path: Path, data: bytes, check: bool) -> VelocityField:
-    """Decode the bytes of a write_field snapshot; path only labels errors."""
+    data = path.read_bytes()
     grid = _field_grid(path, data)
-    stack = np.empty((3,) + grid.shape, dtype=np.complex128)
-    _decode_payload(path, data, stack, check)
-    return velocity_from_stack(grid, stack)
+    if check:
+        return VelocityField.from_half(grid, _checked_half(path, grid, data))
+    return velocity_from_stack(grid, _payload(grid, data).astype(np.complex128))
 
 
 def _field_grid(path: Path, data: bytes) -> Grid:
@@ -159,17 +159,17 @@ def _field_grid(path: Path, data: bytes) -> Grid:
     return grid
 
 
-def _decode_payload(path: Path, data: bytes, stack: np.ndarray, check: bool) -> None:
-    """Copy the payload of a snapshot checked by _field_grid into stack, a
-    (3, n, n, n) complex128 array of its grid."""
-    stack[...] = np.frombuffer(data, dtype="<c16", offset=_HEADER.size).reshape(
-        stack.shape)
-    if check:
-        dev = hermitian_deviation(stack)
-        if dev > HERMITIAN_REJECT_TOL:
-            raise CorruptedFieldError(
-                f"{path}: Hermitian deviation {dev:.3e} exceeds "
-                f"{HERMITIAN_REJECT_TOL:.1e}", dev)
+def _payload(grid: Grid, data: bytes) -> np.ndarray:
+    """Read-only (3, n, n, n) view of the payload of a snapshot checked by _field_grid."""
+    return np.frombuffer(data, dtype="<c16", offset=_HEADER.size).reshape((3,) + grid.shape)
+
+
+def _checked_half(path: Path, grid: Grid, data: bytes) -> np.ndarray:
+    """The half spectrum of a snapshot's real field (spectral.hermitian_half)."""
+    try:
+        return hermitian_half(_payload(grid, data))
+    except CorruptedFieldError as exc:
+        raise CorruptedFieldError(f"{path}: {exc}", exc.deviation) from None
 
 
 def _versions() -> dict[str, str]:
@@ -178,27 +178,47 @@ def _versions() -> dict[str, str]:
             "scipy": scipy.__version__}
 
 
+def _sha256_file(path: Path, expected: str | None) -> bytes:
+    """The bytes of a trajectory file, checked against its manifest sha256
+    unless expected is None; the file is read once."""
+    data = path.read_bytes()
+    if expected is not None:
+        digest = hashlib.sha256(data).hexdigest()
+        if digest != expected:
+            raise FormatError(f"{path}: sha256 mismatch (file {digest}, "
+                              f"manifest {expected})")
+    return data
+
+
 def write_trajectory(directory: Path, traj: Trajectory,
                      config_sha256: str | None = None) -> Path:
-    """Write per-time snapshots plus manifest.json; returns the manifest path.
+    """Write u0.gsf, increments.gsi and manifest.json; returns the manifest path.
 
-    manifest.json carries everything needed to reload and to compare runs;
-    wall_clock_utc is the single non-deterministic entry.
+    The trajectory is stored as it is held: u0 as a field snapshot and the
+    increments on the band, T * 3 * len(band) little-endian complex128
+    values after a 20-byte header. manifest.json carries everything needed
+    to reload and to compare runs; wall_clock_utc is the single
+    non-deterministic entry.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     grid = traj.grid
-    files = []
-    for i, (t, state) in enumerate(zip(traj.times, traj.states)):
-        name = f"state_{i:04d}.gsf"
-        digest = write_field(directory / name, state, sidecar=False)
-        files.append({"name": name, "time": float(t), "sha256": digest})
+    u0_digest = write_field(directory / U0_FILE, VelocityField.from_half(grid, traj.u0),
+                            sidecar=False)
+    header = _INCREMENTS_HEADER.pack(INCREMENTS_MAGIC, INCREMENTS_VERSION,
+                                     grid.n_per_axis, len(traj.times), traj.band.size)
+    payload = np.ascontiguousarray(traj.increments, dtype="<c16")
+    _atomic_write_bytes(directory / INCREMENTS_FILE, header, payload)
+    digest = hashlib.sha256(header)
+    digest.update(payload)
     manifest = {
         "format": TRAJECTORY_FORMAT,
         "grid": {"n_per_axis": grid.n_per_axis, "period": grid.period,
                  "dealias_fraction": grid.dealias_fraction},
         "times": [float(t) for t in traj.times],
-        "files": files,
+        "band": traj.band_kind,
+        "files": [{"name": U0_FILE, "sha256": u0_digest},
+                  {"name": INCREMENTS_FILE, "sha256": digest.hexdigest()}],
         "config_sha256": config_sha256,
         "versions": _versions(),
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
@@ -211,8 +231,9 @@ def write_trajectory(directory: Path, traj: Trajectory,
 def read_trajectory(manifest_path: Path, check: bool = True) -> Trajectory:
     """Reload a trajectory from its manifest; verifies sha256 and grid match.
 
-    Each state file is read once: the bytes that are hashed are the bytes
-    that are parsed. The states are views of one (T, 3, n, n, n) array.
+    Each file is read once: the bytes that are hashed are the bytes that
+    are parsed. check=True also holds u0 to the real-field contract
+    (read_field); the increments are the array read, not a copy.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -226,24 +247,41 @@ def read_trajectory(manifest_path: Path, check: bool = True) -> Trajectory:
     grid = build_grid(g["n_per_axis"], period=g["period"],
                       dealias_fraction=g["dealias_fraction"])
     directory = manifest_path.parent
-    files = manifest["files"]
     times = np.asarray(manifest["times"], dtype=float)
-    if len(files) != times.size:
-        raise FormatError(f"{manifest_path}: {len(files)} files for "
-                          f"{times.size} times")
-    block = np.empty((len(files), 3) + grid.shape, dtype=np.complex128)
-    for entry, stack in zip(files, block):
-        fpath = directory / entry["name"]
-        data = fpath.read_bytes()
-        if check:
-            digest = hashlib.sha256(data).hexdigest()
-            if digest != entry["sha256"]:
-                raise FormatError(f"{fpath}: sha256 mismatch (file {digest}, "
-                                  f"manifest {entry['sha256']})")
-        if _field_grid(fpath, data) != grid:
-            raise FormatError(f"{fpath}: grid differs from manifest grid")
-        _decode_payload(fpath, data, stack, check)
-    return Trajectory(times, tuple(velocity_from_stack(grid, s) for s in block))
+    try:
+        band = band_modes(grid, manifest["band"])
+    except ValueError as exc:
+        raise FormatError(f"{manifest_path}: {exc}") from None
+    digests = {entry["name"]: entry["sha256"] for entry in manifest["files"]}
+    if set(digests) != {U0_FILE, INCREMENTS_FILE}:
+        raise FormatError(f"{manifest_path}: files {sorted(digests)}, expected "
+                          f"{sorted((U0_FILE, INCREMENTS_FILE))}")
+
+    path = directory / U0_FILE
+    data = _sha256_file(path, digests[U0_FILE] if check else None)
+    if _field_grid(path, data) != grid:
+        raise FormatError(f"{path}: grid differs from manifest grid")
+    u0 = (_checked_half(path, grid, data) if check
+          else np.ascontiguousarray(to_half(_payload(grid, data))))
+
+    path = directory / INCREMENTS_FILE
+    data = _sha256_file(path, digests[INCREMENTS_FILE] if check else None)
+    if len(data) < _INCREMENTS_HEADER.size:
+        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
+    magic, version, n, count, size = _INCREMENTS_HEADER.unpack_from(data)
+    if magic != INCREMENTS_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {INCREMENTS_MAGIC!r}")
+    if version != INCREMENTS_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    if (n, count, size) != (grid.n_per_axis, times.size, band.size):
+        raise FormatError(f"{path}: header (n, T, band) = {(n, count, size)} does not "
+                          f"match the manifest's {(grid.n_per_axis, times.size, band.size)}")
+    want = _INCREMENTS_HEADER.size + count * 3 * size * 16
+    if len(data) != want:
+        raise FormatError(f"{path}: payload size {len(data)} != expected {want}")
+    increments = np.frombuffer(data, dtype="<c16", offset=_INCREMENTS_HEADER.size)
+    return Trajectory.from_increments(grid, times, u0, increments.reshape(count, 3, size),
+                                      band=manifest["band"])
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -16,13 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-# fftn is no longer called here; it stays importable under this name
-# because the benchmark's trace hooks rebind operators.fftn and ifftn.
+# fftn and ifftn are no longer called here; they stay importable under
+# these names because the benchmark's trace hooks rebind them.
 from .spectral import (  # noqa: F401
     Grid,
     SpectralField,
     fftn,
     hermitian_deviation,
+    hermitian_half,
     ifftn,
     irfftn,
     rfftn,
@@ -177,23 +178,58 @@ def navier_stokes_coeffs() -> QCoefficients:
     return QCoefficients(alpha)
 
 
-@dataclass(frozen=True)
 class VelocityField:
-    """Three spectral components on a shared grid."""
+    """Three spectral components on a shared grid.
 
-    components: tuple[SpectralField, SpectralField, SpectralField]
+    A field built from components holds them as given. A trajectory state,
+    Q's output and a checked field read from disk are transient views of a
+    half spectrum (from_half): their full components are made on first use,
+    and the norms read the half directly.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.components) != 3:
+    def __init__(self, components) -> None:
+        components = tuple(components)
+        if len(components) != 3:
             raise ValueError("a velocity field needs exactly 3 components")
-        g = self.components[0].grid
-        if any(c.grid != g for c in self.components[1:]):
+        g = components[0].grid
+        if any(c.grid != g for c in components[1:]):
             raise ValueError("velocity components must share one grid")
-        object.__setattr__(self, "components", tuple(self.components))
+        self._grid = g
+        self._components: tuple[SpectralField, ...] | None = components
+        self._half: np.ndarray | None = None
+
+    @classmethod
+    def from_half(cls, grid: Grid, half: np.ndarray) -> "VelocityField":
+        """The real field of a (3, n, n, n//2+1) half spectrum, without copying it."""
+        if half.shape != (3,) + grid.half_shape:
+            raise ValueError(f"half stack shape {half.shape} does not match grid")
+        field_ = cls.__new__(cls)
+        field_._grid = grid
+        field_._components = None
+        field_._half = half
+        return field_
 
     @property
     def grid(self) -> Grid:
-        return self.components[0].grid
+        return self._grid
+
+    @property
+    def components(self) -> tuple[SpectralField, SpectralField, SpectralField]:
+        if self._components is None:
+            full = to_full(self._grid, self._half)
+            self._components = tuple(SpectralField(self._grid, full[j]) for j in range(3))
+        return self._components
+
+    def half_spectrum(self) -> np.ndarray:
+        """The (3, n, n, n//2+1) half spectrum of this field, which must be real.
+
+        A view's own half; otherwise spectral.hermitian_half of the
+        components, which raises CorruptedFieldError beyond
+        HERMITIAN_REJECT_TOL.
+        """
+        if self._half is None:
+            return hermitian_half(stack_coefficients(self))
+        return self._half
 
     def l2_coefficient_norm(self) -> float:
         return math.sqrt(sum(float(np.sum(np.abs(c.coeffs) ** 2))
@@ -203,8 +239,8 @@ class VelocityField:
         """max_k |k . u_hat(k)| / |k|, relative to the coefficient l2 norm."""
         grid = self.grid
         kx, ky, kz = grid.k_components
-        div = (kx * self.components[0].coeffs + ky * self.components[1].coeffs
-               + kz * self.components[2].coeffs)
+        comps = self.components
+        div = kx * comps[0].coeffs + ky * comps[1].coeffs + kz * comps[2].coeffs
         with np.errstate(invalid="ignore", divide="ignore"):
             scaled = np.where(grid.k_norm > 0.0, np.abs(div) / grid.k_norm, 0.0)
         norm = self.l2_coefficient_norm()
@@ -224,7 +260,9 @@ def velocity_from_stack(grid: Grid, stack: np.ndarray) -> VelocityField:
 
 
 def stack_coefficients(u: VelocityField) -> np.ndarray:
-    """Copy the three component coefficient arrays into one (3, n, n, n) stack."""
+    """The full (3, n, n, n) coefficient stack of u, as a new array."""
+    if u._components is None:
+        return to_full(u.grid, u._half)
     return np.stack([c.coeffs for c in u.components])
 
 
@@ -232,9 +270,8 @@ def apply_Q_stack(coeffs: QCoefficients, grid: Grid, u_stack: np.ndarray,
                   v_stack: np.ndarray | None = None) -> np.ndarray:
     """Q(u, v) on half-spectrum (3, n, n, n//2+1) coefficient stacks (solver hot path).
 
-    The solver computes on the half spectrum of its real fields (the rfftn
-    layout); stored fields and VelocityField stay full, and apply_Q converts
-    at its edge. result_j = i * sum_{a,b} W[j,a,b] * dealias(rfftn(u_a v_b))
+    Every field is held by the half spectrum of a real field (the rfftn
+    layout). result_j = i * sum_{a,b} W[j,a,b] * dealias(rfftn(u_a v_b))
     with the symmetrized multiplier of QCoefficients.pair_weights; the kz = 0
     and kz = n/2 planes, which hold both k and -k, are then set to
     (c(k) + conj c(-k)) / 2, so the full spectrum of the output is exactly
@@ -267,20 +304,16 @@ def apply_Q_stack(coeffs: QCoefficients, grid: Grid, u_stack: np.ndarray,
 
 
 def apply_Q(coeffs: QCoefficients, u: VelocityField, v: VelocityField) -> VelocityField:
-    """Bilinear nonlinearity Q(u, v) evaluated pseudo-spectrally."""
+    """Bilinear nonlinearity Q(u, v) evaluated pseudo-spectrally.
+
+    u and v must be real fields (VelocityField.half_spectrum); the result is
+    a view of Q's half spectrum.
+    """
     if u.grid != v.grid:
         raise ValueError("apply_Q operands must share one grid")
-    same = all(uc is vc for uc, vc in zip(u.components, v.components))
-    u_stack = _real_half(u)
-    v_stack = None if same else _real_half(v)
-    return velocity_from_stack(
-        u.grid, to_full(u.grid, apply_Q_stack(coeffs, u.grid, u_stack, v_stack)))
-
-
-def _real_half(u: VelocityField) -> np.ndarray:
-    """Half spectrum of the real field Re(ifftn(c)) of each component, which
-    is what Q(u, v) reads when u is not exactly Hermitian."""
-    return rfftn(ifftn(stack_coefficients(u)).real)
+    u_stack = u.half_spectrum()
+    v_stack = None if v is u else v.half_spectrum()
+    return VelocityField.from_half(u.grid, apply_Q_stack(coeffs, u.grid, u_stack, v_stack))
 
 
 def leray_project_stack(grid: Grid, stack: np.ndarray) -> np.ndarray:

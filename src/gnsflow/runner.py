@@ -144,6 +144,8 @@ def _write_run_json(path: Path, cfg: ScenarioConfig, picard: PicardReport,
         "picard": {
             "iterates": picard.iterates,
             "interval_iterates": list(picard.interval_iterates),
+            "contraction_ratios": [gio.json_safe_float(r)
+                                   for r in picard.contraction_ratios],
             "deltas": [gio.json_safe_float(d) for d in picard.deltas],
             "residual_max": gio.json_safe_float(picard.residual_max),
             "converged": picard.converged,

@@ -14,33 +14,28 @@ forward under the heat semigroup, which yields the per-time mild residual as
 a by-product of the march; mild_residual recomputes it independently.
 
 The march, the residual pass and the ETD steps compute on the half spectrum
-(3, n, n, n//2+1) of the real fields (see operators.apply_Q_stack). Stored
-fields stay full: every state a Trajectory returns is converted back to
-full (3, n, n, n) coefficients, and state 0 is the caller's initial data as
-given. Initial data that is not exactly Hermitian (Leray-projected noise
-with Nyquist content, say) has upper kz planes that the half spectrum does
-not carry; that unpaired part never enters Q and is returned under the heat
-flow.
+(3, n, n, n//2+1) of the real fields (see operators.apply_Q_stack). A
+Trajectory holds its states as the heat flow of the initial data plus
+increments on a band of half-spectrum modes: state i is
+e^{t_i L} u0 + B_i, and a solver's B_i lives on the 2/3-rule kept modes
+(Q's output is dealiased and the heat factors are diagonal), so the solvers
+store B_i there only. States are rebuilt on demand as transient half stacks
+(Trajectory.half_state) or full views (Trajectory.states).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from typing import Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .operators import (
-    QCoefficients,
-    VelocityField,
-    apply_Q_stack,
-    heat_factor,
-    stack_coefficients,
-    velocity_from_stack,
-)
-from .spectral import Grid, to_full, to_half, weighted_l2_stack
+from .operators import QCoefficients, VelocityField, apply_Q_stack, heat_factor
+from .spectral import Grid, weighted_l2_stack
 
 __all__ = [
     "SolverConfig",
@@ -107,34 +102,111 @@ class SolverConfig:
         return np.linspace(0.0, self.t_final, self.n_times)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=8)
+def band_modes(grid: Grid, kind: str) -> np.ndarray:
+    """Read-only flat half-spectrum index of a band kind.
+
+    "kept": the 2/3-rule kept modes (Grid.half_dealias_modes), where a
+    solver's increments live; "all": every half-spectrum mode.
+    """
+    if kind == "kept":
+        return grid.half_dealias_modes[0]
+    if kind != "all":
+        raise ValueError(f"band kind must be 'kept' or 'all', got {kind!r}")
+    arr = np.arange(math.prod(grid.half_shape))
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=8)
+def _stack_index(grid: Grid, kind: str) -> np.ndarray:
+    """Read-only flat index of the band's modes in all three components of a
+    (3, n, n, n//2+1) stack, component by component (one flat take or
+    scatter is much faster than a 2-D fancy index)."""
+    size = math.prod(grid.half_shape)
+    arr = (band_modes(grid, kind) + size * np.arange(3)[:, None]).ravel()
+    arr.setflags(write=False)
+    return arr
+
+
 class Trajectory:
     """States on a strictly increasing time lattice starting at 0.
 
+    State i is e^{t_i L} u0 + scatter(band, increments[i]): u0 is a half
+    stack (3, n, n, n//2+1), band a read-only flat index into the half
+    spectrum (band_modes) and increments a (T, 3, len(band)) array.
+    Trajectory(times, states) takes real fields (VelocityField.half_spectrum)
+    and stores u0 = 0 with the whole half band, so each state's half
+    spectrum comes back bit for bit; the solvers build theirs with
+    from_increments on the kept band.
+
     Diagnostics cache tables derived from the states on the instance, so the
-    states' coefficients must not be mutated once they are wrapped.
+    arrays are read-only.
     """
 
-    times: np.ndarray = field(repr=False)
-    states: tuple[VelocityField, ...] = field(repr=False)
+    def __init__(self, times, states) -> None:
+        states = tuple(states)
+        if not states:
+            raise ValueError("trajectory must start at t = 0")
+        grid = states[0].grid
+        if any(s.grid != grid for s in states[1:]):
+            raise ValueError("all trajectory states must share one grid")
+        increments = np.empty((len(states), 3, math.prod(grid.half_shape)),
+                              dtype=np.complex128)
+        for inc, state in zip(increments, states):
+            inc[...] = state.half_spectrum().reshape(3, -1)
+        self._init(grid, times, np.zeros((3,) + grid.half_shape, dtype=np.complex128),
+                   "all", increments)
 
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=np.float64)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", tuple(self.states))
-        if t.ndim != 1 or len(t) != len(self.states):
+    @classmethod
+    def from_increments(cls, grid: Grid, times, u0: np.ndarray, increments: np.ndarray,
+                        band: str = "kept") -> "Trajectory":
+        """A trajectory from u0's half stack and the increments on band_modes(grid, band)."""
+        traj = cls.__new__(cls)
+        traj._init(grid, times, u0, band, increments)
+        return traj
+
+    def _init(self, grid: Grid, times, u0: np.ndarray, band: str,
+              increments: np.ndarray) -> None:
+        t = np.array(times, dtype=np.float64)
+        if t.ndim != 1 or len(t) != len(increments):
             raise ValueError("times and states must align one-to-one")
         if len(t) < 1 or t[0] != 0.0:
             raise ValueError("trajectory must start at t = 0")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
-        g = self.states[0].grid
-        if any(s.grid != g for s in self.states[1:]):
-            raise ValueError("all trajectory states must share one grid")
+        modes = band_modes(grid, band)
+        if u0.shape != (3,) + grid.half_shape:
+            raise ValueError(f"u0 half stack shape {u0.shape} does not match grid")
+        if increments.shape[1:] != (3, modes.size):
+            raise ValueError(f"increments shape {increments.shape} does not match "
+                             f"the {band!r} band of {modes.size} modes")
+        for arr in (t, u0, increments):
+            arr.setflags(write=False)
+        self.grid = grid
+        self.times = t
+        self.u0 = u0
+        self.band_kind = band
+        self.band = modes
+        self.increments = increments
+        self._flows = bool(u0.any())
+
+    def half_state(self, i: int) -> np.ndarray:
+        """State i as a new (3, n, n, n//2+1) half stack."""
+        grid = self.grid
+        index = _stack_index(grid, self.band_kind)
+        if self._flows:
+            out = heat_factor(grid, float(self.times[i]), half=True) * self.u0
+            out.reshape(-1)[index] += self.increments[i].reshape(-1)
+        else:
+            out = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
+            out.reshape(-1)[index] = self.increments[i].reshape(-1)
+        return out
 
     @property
-    def grid(self) -> Grid:
-        return self.states[0].grid
+    def states(self) -> "_States":
+        """The states as transient full views (VelocityField.from_half)."""
+        return _States(self)
 
     @property
     def horizon(self) -> float:
@@ -161,29 +233,22 @@ class Trajectory:
         return {}
 
 
-def _stacks(traj: Trajectory) -> list[np.ndarray]:
-    return [stack_coefficients(s) for s in traj.states]
+class _States(Sequence):
+    """A trajectory's states, each rebuilt on access as a VelocityField view."""
 
+    def __init__(self, traj: Trajectory) -> None:
+        self._traj = traj
 
-def _half_stacks(traj: Trajectory) -> list[np.ndarray]:
-    return [np.stack([to_half(c.coeffs) for c in s.components]) for s in traj.states]
+    def __len__(self) -> int:
+        return len(self._traj.times)
 
-
-def _unpaired(grid: Grid, u0_stack: np.ndarray) -> np.ndarray | None:
-    """u0 - to_full(to_half(u0)), the upper-plane part of u0 that its half
-    spectrum does not carry; None when u0 is exactly Hermitian."""
-    rest = u0_stack - to_full(grid, to_half(u0_stack))
-    return rest if rest.any() else None
-
-
-def _full_state(grid: Grid, half: np.ndarray, unpaired: np.ndarray | None,
-                t: float, out: np.ndarray | None = None) -> VelocityField:
-    """A half-spectrum state at time t as a full field (written into out when
-    given), plus the heat flow of the initial data's unpaired part."""
-    full = to_full(grid, half, out=out)
-    if unpaired is not None:
-        full += heat_factor(grid, t) * unpaired
-    return velocity_from_stack(grid, full)
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if not -len(self) <= i < len(self):
+            raise IndexError("trajectory state index out of range")
+        traj = self._traj
+        return VelocityField.from_half(traj.grid, traj.half_state(i % len(self)))
 
 
 def _check_same_lattice(u: Trajectory, v: Trajectory) -> None:
@@ -200,19 +265,19 @@ def _gauss_nodes(order: int) -> tuple[tuple[float, float], ...]:
     return tuple(zip(nodes.tolist(), weights.tolist()))
 
 
-def _lattice_quadrature(times: np.ndarray, stacks: Sequence[Sequence[np.ndarray]],
+def _lattice_quadrature(times: np.ndarray, state_at: Callable[[int], Sequence[np.ndarray]],
                         lo: float, hi: float, quad_order: int, kernel,
                         integrand) -> np.ndarray:
     """int_lo^hi kernel(s) * integrand(*states(s)) ds over a time lattice.
 
-    stacks holds one lattice-aligned sequence of coefficient stacks per
-    state, all in one layout; states(s) interpolates each linearly in s
-    between lattice times.
+    state_at(j) gives the argument stacks at lattice time times[j], all in
+    one layout; states(s) interpolates each linearly in s between lattice
+    times, and each endpoint is fetched once per interval.
     Every lattice interval meeting [lo, hi] gets a quad_order Gauss-Legendre
     rule; kernel(s) is a scalar or a per-mode array. integrand must return
     a new array: it is scaled in place.
     """
-    acc = np.zeros(stacks[0][0].shape, dtype=np.complex128)
+    acc = None
     for i in range(len(times) - 1):
         t_lo, t_hi = float(times[i]), float(times[i + 1])
         seg_lo, seg_hi = max(t_lo, lo), min(t_hi, hi)
@@ -221,17 +286,22 @@ def _lattice_quadrature(times: np.ndarray, stacks: Sequence[Sequence[np.ndarray]
         half = 0.5 * (seg_hi - seg_lo)
         mid = 0.5 * (seg_hi + seg_lo)
         inv_h = 1.0 / (t_hi - t_lo)
+        ends = tuple(zip(state_at(i), state_at(i + 1)))
+        if acc is None:
+            acc = np.zeros(ends[0][0].shape, dtype=np.complex128)
         for x, w in _gauss_nodes(quad_order):
             s = mid + half * x
             theta = (s - t_lo) * inv_h
             states = []
-            for st in stacks:
-                state = (1.0 - theta) * st[i]
-                state += theta * st[i + 1]
+            for left, right in ends:
+                state = (1.0 - theta) * left
+                state += theta * right
                 states.append(state)
             term = integrand(*states)
             term *= (w * half) * kernel(s)
             acc += term
+    if acc is None:
+        acc = np.zeros(state_at(0)[0].shape, dtype=np.complex128)
     return acc
 
 
@@ -249,33 +319,41 @@ def duhamel_B(coeffs: QCoefficients, u: Trajectory, v: Trajectory, t_eval: float
     if t_eval < 0.0 or t_eval > u.horizon + u.time_tolerance():
         raise ValueError(f"t_eval {t_eval} outside the trajectory span [0, {u.horizon}]")
     grid = u.grid
-    same = all(a is b for a, b in zip(u.states, v.states))
-    stacks = (_half_stacks(u),) if same else (_half_stacks(u), _half_stacks(v))
-    acc = _lattice_quadrature(u.times, stacks, 0.0, t_eval, quad_order,
+    if u is v:
+        def state_at(j):
+            return (u.half_state(j),)
+    else:
+        def state_at(j):
+            return (u.half_state(j), v.half_state(j))
+    acc = _lattice_quadrature(u.times, state_at, 0.0, t_eval, quad_order,
                               lambda s: heat_factor(grid, t_eval - s, half=True),
                               partial(apply_Q_stack, coeffs, grid))
-    return velocity_from_stack(grid, to_full(grid, acc))
+    return VelocityField.from_half(grid, acc)
 
 
 def _duhamel_lattice(coeffs: QCoefficients, grid: Grid, times: np.ndarray,
-                     stacks: Sequence[np.ndarray], quad_order: int,
-                     v_stacks: Sequence[np.ndarray] | None = None):
+                     states: Iterable[np.ndarray], quad_order: int,
+                     v_states: Iterable[np.ndarray] | None = None):
     """Yield the half spectrum of B(u, v)(t_i) at every lattice time.
 
-    stacks (and v_stacks) are half-spectrum stacks. Semigroup recursion:
+    states (and v_states) yield the lattice-time half stacks in order.
+    Semigroup recursion:
     B_{i+1} = e^{-h L} B_i + int_{t_i}^{t_{i+1}} e^{-(t_{i+1}-s)L} Q ds, which
     matches the direct integral exactly for the per-mode heat kernel.
-    v_stacks = None means v = u.
+    v_states = None means v = u.
     """
     integrand = partial(apply_Q_stack, coeffs, grid)
-    per_state = (stacks,) if v_stacks is None else (stacks, v_stacks)
+    walks = [iter(states)] if v_states is None else [iter(states), iter(v_states)]
     acc = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
     yield acc
+    ends = [tuple(next(w) for w in walks)]
     for i in range(len(times) - 1):
         t_lo, t_hi = float(times[i]), float(times[i + 1])
+        ends.append(tuple(next(w) for w in walks))
         acc = heat_factor(grid, t_hi - t_lo, half=True) * acc + _lattice_quadrature(
-            times[i:i + 2], [st[i:i + 2] for st in per_state], t_lo, t_hi,
-            quad_order, lambda s: heat_factor(grid, t_hi - s, half=True), integrand)
+            times[i:i + 2], ends.__getitem__, t_lo, t_hi, quad_order,
+            lambda s: heat_factor(grid, t_hi - s, half=True), integrand)
+        ends.pop(0)
         yield acc
 
 
@@ -285,9 +363,11 @@ class PicardReport:
 
     deltas holds every H^gamma update norm in march order; interval_iterates
     the number of updates made on each interval attempted (their sum is
-    len(deltas)); iterates the largest of those. residuals is the mild
-    residual at each returned lattice time and residual_max its maximum
-    (inf after divergence).
+    len(deltas)); iterates the largest of those. contraction_ratios holds,
+    per interval, its last update norm over the one before it (nan for an
+    interval with one update). residuals is the mild residual at each
+    returned lattice time and residual_max its maximum (inf after
+    divergence).
     """
 
     iterates: int
@@ -298,20 +378,32 @@ class PicardReport:
     tol: float
     gamma: float
     interval_iterates: tuple[int, ...]
+    contraction_ratios: tuple[float, ...]
     residuals: tuple[float, ...] = field(repr=False)
 
 
-def _start_guess(times: np.ndarray, half: np.ndarray, i: int) -> np.ndarray:
+def _start_guess(times: np.ndarray, recent: Sequence[np.ndarray], i: int) -> np.ndarray:
     """Lagrange extrapolation to times[i+1] through the states at the two
-    (i = 1) or three (i >= 2) lattice times ending at times[i]."""
+    (i = 1) or three (i >= 2) lattice times ending at times[i]; recent holds
+    those states in time order."""
     nodes = range(max(0, i - 2), i + 1)
     target = float(times[i + 1])
-    guess = np.zeros_like(half[i])
-    for j in nodes:
+    guess = np.zeros_like(recent[-1])
+    for j, state in zip(nodes, recent):
         weight = math.prod((target - float(times[m])) / (float(times[j]) - float(times[m]))
                            for m in nodes if m != j)
-        guess += weight * half[j]
+        guess += weight * state
     return guess
+
+
+def _increment(grid: Grid, t: float, u0: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """take(state - e^{tL} u0, kept band): a half state's increment over the
+    heat flow, shaped (3, len(band))."""
+    index = _stack_index(grid, "kept")
+    flow = heat_factor(grid, t, half=True) * u0
+    inc = state.reshape(-1).take(index)
+    inc -= flow.reshape(-1).take(index)
+    return inc.reshape(3, -1)
 
 
 def picard_solve(u0: VelocityField, coeffs: QCoefficients,
@@ -332,37 +424,43 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
     (residual_max = inf); an interval still above the stop threshold after
     max_iter updates leaves the result not converged. Either stops the
     march, and the trajectory then ends at that interval's last iterate.
-    The returned states are views of one (T, 3, n, n, n) array.
+    u0 must be a real field (VelocityField.half_spectrum). The march holds
+    the three latest states only; the trajectory keeps each accepted w as
+    its increment over e^{tL} u0 on the kept modes.
     """
     grid = u0.grid
     times = config.times
     gamma = config.gamma
-    u0_stack = stack_coefficients(u0)
+    u0_half = np.array(u0.half_spectrum())
 
     def norm(stack: np.ndarray) -> float:
         return weighted_l2_stack(grid, stack, gamma, homogeneous=False)
 
-    guard = DIVERGENCE_FACTOR * (1.0 + norm(u0_stack))
+    guard = DIVERGENCE_FACTOR * (1.0 + norm(u0_half))
     # heat factors by exact time offset: a linspace lattice has a few
     # distinct interval lengths and node offsets t_{i+1} - s
     heat = lru_cache(maxsize=32)(partial(heat_factor, grid, half=True))
     integrand = partial(apply_Q_stack, coeffs, grid)
-    half = np.empty((len(times), 3) + grid.half_shape, dtype=np.complex128)
-    half[0] = to_half(u0_stack)
-    defect = np.zeros_like(half[0])
+    band = band_modes(grid, "kept")
+    increments = np.empty((len(times), 3, band.size), dtype=np.complex128)
+    increments[0] = 0.0
+    recent = deque([u0_half], maxlen=3)
+    defect = np.zeros_like(u0_half)
     residuals = [0.0]
     deltas: list[float] = []
     interval_iterates: list[int] = []
+    ratios: list[float] = []
     diverged = stalled = False
 
     for i in range(len(times) - 1):
         t_lo, t_hi = float(times[i]), float(times[i + 1])
         propagator = heat(t_hi - t_lo)
-        base = propagator * half[i]
-        w = base if i == 0 else _start_guess(times, half, i)
+        u_i = recent[-1]
+        base = propagator * u_i
+        w = base if i == 0 else _start_guess(times, recent, i)
         for rounds in range(1, config.max_iter + 1):
             update = base + _lattice_quadrature(
-                times[i:i + 2], [(half[i], w)], t_lo, t_hi, config.quad_order,
+                times[i:i + 2], lambda j: ((u_i, w)[j],), t_lo, t_hi, config.quad_order,
                 lambda s: heat(t_hi - s), integrand)
             delta = norm(update - w)
             deltas.append(delta)
@@ -376,26 +474,23 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
                 break
             w = update
         interval_iterates.append(rounds)
-        half[i + 1] = w
+        ratios.append(deltas[-1] / deltas[-2] if rounds > 1 else math.nan)
+        recent.append(w)
+        increments[i + 1] = _increment(grid, t_hi, u0_half, w)
         defect *= propagator
         defect += w - update
         residuals.append(norm(defect))
         if diverged or stalled:
             break
 
-    unpaired = _unpaired(grid, u0_stack)
-    full = np.empty((len(residuals), 3) + grid.shape, dtype=np.complex128)
-    full[0] = u0_stack
-    states = [velocity_from_stack(grid, full[0])]
-    for i in range(1, len(full)):
-        states.append(_full_state(grid, half[i], unpaired, float(times[i]), out=full[i]))
-    traj = Trajectory(times[:len(full)], tuple(states))
+    kept = len(residuals)
+    traj = Trajectory.from_increments(grid, times[:kept], u0_half, increments[:kept])
     report = PicardReport(
         iterates=max(interval_iterates), deltas=tuple(deltas),
         residual_max=math.inf if diverged else max(residuals),
         converged=not (diverged or stalled), diverged=diverged,
         tol=config.tol, gamma=gamma, interval_iterates=tuple(interval_iterates),
-        residuals=tuple(residuals))
+        contraction_ratios=tuple(ratios), residuals=tuple(residuals))
     return traj, report
 
 
@@ -408,18 +503,17 @@ def mild_residual(traj: Trajectory, u0: VelocityField, coeffs: QCoefficients,
     march without one).
     """
     grid = traj.grid
-    u0_stack = stack_coefficients(u0)
-    first = stack_coefficients(traj.states[0])
-    scale = max(1.0, float(np.max(np.abs(u0_stack))))
-    if np.max(np.abs(first - u0_stack)) > 1e-12 * scale:
+    u0_half = u0.half_spectrum()
+    scale = max(1.0, float(np.max(np.abs(u0_half))))
+    if np.max(np.abs(traj.half_state(0) - u0_half)) > 1e-12 * scale:
         raise ValueError("trajectory does not start at the supplied initial data")
-    u0_half = to_half(u0_stack)
-    stacks = _half_stacks(traj)
-    out = np.empty(len(traj.times))
-    b_iter = _duhamel_lattice(coeffs, grid, traj.times, stacks, quad_order)
+    count = len(traj.times)
+    out = np.empty(count)
+    b_iter = _duhamel_lattice(coeffs, grid, traj.times,
+                              (traj.half_state(i) for i in range(count)), quad_order)
     for i, b in enumerate(b_iter):
         heat = heat_factor(grid, float(traj.times[i]), half=True)
-        defect = stacks[i] - u0_half * heat - b
+        defect = traj.half_state(i) - u0_half * heat - b
         out[i] = weighted_l2_stack(grid, defect, gamma, homogeneous=False)
     return out
 
@@ -431,7 +525,9 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
     Requires t_final to be an integer multiple of dt (relative slack 1e-9).
     Raises BlowupError when coefficients grow beyond BLOWUP_FACTOR times the
     initial scale. keep="final" stores only the endpoints (the returned
-    trajectory has two lattice times, 0 and t_final).
+    trajectory has two lattice times, 0 and t_final). u0 must be a real
+    field; the states are stored as increments on the kept modes, like
+    picard_solve's.
     """
     if not (t_final > 0.0 and math.isfinite(t_final)):
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
@@ -446,12 +542,14 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
     grid = u0.grid
     E = heat_factor(grid, 0.5 * dt, half=True)
     E2 = E * E
-    u0_stack = stack_coefficients(u0)
-    c = to_half(u0_stack)
-    unpaired = _unpaired(grid, u0_stack)
-    scale0 = 1.0 + float(np.max(np.abs(u0_stack)))
+    u0_half = np.array(u0.half_spectrum())
+    c = u0_half
+    scale0 = 1.0 + float(np.max(np.abs(u0_half)))
     times = np.linspace(0.0, t_final, n_steps + 1)
-    states = [velocity_from_stack(grid, u0_stack)]
+    band = band_modes(grid, "kept")
+    increments = np.empty((n_steps + 1 if keep == "all" else 2, 3, band.size),
+                          dtype=np.complex128)
+    increments[0] = 0.0
 
     def N(stack: np.ndarray) -> np.ndarray:
         return apply_Q_stack(coeffs, grid, stack)
@@ -469,8 +567,8 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
                 f"integrator blew up at t = {t_here:.6g}: max coefficient "
                 f"{peak:.3e} vs initial scale {scale0:.3e}", t_here, peak)
         if keep == "all":
-            states.append(_full_state(grid, c, unpaired, float(times[step + 1])))
+            increments[step + 1] = _increment(grid, float(times[step + 1]), u0_half, c)
     if keep == "all":
-        return Trajectory(times, tuple(states))
-    states.append(_full_state(grid, c, unpaired, t_final))
-    return Trajectory(np.asarray([0.0, t_final]), tuple(states))
+        return Trajectory.from_increments(grid, times, u0_half, increments)
+    increments[1] = _increment(grid, t_final, u0_half, c)
+    return Trajectory.from_increments(grid, np.asarray([0.0, t_final]), u0_half, increments)

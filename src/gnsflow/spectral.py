@@ -37,6 +37,7 @@ __all__ = [
     "weighted_l2_stack",
     "weighted_tail_sums",
     "hermitian_deviation",
+    "hermitian_half",
     "hermitian_symmetrize",
     "set_fft_workers",
     "get_fft_workers",
@@ -257,18 +258,45 @@ def _negated_index(n: int) -> np.ndarray:
     return index
 
 
+def _half_mirror(coeffs: np.ndarray) -> np.ndarray:
+    """conj c(-k) at every mode k of the half spectrum, as a new array."""
+    n = coeffs.shape[-1]
+    negated = _negated_index(n).reshape((n, n, n))[..., :n // 2 + 1]
+    mirror = coeffs.reshape(coeffs.shape[:-3] + (-1,)).take(negated, axis=-1)
+    return np.conjugate(mirror, out=mirror)
+
+
 def hermitian_deviation(coeffs: np.ndarray) -> float:
     """Max absolute deviation |c(k) - conj(c(-k))| over the lattice.
 
     The pairs k, -k each have a member in the half spectrum and both give
     the same value, so only the half is scanned.
     """
-    n = coeffs.shape[-1]
-    negated = _negated_index(n).reshape((n, n, n))[..., :n // 2 + 1]
-    gap = coeffs.reshape(coeffs.shape[:-3] + (-1,)).take(negated, axis=-1)
-    np.conjugate(gap, out=gap)
+    gap = _half_mirror(coeffs)
     np.subtract(to_half(coeffs), gap, out=gap)
     return float(np.max(np.abs(gap)))
+
+
+def hermitian_half(coeffs: np.ndarray) -> np.ndarray:
+    """Half spectrum of the real field nearest to full (..., n, n, n) coefficients.
+
+    This is the half of hermitian_symmetrize(coeffs), as a new array; the
+    real-field contract at the API edge. A Hermitian deviation above
+    HERMITIAN_REJECT_TOL raises CorruptedFieldError, and exactly Hermitian
+    input comes back bit for bit.
+    """
+    half = to_half(coeffs)
+    mirror = _half_mirror(coeffs)
+    dev = float(np.max(np.abs(half - mirror)))
+    if dev > HERMITIAN_REJECT_TOL:
+        raise CorruptedFieldError(
+            f"not a real field: Hermitian deviation {dev:.3e} exceeds "
+            f"{HERMITIAN_REJECT_TOL:.1e}", dev)
+    if dev == 0.0:
+        return half.copy()
+    mirror += half
+    mirror *= 0.5
+    return mirror
 
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
@@ -279,12 +307,13 @@ def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
 
 
 def to_half(stack: np.ndarray) -> np.ndarray:
-    """View of the half spectrum (..., n, n, n//2+1) of a full (..., n, n, n) array."""
+    """View of the half spectrum (..., n, n, n//2+1) of a full (..., n, n, n)
+    array; a half array comes back whole."""
     return stack[..., :stack.shape[-2] // 2 + 1]
 
 
-def to_full(grid: Grid, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Full (..., n, n, n) coefficients of a half spectrum (into out when given).
+def to_full(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Full (..., n, n, n) coefficients of a half spectrum, as a new array.
 
     The half is copied as is (kz = 0 and kz = n/2 planes included); each
     upper plane kz > n/2 is the conjugate of the mode -k, which the half
@@ -292,7 +321,7 @@ def to_full(grid: Grid, half: np.ndarray, out: np.ndarray | None = None) -> np.n
     """
     h = grid.n_per_axis // 2 + 1
     lead = half.shape[:-3]
-    full = np.empty(lead + grid.shape, dtype=np.complex128) if out is None else out
+    full = np.empty(lead + grid.shape, dtype=np.complex128)
     full[..., :h] = half
     mirror = grid.negated_modes.reshape(grid.shape)[..., h:]
     np.conj(full.reshape(lead + (-1,))[..., mirror], out=full[..., h:])
@@ -457,16 +486,21 @@ def _require_zero_mean(flat: np.ndarray) -> None:
             "homogeneous norm with s < 0 is undefined for data with nonzero mean")
 
 
+def _is_half(grid: Grid, stacks: np.ndarray) -> bool:
+    """Whether a coefficient stack is in the half layout (read off its last axis)."""
+    return stacks.shape[-1] != grid.n_per_axis
+
+
 def weighted_l2_stack(grid: Grid, stacks: np.ndarray, s: float, homogeneous: bool,
                       cutoff: float = 0.0, factor: np.ndarray | None = None) -> float:
     """Lattice-weighted Sobolev-type norm of a coefficient stack in either layout.
 
     The layout is read off the trailing axis: (..., n, n, n) full or
     (..., n, n, n//2+1) half spectrum of Hermitian data; factor is a full
-    (n, n, n) array either way. Returns sqrt( mode_weight * sum_components
-    sum_{|k| >= cutoff} factor * w^{2s} |c|^2 ) with w(k) = |k| when
-    homogeneous, sqrt(1 + |k|^2) otherwise; factor (an exponential weight or
-    a mode mask) defaults to 1.
+    (n, n, n) array, or a half one for a half stack. Returns sqrt(
+    mode_weight * sum_components sum_{|k| >= cutoff} factor * w^{2s} |c|^2 )
+    with w(k) = |k| when homogeneous, sqrt(1 + |k|^2) otherwise; factor (an
+    exponential weight or a mode mask) defaults to 1.
     In the homogeneous case the k = 0 mode contributes its plain magnitude
     for s = 0 and nothing for s != 0; for s < 0 without a cutoff the norm is
     undefined unless every component has zero mean, so a nonzero mean raises
@@ -474,7 +508,7 @@ def weighted_l2_stack(grid: Grid, stacks: np.ndarray, s: float, homogeneous: boo
     """
     if cutoff < 0.0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    half = stacks.shape[-1] != grid.n_per_axis
+    half = _is_half(grid, stacks)
     flat = stacks.reshape((-1,) + (grid.half_shape if half else grid.shape))
     if homogeneous and s < 0.0 and cutoff == 0.0:
         _require_zero_mean(flat)
@@ -488,23 +522,38 @@ def weighted_l2_stack(grid: Grid, stacks: np.ndarray, s: float, homogeneous: boo
     return math.sqrt(grid.mode_weight * total)
 
 
+@lru_cache(maxsize=8)
+def _half_mode_level(grid: Grid) -> np.ndarray:
+    """The k_norm_levels level index of every half-spectrum mode (flat C order)."""
+    _, mode_level = grid.k_norm_levels
+    arr = to_half(mode_level.reshape(grid.shape)).ravel()
+    arr.setflags(write=False)
+    return arr
+
+
 def weighted_tail_sums(grid: Grid, stacks: np.ndarray, s: float,
                        homogeneous: bool) -> np.ndarray:
-    """Squared weighted tail norms of a (..., n, n, n) stack at every |k| level.
+    """Squared weighted tail norms of a coefficient stack at every |k| level.
 
-    Entry m is mode_weight * sum_components sum_{|k| >= levels[m]}
-    w^{2s} |c|^2 over the levels of grid.k_norm_levels, so its sqrt is
-    weighted_l2_stack with cutoff levels[m]. Weights and the
-    homogeneous s < 0 domain error are those of weighted_l2_stack; entry 0
-    is the untruncated norm, so the error applies whatever level is read.
+    The stack is (..., n, n, n) full or (..., n, n, n//2+1) half spectrum,
+    as in weighted_l2_stack. Entry m is mode_weight * sum_components
+    sum_{|k| >= levels[m]} w^{2s} |c|^2 over the levels of
+    grid.k_norm_levels, so its sqrt is weighted_l2_stack with cutoff
+    levels[m]. Weights and the homogeneous s < 0 domain error are those of
+    weighted_l2_stack; entry 0 is the untruncated norm, so the error applies
+    whatever level is read.
     """
-    flat = stacks.reshape((-1,) + grid.shape)
+    half = _is_half(grid, stacks)
+    flat = stacks.reshape((-1,) + (grid.half_shape if half else grid.shape))
     if homogeneous and s < 0.0:
         _require_zero_mean(flat)
-    power = np.zeros(grid.shape)
+    power = np.zeros(flat.shape[1:])
     for comp in flat:
         power += np.abs(comp) ** 2
     levels, mode_level = grid.k_norm_levels
+    if half:
+        mode_level = _half_mode_level(grid)
+    table = (_half_weight_table if half else _weight_table)(grid, s, homogeneous)
     per_level = np.bincount(mode_level, minlength=levels.size,
-                            weights=(_weight_table(grid, s, homogeneous) * power).ravel())
+                            weights=(table * power).ravel())
     return grid.mode_weight * np.cumsum(per_level[::-1])[::-1]

@@ -1,12 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from gnsflow import cli, runner
+from gnsflow import cli, runner, spectral
 from gnsflow import io as gio
 from gnsflow.config import ConfigError, parse_config_text
 from gnsflow.diagnostics import InconclusiveFitError
+from gnsflow.operators import leray_project_stack, velocity_from_stack
 from gnsflow.runner import (
     EXIT_CONFIG,
     EXIT_FAILURE,
@@ -63,6 +65,10 @@ class TestRunScenario:
         assert run_doc["status"] == "ok"
         assert run_doc["picard"]["converged"] is True
         assert run_doc["config_sha256"] == cfg.sha256()
+        ratios = run_doc["picard"]["contraction_ratios"]
+        assert len(ratios) == len(run_doc["picard"]["interval_iterates"])
+        assert ratios == [r if math.isfinite(r) else "nan"
+                          for r in art.picard.contraction_ratios]
         assert art.picard.converged
         assert np.all(np.isfinite(art.report.ratio))
         # no leftover partial directories
@@ -321,6 +327,29 @@ class TestCliCommands:
         cfg_path = write_cfg(tmp_path, BASE_CFG)
         rc = cli.main(["diagnose", str(tmp_path / "nowhere"), str(cfg_path)])
         assert rc == EXIT_CONFIG
+
+    def test_diagnose_rejects_non_hermitian_u0(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, BASE_CFG)
+        assert cli.main(["solve", str(cfg_path), "--out",
+                         str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        trajectory = tmp_path / "run" / "trajectory"
+        manifest_path = trajectory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        grid = gio.read_field(trajectory / gio.U0_FILE).grid
+        # Leray projection of Hermitian noise with Nyquist content
+        noise = np.stack([spectral.fftn(np.random.default_rng(1).standard_normal(grid.shape))
+                          for _ in range(3)])
+        digest = gio.write_field(trajectory / gio.U0_FILE, velocity_from_stack(
+            grid, leray_project_stack(grid, noise)), sidecar=False)
+        for entry in manifest["files"]:
+            if entry["name"] == gio.U0_FILE:
+                entry["sha256"] = digest
+        manifest_path.write_text(json.dumps(manifest))
+        rc = cli.main(["diagnose", str(trajectory), str(cfg_path),
+                       "--out", str(tmp_path / "diag")])
+        assert rc == EXIT_CONFIG
+        assert "Hermitian deviation" in capsys.readouterr().err
 
     def test_report_command(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, BASE_CFG)

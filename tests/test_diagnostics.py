@@ -30,7 +30,7 @@ from gnsflow.diagnostics import (
 )
 from gnsflow.operators import navier_stokes_coeffs, stack_coefficients, velocity_from_stack
 from gnsflow.solver import Trajectory
-from gnsflow.spectral import build_grid
+from gnsflow.spectral import build_grid, hermitian_symmetrize
 
 
 def single_pair_velocity(grid, mode, amplitude, component=0):
@@ -657,7 +657,8 @@ class TestBoundReport:
         grid = build_grid(16)
         times = np.linspace(0.0, 0.01, 3)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
-        stack[0] = 0.5 + rng.uniform(0.0, 1.0, grid.shape)  # flat noisy spectrum
+        # flat noisy spectrum of a real field
+        stack[0] = hermitian_symmetrize(0.5 + rng.uniform(0.0, 1.0, grid.shape))
         traj = Trajectory(times, tuple(velocity_from_stack(grid, stack.copy())
                                        for _ in times))
         with pytest.raises(InconclusiveFitError):

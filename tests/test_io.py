@@ -10,8 +10,9 @@ from conftest import random_hermitian_coeffs
 from gnsflow import io as gio
 from gnsflow import operators
 from gnsflow.diagnostics import bound_report
-from gnsflow.operators import velocity_from_stack, stack_coefficients
-from gnsflow.solver import Trajectory
+from gnsflow.initial_data import DataParams, make_initial_data
+from gnsflow.operators import navier_stokes_coeffs, velocity_from_stack, stack_coefficients
+from gnsflow.solver import SolverConfig, Trajectory, picard_solve
 from gnsflow.spectral import CorruptedFieldError, build_grid
 
 
@@ -107,6 +108,20 @@ class TestFieldRoundTrip:
         assert (tmp_path / "a.gsf").read_bytes() == (tmp_path / "b.gsf").read_bytes()
 
 
+def increments_layout(traj):
+    return gio._INCREMENTS_HEADER.size + len(traj.times) * 3 * traj.band.size * 16
+
+
+def picard_traj(n=8, n_times=4):
+    grid = build_grid(n)
+    u0 = make_initial_data("random_sobolev_tail", grid,
+                           DataParams(amplitude=0.5, band_lo=1.0, band_hi=5.0), seed=3)
+    traj, report = picard_solve(u0, navier_stokes_coeffs(),
+                                SolverConfig(t_final=0.01, n_times=n_times, tol=1e-8))
+    assert report.converged
+    return traj
+
+
 class TestTrajectoryRoundTrip:
     def test_round_trip(self, rng, tmp_path):
         grid = build_grid(8, period=2.0)
@@ -122,8 +137,32 @@ class TestTrajectoryRoundTrip:
         manifest = json.loads(manifest_path.read_text())
         assert manifest["format"] == gio.TRAJECTORY_FORMAT
         assert manifest["config_sha256"] == "abc123"
-        assert len(manifest["files"]) == 4
+        assert manifest["band"] == "all"
+        assert [f["name"] for f in manifest["files"]] == [gio.U0_FILE, gio.INCREMENTS_FILE]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(
+            [gio.U0_FILE, gio.INCREMENTS_FILE, "manifest.json"])
         assert "wall_clock_utc" in manifest
+
+    def test_solver_trajectory_round_trips_bit_for_bit(self, tmp_path):
+        traj = picard_traj()
+        gio.write_trajectory(tmp_path / "run", traj)
+        back = gio.read_trajectory(tmp_path / "run")
+        assert back.band_kind == "kept"
+        assert back.u0.tobytes() == traj.u0.tobytes()
+        assert back.increments.tobytes() == traj.increments.tobytes()
+        for i in range(len(traj.times)):
+            assert back.half_state(i).tobytes() == traj.half_state(i).tobytes()
+
+    def test_increments_file_is_header_plus_values(self, rng, tmp_path):
+        for name, traj in (("kept", picard_traj(n_times=5)),
+                           ("all", heat_traj(make_field(build_grid(8), rng),
+                                             [0.0, 0.005, 0.01]))):
+            gio.write_trajectory(tmp_path / name, traj)
+            data = (tmp_path / name / gio.INCREMENTS_FILE).read_bytes()
+            assert len(data) == increments_layout(traj)
+            assert data[:4] == gio.INCREMENTS_MAGIC
+            assert data[gio._INCREMENTS_HEADER.size:] == \
+                traj.increments.astype("<c16").tobytes()
 
     def test_accepts_directory_argument(self, rng, tmp_path):
         traj = heat_traj(make_field(build_grid(8), rng), [0.0, 0.01])
@@ -131,15 +170,33 @@ class TestTrajectoryRoundTrip:
         back = gio.read_trajectory(tmp_path / "run")
         assert len(back.states) == 2
 
+    @staticmethod
+    def flip_last_byte(path):
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0xFF
+        path.write_bytes(bytes(data))
+
     def test_detects_tampered_state_file(self, rng, tmp_path):
         traj = heat_traj(make_field(build_grid(8), rng), [0.0, 0.01])
         gio.write_trajectory(tmp_path / "run", traj)
-        target = tmp_path / "run" / "state_0001.gsf"
-        data = bytearray(target.read_bytes())
-        data[-1] ^= 0xFF
-        target.write_bytes(bytes(data))
+        self.flip_last_byte(tmp_path / "run" / gio.INCREMENTS_FILE)
         with pytest.raises(gio.FormatError, match="sha256"):
             gio.read_trajectory(tmp_path / "run")
+
+    def test_detects_tampered_u0_file(self, rng, tmp_path):
+        traj = heat_traj(make_field(build_grid(8), rng), [0.0, 0.01])
+        gio.write_trajectory(tmp_path / "run", traj)
+        self.flip_last_byte(tmp_path / "run" / gio.U0_FILE)
+        with pytest.raises(gio.FormatError, match="sha256"):
+            gio.read_trajectory(tmp_path / "run")
+
+    def test_rejects_truncated_increments(self, rng, tmp_path):
+        traj = heat_traj(make_field(build_grid(8), rng), [0.0, 0.01])
+        gio.write_trajectory(tmp_path / "run", traj)
+        target = tmp_path / "run" / gio.INCREMENTS_FILE
+        target.write_bytes(target.read_bytes()[:-16])
+        with pytest.raises(gio.FormatError, match="size"):
+            gio.read_trajectory(tmp_path / "run", check=False)
 
     def test_reads_each_state_file_once(self, rng, tmp_path, monkeypatch):
         traj = heat_traj(make_field(build_grid(8), rng), [0.0, 0.005, 0.01])
@@ -153,33 +210,55 @@ class TestTrajectoryRoundTrip:
         monkeypatch.setattr(Path, "read_bytes", spy)
         back = gio.read_trajectory(tmp_path / "run")
         assert len(back.states) == 3
-        assert sorted(calls) == ["state_0000.gsf", "state_0001.gsf", "state_0002.gsf"]
+        assert sorted(calls) == sorted([gio.INCREMENTS_FILE, gio.U0_FILE])
 
-    def test_states_share_one_array_and_match_read_field(self, rng, tmp_path):
-        grid = build_grid(8)
-        traj = heat_traj(make_field(grid, rng), [0.0, 0.005, 0.01])
+    def test_increments_are_the_bytes_read_and_u0_matches_read_field(self, tmp_path):
+        traj = picard_traj()
         gio.write_trajectory(tmp_path / "run", traj)
         back = gio.read_trajectory(tmp_path / "run")
-        block = back.states[0].components[0].coeffs.base
-        assert block.shape == (3, 3) + grid.shape
-        for i, state in enumerate(back.states):
-            assert all(np.shares_memory(block, c.coeffs) for c in state.components)
-            single = gio.read_field(tmp_path / "run" / f"state_{i:04d}.gsf")
-            assert stack_coefficients(state).tobytes() == \
-                stack_coefficients(single).tobytes()
+        owner = back.increments
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        assert isinstance(owner, bytes)  # one array, no copy of the file's bytes
+        assert back.increments.shape == traj.increments.shape
+        assert not back.increments.flags.writeable
+        single = gio.read_field(tmp_path / "run" / gio.U0_FILE)
+        assert back.u0.tobytes() == single.half_spectrum().tobytes()
 
     def test_rejects_state_file_on_another_grid(self, rng, tmp_path):
         traj = heat_traj(make_field(build_grid(8), rng), [0.0, 0.01])
         gio.write_trajectory(tmp_path / "run", traj)
-        gio.write_field(tmp_path / "run" / "state_0001.gsf",
+        gio.write_field(tmp_path / "run" / gio.U0_FILE,
                         make_field(build_grid(8, period=3.0), rng), sidecar=False)
         with pytest.raises(gio.FormatError, match="grid differs"):
             gio.read_trajectory(tmp_path / "run", check=False)
+
+    def test_rejects_non_hermitian_u0(self, rng, tmp_path):
+        grid = build_grid(8)
+        traj = heat_traj(make_field(grid, rng), [0.0, 0.01])
+        manifest_path = gio.write_trajectory(tmp_path / "run", traj)
+        stack = np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)])
+        digest = gio.write_field(tmp_path / "run" / gio.U0_FILE, velocity_from_stack(
+            grid, operators.leray_project_stack(grid, stack)), sidecar=False)
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"][0]["sha256"] = digest
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CorruptedFieldError):
+            gio.read_trajectory(tmp_path / "run")
 
     def test_rejects_wrong_manifest_format(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"format": "other"}))
         with pytest.raises(gio.FormatError, match="format"):
             gio.read_trajectory(tmp_path)
+
+    def test_rejects_v1_trajectory(self, rng, tmp_path):
+        traj = heat_traj(make_field(build_grid(8), rng), [0.0, 0.01])
+        manifest_path = gio.write_trajectory(tmp_path / "run", traj)
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format"] = "gns-trajectory-v1"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(gio.FormatError, match="gns-trajectory-v1"):
+            gio.read_trajectory(tmp_path / "run")
 
     def test_manifests_identical_up_to_wall_clock(self, rng, tmp_path):
         grid = build_grid(8)
@@ -190,7 +269,7 @@ class TestTrajectoryRoundTrip:
         m2 = gio.manifest_comparison_key(json.loads(p2.read_text()))
         assert m1 == m2
         assert "wall_clock_utc" not in m1
-        for name in ("state_0000.gsf", "state_0001.gsf", "state_0002.gsf"):
+        for name in (gio.U0_FILE, gio.INCREMENTS_FILE):
             assert (tmp_path / "r1" / name).read_bytes() == \
                 (tmp_path / "r2" / name).read_bytes()
 

@@ -27,6 +27,8 @@ from gnsflow.spectral import SpectralField, build_grid
 def make_velocity(grid, rng, divergence_free=True, scale=1.0):
     stack = np.stack([random_hermitian_coeffs(grid, rng, scale) for _ in range(3)])
     if divergence_free:
+        # Leray only preserves conjugate symmetry on Nyquist-free input
+        stack *= np.asarray(grid.dealias_mask)
         stack = operators.leray_project_stack(grid, stack)
     return velocity_from_stack(grid, stack)
 

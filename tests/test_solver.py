@@ -10,6 +10,7 @@ from gnsflow.initial_data import DataParams, make_initial_data
 from gnsflow.operators import (
     QCoefficients,
     apply_Q,
+    heat_factor,
     navier_stokes_coeffs,
     stack_coefficients,
     velocity_from_stack,
@@ -25,9 +26,12 @@ from gnsflow.solver import (
     picard_solve,
 )
 from gnsflow.spectral import (
+    HERMITIAN_REJECT_TOL,
+    CorruptedFieldError,
     build_grid,
     hermitian_deviation,
     hermitian_symmetrize,
+    to_half,
     weighted_l2_stack,
 )
 
@@ -41,6 +45,8 @@ def vortex_velocity(n=16, period=2 * math.pi, amplitude=1.0):
 
 def divergence_free_velocity(grid, rng, scale=1.0):
     stack = np.stack([random_hermitian_coeffs(grid, rng, scale) for _ in range(3)])
+    # Leray only preserves conjugate symmetry on Nyquist-free input
+    stack *= np.asarray(grid.dealias_mask)
     stack = operators.leray_project_stack(grid, stack)
     stack[:, 0, 0, 0] = 0.0
     return velocity_from_stack(grid, stack)
@@ -244,6 +250,22 @@ class TestPicard:
             for a, b in zip(small, small[1:]):
                 assert b <= 0.9 * a
 
+    def test_contraction_ratios_below_one_on_vortex(self):
+        grid, u0 = vortex_velocity(n=16, amplitude=1.0)
+        cfg = SolverConfig(t_final=0.02, n_times=21, quad_order=2, tol=1e-8,
+                           gamma=1.0, max_iter=12)
+        _, report = picard_solve(u0, navier_stokes_coeffs(), cfg)
+        assert report.converged
+        ratios = np.asarray(report.contraction_ratios)
+        assert len(ratios) == len(report.interval_iterates)
+        for history, ratio in zip(per_interval(report), ratios):
+            if len(history) == 1:
+                assert math.isnan(ratio)
+            else:
+                assert ratio == history[-1] / history[-2]
+        assert np.isfinite(ratios).any()
+        assert np.all(ratios[np.isfinite(ratios)] < 1.0)
+
     def test_trajectory_stays_divergence_free_and_hermitian(self):
         grid, u0 = vortex_velocity(n=16, amplitude=1.0)
         cfg = SolverConfig(t_final=0.02, n_times=11, tol=1e-8)
@@ -339,14 +361,60 @@ class TestMarchCertificate:
         assert report.converged
         assert calls["q"] == cfg.quad_order * sum(report.interval_iterates)
 
-    def test_states_share_one_array(self):
-        grid, u0 = vortex_velocity(n=8, amplitude=1.0)
+    def test_states_are_heat_flow_plus_kept_mode_increments(self):
+        grid, u0 = self.sobolev_tail_velocity()
         traj, _ = picard_solve(u0, navier_stokes_coeffs(),
                                SolverConfig(t_final=0.01, n_times=5, tol=1e-8))
-        block = traj.states[0].components[0].coeffs.base
-        assert block.shape == (len(traj.times), 3) + grid.shape
-        for state in traj.states:
-            assert all(np.shares_memory(block, c.coeffs) for c in state.components)
+        modes = grid.half_dealias_modes[0]
+        assert traj.band_kind == "kept" and np.array_equal(traj.band, modes)
+        assert traj.increments.shape == (len(traj.times), 3, modes.size)
+        assert not traj.increments.flags.writeable
+        assert np.array_equal(traj.u0, u0.half_spectrum())
+        assert not np.any(traj.increments[0])
+
+
+class TestKeptModeStates:
+    """A solver state is e^{tL} u0 plus an increment on the kept modes only,
+    so storing that increment loses nothing but rounding."""
+
+    @staticmethod
+    def accepted_states(monkeypatch):
+        """Every state the march (or the ETD loop) hands to the trajectory."""
+        seen = []
+        real = solver._increment
+
+        def spy(grid, t, u0, state):
+            seen.append((t, state.copy()))
+            return real(grid, t, u0, state)
+
+        monkeypatch.setattr(solver, "_increment", spy)
+        return seen
+
+    @pytest.mark.parametrize("integrator", ["picard", "etd"])
+    def test_off_kept_modes_the_state_is_the_heat_flow(self, integrator, monkeypatch):
+        grid = build_grid(16)
+        u0 = make_initial_data("random_sobolev_tail", grid,
+                               DataParams(amplitude=0.5, band_lo=1.0, band_hi=10.0),
+                               seed=7)
+        u0_half = u0.half_spectrum()
+        kept = np.zeros(math.prod(grid.half_shape), dtype=bool)
+        kept[grid.half_dealias_modes[0]] = True
+        # the data reach past the kept band, so the test is not vacuous
+        assert np.abs(u0_half.reshape(3, -1)[:, ~kept]).max() > 1e-3
+        seen = self.accepted_states(monkeypatch)
+        if integrator == "picard":
+            traj, _ = picard_solve(u0, navier_stokes_coeffs(),
+                                   SolverConfig(t_final=0.01, n_times=6, tol=1e-8))
+        else:
+            traj = etd_integrate(u0, navier_stokes_coeffs(), 0.005, 0.001)
+        assert len(seen) == len(traj.times) - 1
+        for i, (t, state) in enumerate(seen, start=1):
+            assert t == traj.times[i]
+            scale = float(np.max(np.abs(state)))
+            flow = heat_factor(grid, t, half=True) * u0_half
+            off = (state - flow).reshape(3, -1)[:, ~kept]
+            assert np.max(np.abs(off)) <= 1e-15 * scale
+            assert np.max(np.abs(traj.half_state(i) - state)) <= 1e-15 * scale
 
 
 class TestMildResidual:
@@ -446,22 +514,22 @@ class TestHalfSpectrumStates:
     def deviation(traj):
         return max(hermitian_deviation(stack_coefficients(s)) for s in traj.states)
 
+    # state 0 is rebuilt from the half spectrum, so it equals u0 value for
+    # value; a zero's sign in the upper kz planes is not stored
     def test_picard_states_are_exactly_hermitian(self):
         grid, u0 = self.real_vortex()
         traj, report = picard_solve(u0, navier_stokes_coeffs(),
                                     SolverConfig(t_final=0.01, n_times=6, tol=1e-8))
         assert report.iterates > 2
         assert self.deviation(traj) == 0.0
-        assert stack_coefficients(traj.states[0]).tobytes() == \
-            stack_coefficients(u0).tobytes()
+        assert np.array_equal(stack_coefficients(traj.states[0]), stack_coefficients(u0))
 
     @pytest.mark.parametrize("keep", ["all", "final"])
     def test_etd_states_are_exactly_hermitian(self, keep):
         grid, u0 = self.real_vortex()
         traj = etd_integrate(u0, navier_stokes_coeffs(), 0.004, 0.001, keep=keep)
         assert self.deviation(traj) == 0.0
-        assert stack_coefficients(traj.states[0]).tobytes() == \
-            stack_coefficients(u0).tobytes()
+        assert np.array_equal(stack_coefficients(traj.states[0]), stack_coefficients(u0))
 
     def test_duhamel_b_is_exactly_hermitian(self):
         grid, u0 = self.real_vortex()
@@ -469,6 +537,57 @@ class TestHalfSpectrumStates:
         b = duhamel_B(navier_stokes_coeffs(), traj, traj, 0.0025)
         assert b.hermitian_deviation() == 0.0
         assert b.l2_coefficient_norm() > 0.0
+
+
+class TestRealFieldContract:
+    """Every entry point that takes a field holds it to being real: data
+    Hermitian within HERMITIAN_REJECT_TOL is symmetrized (exactly Hermitian
+    data passes unchanged), anything further off is rejected."""
+
+    @staticmethod
+    def nyquist_projected(grid, rng):
+        # the projector's odd multiplier breaks conjugate symmetry on the
+        # Nyquist planes, which unmasked noise populates
+        stack = np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)])
+        u = velocity_from_stack(grid, operators.leray_project_stack(grid, stack))
+        assert u.hermitian_deviation() > HERMITIAN_REJECT_TOL
+        return u
+
+    @pytest.mark.parametrize("entry", ["picard_solve", "etd_integrate", "apply_Q",
+                                       "Trajectory"])
+    def test_rejects_leray_projected_nyquist_content(self, entry, rng):
+        grid = build_grid(8)
+        u = self.nyquist_projected(grid, rng)
+        coeffs = navier_stokes_coeffs()
+        calls = {
+            "picard_solve": lambda: picard_solve(u, coeffs, SolverConfig(t_final=0.01,
+                                                                         n_times=3)),
+            "etd_integrate": lambda: etd_integrate(u, coeffs, 0.002, 0.001),
+            "apply_Q": lambda: apply_Q(coeffs, u, u),
+            "Trajectory": lambda: Trajectory(np.array([0.0, 0.1]), (u, u)),
+        }
+        with pytest.raises(CorruptedFieldError):
+            calls[entry]()
+
+    def test_exactly_hermitian_states_pass_bit_for_bit(self, rng):
+        grid = build_grid(8)
+        u = divergence_free_velocity(grid, rng)
+        assert u.hermitian_deviation() == 0.0
+        traj = Trajectory(np.array([0.0]), (u,))
+        assert traj.band_kind == "all" and not np.any(traj.u0)
+        assert traj.half_state(0).tobytes() == \
+            np.ascontiguousarray(to_half(stack_coefficients(u))).tobytes()
+
+    def test_symmetrizes_within_tolerance(self, rng):
+        grid = build_grid(8)
+        stack = stack_coefficients(divergence_free_velocity(grid, rng))
+        stack[0, 1, 2, 3] += 1e-12  # no matching change at -k
+        u = velocity_from_stack(grid, stack)
+        want = to_half(hermitian_symmetrize(stack))
+        assert np.array_equal(Trajectory(np.array([0.0]), (u,)).half_state(0), want)
+        traj, report = picard_solve(u, QCoefficients(np.zeros((3,) * 6)),
+                                    SolverConfig(t_final=0.01, n_times=3))
+        assert report.converged and np.array_equal(traj.u0, want)
 
 
 class TestPicardVsEtd:
