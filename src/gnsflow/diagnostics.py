@@ -18,9 +18,8 @@ from .operators import QCoefficients, VelocityField
 from .solver import Trajectory, _duhamel_lattice, _lattice_quadrature
 from .spectral import (
     EXP_GUARD,
-    SpectralField,
+    _shell_maxima,
     irfftn,
-    shell_reduce_max,
     to_half,
     weighted_l2_stack,
     weighted_tail_sums,
@@ -336,8 +335,8 @@ def estimate_radius(u: VelocityField, fit_lo: float, fit_hi: float,
                     n_shells: int = 64) -> RadiusEstimate:
     """Least-squares slope of ln(shell-max |u_hat|) over |k| in [fit_lo, fit_hi].
 
-    Shell maxima are taken over the componentwise-max coefficient magnitudes;
-    each shell contributes its peak at the |k| where the max is attained.
+    Shell maxima are taken over the componentwise-max half-spectrum
+    magnitudes; each shell contributes its peak at the |k| of its max.
     Values at or below 1e-300 times the coefficient l2 norm are floored out;
     all-floored windows return the capped estimate. Fewer than 5 usable
     shells, a nonnegative slope, or r^2 < 0.9 raise InconclusiveFitError.
@@ -348,10 +347,7 @@ def estimate_radius(u: VelocityField, fit_lo: float, fit_hi: float,
     if fit_hi > grid.k_max * (1.0 + 1e-12):
         raise ValueError(f"fit_hi {fit_hi} exceeds the lattice k_max {grid.k_max}")
 
-    mag = np.abs(u.components[0].coeffs)
-    for c in u.components[1:]:
-        mag = np.maximum(mag, np.abs(c.coeffs))
-    shells = shell_reduce_max(SpectralField(grid, mag.astype(np.complex128)), n_shells)
+    shells = _shell_maxima(grid, np.abs(u.half_spectrum()).max(axis=0), n_shells)
 
     floor = RADIUS_FLOOR_FACTOR * u.l2_coefficient_norm()
     lo, hi = float(fit_lo), float(fit_hi)

@@ -22,9 +22,10 @@ import numpy as np
 import scipy
 
 from .diagnostics import BoundReport
-from .operators import VelocityField, stack_coefficients, velocity_from_stack
-from .solver import Trajectory, band_modes
-from .spectral import CorruptedFieldError, Grid, build_grid, hermitian_half, to_half
+from .operators import VelocityField, stack_coefficients
+from .solver import Trajectory, band_modes, band_plane_pairs
+from .spectral import (CorruptedFieldError, Grid, _real_field, build_grid,
+                       hermitian_deviation, hermitian_half)
 
 FIELD_MAGIC = b"GSF1"
 FIELD_VERSION = 1
@@ -104,8 +105,8 @@ def write_field(path: Path, u: VelocityField, sidecar: bool = True) -> str:
     grid = u.grid
     header = _HEADER.pack(FIELD_MAGIC, FIELD_VERSION, grid.n_per_axis, 3,
                           grid.period, grid.dealias_fraction)
-    payload = stack_coefficients(u).astype("<c16", copy=False).tobytes(order="C")
-    data = header + payload
+    stack = stack_coefficients(u)
+    data = header + stack.astype("<c16", copy=False).tobytes(order="C")
     _atomic_write_bytes(path, data)
     digest = hashlib.sha256(data).hexdigest()
     if sidecar:
@@ -117,28 +118,24 @@ def write_field(path: Path, u: VelocityField, sidecar: bool = True) -> str:
             "n_components": 3,
             "period": grid.period,
             "dealias_fraction": grid.dealias_fraction,
-            "hermitian_deviation": u.hermitian_deviation(),
+            "hermitian_deviation": hermitian_deviation(stack),
             "sha256": digest,
         }
         write_text(path.with_name(path.name + ".json"), dump_json(meta))
     return digest
 
 
-def read_field(path: Path, check: bool = True) -> VelocityField:
+def read_field(path: Path) -> VelocityField:
     """Read a velocity field snapshot written by write_field.
 
-    check=True holds the content to the real-field contract: within
-    HERMITIAN_REJECT_TOL of Hermitian it comes back symmetrized (exactly
-    Hermitian content unchanged), beyond it CorruptedFieldError is raised
+    The content is held to the real-field contract (spectral.hermitian_half):
+    beyond HERMITIAN_REJECT_TOL of Hermitian, CorruptedFieldError is raised
     (the field could not have come from a real-valued velocity).
-    check=False returns the coefficients as stored.
     """
     path = Path(path)
     data = path.read_bytes()
     grid = _field_grid(path, data)
-    if check:
-        return VelocityField.from_half(grid, _checked_half(path, grid, data))
-    return velocity_from_stack(grid, _payload(grid, data).astype(np.complex128))
+    return VelocityField.from_half(grid, _checked_half(path, grid, data))
 
 
 def _field_grid(path: Path, data: bytes) -> Grid:
@@ -159,15 +156,16 @@ def _field_grid(path: Path, data: bytes) -> Grid:
     return grid
 
 
-def _payload(grid: Grid, data: bytes) -> np.ndarray:
-    """Read-only (3, n, n, n) view of the payload of a snapshot checked by _field_grid."""
-    return np.frombuffer(data, dtype="<c16", offset=_HEADER.size).reshape((3,) + grid.shape)
-
-
 def _checked_half(path: Path, grid: Grid, data: bytes) -> np.ndarray:
-    """The half spectrum of a snapshot's real field (spectral.hermitian_half)."""
+    """The half spectrum of the real field of a snapshot checked by _field_grid."""
+    payload = np.frombuffer(data, dtype="<c16", offset=_HEADER.size)
+    return _real_field_in(path, hermitian_half, payload.reshape((3,) + grid.shape))
+
+
+def _real_field_in(path: Path, check, *args) -> np.ndarray:
+    """check(*args), a real-field check of spectral, naming path when it fails."""
     try:
-        return hermitian_half(_payload(grid, data))
+        return check(*args)
     except CorruptedFieldError as exc:
         raise CorruptedFieldError(f"{path}: {exc}", exc.deviation) from None
 
@@ -178,15 +176,14 @@ def _versions() -> dict[str, str]:
             "scipy": scipy.__version__}
 
 
-def _sha256_file(path: Path, expected: str | None) -> bytes:
-    """The bytes of a trajectory file, checked against its manifest sha256
-    unless expected is None; the file is read once."""
+def _sha256_file(path: Path, expected: str) -> bytes:
+    """The bytes of a trajectory file, checked against its manifest sha256;
+    the file is read once."""
     data = path.read_bytes()
-    if expected is not None:
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != expected:
-            raise FormatError(f"{path}: sha256 mismatch (file {digest}, "
-                              f"manifest {expected})")
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != expected:
+        raise FormatError(f"{path}: sha256 mismatch (file {digest}, "
+                          f"manifest {expected})")
     return data
 
 
@@ -228,12 +225,12 @@ def write_trajectory(directory: Path, traj: Trajectory,
     return manifest_path
 
 
-def read_trajectory(manifest_path: Path, check: bool = True) -> Trajectory:
+def read_trajectory(manifest_path: Path) -> Trajectory:
     """Reload a trajectory from its manifest; verifies sha256 and grid match.
 
     Each file is read once: the bytes that are hashed are the bytes that
-    are parsed. check=True also holds u0 to the real-field contract
-    (read_field); the increments are the array read, not a copy.
+    are parsed. u0 and the increments on the kz = 0 and kz = n/2 planes
+    are held to the real-field contract; exact increments are the array read.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -258,14 +255,13 @@ def read_trajectory(manifest_path: Path, check: bool = True) -> Trajectory:
                           f"{sorted((U0_FILE, INCREMENTS_FILE))}")
 
     path = directory / U0_FILE
-    data = _sha256_file(path, digests[U0_FILE] if check else None)
+    data = _sha256_file(path, digests[U0_FILE])
     if _field_grid(path, data) != grid:
         raise FormatError(f"{path}: grid differs from manifest grid")
-    u0 = (_checked_half(path, grid, data) if check
-          else np.ascontiguousarray(to_half(_payload(grid, data))))
+    u0 = _checked_half(path, grid, data)
 
     path = directory / INCREMENTS_FILE
-    data = _sha256_file(path, digests[INCREMENTS_FILE] if check else None)
+    data = _sha256_file(path, digests[INCREMENTS_FILE])
     if len(data) < _INCREMENTS_HEADER.size:
         raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
     magic, version, n, count, size = _INCREMENTS_HEADER.unpack_from(data)
@@ -280,8 +276,16 @@ def read_trajectory(manifest_path: Path, check: bool = True) -> Trajectory:
     if len(data) != want:
         raise FormatError(f"{path}: payload size {len(data)} != expected {want}")
     increments = np.frombuffer(data, dtype="<c16", offset=_INCREMENTS_HEADER.size)
-    return Trajectory.from_increments(grid, times, u0, increments.reshape(count, 3, size),
-                                      band=manifest["band"])
+    increments = increments.reshape(count * 3, size)
+    plane, partner = band_plane_pairs(grid, manifest["band"])
+    ours = increments[:, plane]
+    fixed = _real_field_in(path, _real_field, ours, np.conj(increments[:, partner]))
+    if fixed is not ours:
+        increments = increments.copy()
+        increments[:, partner] = np.conj(fixed)
+        increments[:, plane] = fixed
+    increments = increments.reshape(count, 3, size)
+    return Trajectory.from_increments(grid, times, u0, increments, band=manifest["band"])
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,8 @@ import numpy as np
 from .spectral import (  # noqa: F401
     Grid,
     SpectralField,
+    _half_weight_table,
     fftn,
-    hermitian_deviation,
     hermitian_half,
     ifftn,
     irfftn,
@@ -62,7 +63,6 @@ class QCoefficients:
     """
 
     alpha: np.ndarray = field(repr=False)
-    _multipliers: dict = field(default_factory=dict, repr=False, compare=False)
     _pair_weights: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -72,21 +72,6 @@ class QCoefficients:
         if not np.all(np.isfinite(a)):
             raise ValueError("alpha entries must be finite")
         object.__setattr__(self, "alpha", a)
-
-    def multiplier(self, grid: Grid) -> np.ndarray:
-        """Cached combined Fourier multiplier M[j, k, l](xi) = sum_m xi_m q^{j,m}_{k,l}(xi).
-
-        apply_Q contracts i * M against the dealiased product transforms, so a
-        single (3, 3, 3, n, n, n) real array captures symbol and divergence.
-        """
-        key = (grid.n_per_axis, grid.period)
-        cached = self._multipliers.get(key)
-        if cached is None:
-            cached = _build_multiplier(grid, self.alpha)
-            if len(self._multipliers) >= 4:
-                self._multipliers.pop(next(iter(self._multipliers)))
-            self._multipliers[key] = cached
-        return cached
 
     def pair_weights(self, grid: Grid, same: bool) -> np.ndarray:
         """Cached (3, n_pairs, n_kept) symmetrized multiplier per product pair.
@@ -101,8 +86,8 @@ class QCoefficients:
         cached = self._pair_weights.get(key)
         if cached is None:
             kept = grid.half_dealias_modes[1]
-            M = self.multiplier(grid).reshape((3, 3, 3, -1))
-            W = 0.5 * (M[..., kept] - M[..., grid.negated_modes[kept]])
+            W = 0.5 * (_multiplier_at(grid, self.alpha, kept)
+                       - _multiplier_at(grid, self.alpha, grid.negated_modes[kept]))
             cached = np.stack([
                 np.stack([W[j, a, b] + W[j, b, a] if same and a != b else W[j, a, b]
                           for a, b in (_SAME_PAIRS if same else _ALL_PAIRS)])
@@ -114,21 +99,25 @@ class QCoefficients:
         return cached
 
 
-def _build_multiplier(grid: Grid, alpha: np.ndarray) -> np.ndarray:
-    kx, ky, kz = grid.k_components
-    comps = (kx, ky, kz)
-    inv_ksq = grid.inv_k_sq
+def _multiplier_at(grid: Grid, alpha: np.ndarray, flat_index: np.ndarray) -> np.ndarray:
+    """Combined Fourier multiplier M[j, k, l](xi) = sum_m xi_m q^{j,m}_{k,l}(xi),
+    symbol and divergence in one, at the full-lattice modes flat_index (C
+    order), shaped (3, 3, 3, len); M(0) = 0."""
+    i, j, l = np.unravel_index(flat_index, grid.shape)
+    k = grid.wavenumbers
+    comps = (k[i], k[j], k[l])
+    inv_ksq = grid.inv_k_sq.reshape(-1)[flat_index]
     monomials: dict[tuple[int, int, int], np.ndarray] = {}
 
     def monomial(m: int, n: int, p: int) -> np.ndarray:
         key = tuple(sorted((m, n, p)))
         arr = monomials.get(key)
         if arr is None:
-            arr = (comps[key[0]] * comps[key[1]] * comps[key[2]]).astype(np.float64)
+            arr = comps[key[0]] * comps[key[1]] * comps[key[2]]
             monomials[key] = arr
         return arr
 
-    M = np.zeros((3, 3, 3) + grid.shape)
+    M = np.zeros((3, 3, 3, len(flat_index)))
     for j in range(3):
         for a in range(3):
             for b in range(3):
@@ -179,12 +168,12 @@ def navier_stokes_coeffs() -> QCoefficients:
 
 
 class VelocityField:
-    """Three spectral components on a shared grid.
+    """A real velocity field, held by its (3, n, n, n//2+1) half spectrum.
 
-    A field built from components holds them as given. A trajectory state,
-    Q's output and a checked field read from disk are transient views of a
-    half spectrum (from_half): their full components are made on first use,
-    and the norms read the half directly.
+    Built from components (or by velocity_from_stack) it is held to the
+    real-field contract, spectral.hermitian_half, there and only there;
+    from_half wraps a half the program made. components is the full view,
+    made on first use.
     """
 
     def __init__(self, components) -> None:
@@ -195,8 +184,7 @@ class VelocityField:
         if any(c.grid != g for c in components[1:]):
             raise ValueError("velocity components must share one grid")
         self._grid = g
-        self._components: tuple[SpectralField, ...] | None = components
-        self._half: np.ndarray | None = None
+        self._half = hermitian_half(np.stack([c.coeffs for c in components]))
 
     @classmethod
     def from_half(cls, grid: Grid, half: np.ndarray) -> "VelocityField":
@@ -205,7 +193,6 @@ class VelocityField:
             raise ValueError(f"half stack shape {half.shape} does not match grid")
         field_ = cls.__new__(cls)
         field_._grid = grid
-        field_._components = None
         field_._half = half
         return field_
 
@@ -213,57 +200,46 @@ class VelocityField:
     def grid(self) -> Grid:
         return self._grid
 
-    @property
+    @cached_property
     def components(self) -> tuple[SpectralField, SpectralField, SpectralField]:
-        if self._components is None:
-            full = to_full(self._grid, self._half)
-            self._components = tuple(SpectralField(self._grid, full[j]) for j in range(3))
-        return self._components
+        full = to_full(self._grid, self._half)
+        return tuple(SpectralField(self._grid, full[j]) for j in range(3))
 
     def half_spectrum(self) -> np.ndarray:
-        """The (3, n, n, n//2+1) half spectrum of this field, which must be real.
-
-        A view's own half; otherwise spectral.hermitian_half of the
-        components, which raises CorruptedFieldError beyond
-        HERMITIAN_REJECT_TOL.
-        """
-        if self._half is None:
-            return hermitian_half(stack_coefficients(self))
+        """The (3, n, n, n//2+1) half spectrum of this field."""
         return self._half
 
     def l2_coefficient_norm(self) -> float:
-        return math.sqrt(sum(float(np.sum(np.abs(c.coeffs) ** 2))
-                             for c in self.components))
+        """sqrt(sum_k |u_hat(k)|^2), off the kz = 0 and kz = n/2 planes each
+        half mode counting for itself and -k."""
+        return math.sqrt(float(np.sum(_half_weight_table(self._grid, 0.0, False)
+                                      * np.abs(self._half) ** 2)))
 
     def divergence_deviation(self) -> float:
         """max_k |k . u_hat(k)| / |k|, relative to the coefficient l2 norm."""
         grid = self.grid
         kx, ky, kz = grid.k_components
-        comps = self.components
-        div = kx * comps[0].coeffs + ky * comps[1].coeffs + kz * comps[2].coeffs
+        half = self._half
+        div = kx * half[0] + ky * half[1] + kz[..., :half.shape[-1]] * half[2]
+        knorm = to_half(grid.k_norm)
         with np.errstate(invalid="ignore", divide="ignore"):
-            scaled = np.where(grid.k_norm > 0.0, np.abs(div) / grid.k_norm, 0.0)
+            scaled = np.where(knorm > 0.0, np.abs(div) / knorm, 0.0)
         norm = self.l2_coefficient_norm()
         if norm == 0.0:
             return 0.0
         return float(np.max(scaled)) / norm
 
-    def hermitian_deviation(self) -> float:
-        return max(hermitian_deviation(c.coeffs) for c in self.components)
-
 
 def velocity_from_stack(grid: Grid, stack: np.ndarray) -> VelocityField:
-    """Wrap a (3, n, n, n) coefficient array without copying."""
+    """The real field of a (3, n, n, n) coefficient stack (spectral.hermitian_half)."""
     if stack.shape != (3,) + grid.shape:
         raise ValueError(f"stack shape {stack.shape} does not match grid")
-    return VelocityField(tuple(SpectralField(grid, stack[j]) for j in range(3)))
+    return VelocityField.from_half(grid, hermitian_half(stack))
 
 
 def stack_coefficients(u: VelocityField) -> np.ndarray:
     """The full (3, n, n, n) coefficient stack of u, as a new array."""
-    if u._components is None:
-        return to_full(u.grid, u._half)
-    return np.stack([c.coeffs for c in u.components])
+    return to_full(u.grid, u.half_spectrum())
 
 
 def apply_Q_stack(coeffs: QCoefficients, grid: Grid, u_stack: np.ndarray,
@@ -304,11 +280,8 @@ def apply_Q_stack(coeffs: QCoefficients, grid: Grid, u_stack: np.ndarray,
 
 
 def apply_Q(coeffs: QCoefficients, u: VelocityField, v: VelocityField) -> VelocityField:
-    """Bilinear nonlinearity Q(u, v) evaluated pseudo-spectrally.
-
-    u and v must be real fields (VelocityField.half_spectrum); the result is
-    a view of Q's half spectrum.
-    """
+    """Bilinear nonlinearity Q(u, v) evaluated pseudo-spectrally, as a view
+    of Q's half spectrum."""
     if u.grid != v.grid:
         raise ValueError("apply_Q operands must share one grid")
     u_stack = u.half_spectrum()
@@ -333,7 +306,8 @@ def leray_project_stack(grid: Grid, stack: np.ndarray) -> np.ndarray:
 
 
 def leray_project(u: VelocityField) -> VelocityField:
-    """Project onto divergence-free fields (idempotent, self-adjoint)."""
+    """Project onto divergence-free fields (idempotent, self-adjoint); the
+    result, built by velocity_from_stack, must be real (no Nyquist content)."""
     return velocity_from_stack(u.grid, leray_project_stack(u.grid, stack_coefficients(u)))
 
 
@@ -346,9 +320,8 @@ def heat_factor(grid: Grid, t: float, half: bool = False) -> np.ndarray:
 
 def heat_semigroup(u: VelocityField, t: float) -> VelocityField:
     """Multiply each mode by exp(-t |k|^2) (unit viscosity)."""
-    factor = heat_factor(u.grid, t)
-    return VelocityField(tuple(SpectralField(u.grid, c.coeffs * factor)
-                               for c in u.components))
+    return VelocityField.from_half(u.grid, heat_factor(u.grid, t, half=True)
+                                   * u.half_spectrum())
 
 
 def write_q_coefficients(path: str | Path, coeffs: QCoefficients) -> None:

@@ -35,7 +35,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .operators import QCoefficients, VelocityField, apply_Q_stack, heat_factor
-from .spectral import Grid, weighted_l2_stack
+from .spectral import Grid, plane_pairs, weighted_l2_stack
 
 __all__ = [
     "SolverConfig",
@@ -119,6 +119,17 @@ def band_modes(grid: Grid, kind: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def band_plane_pairs(grid: Grid, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """spectral.plane_pairs of band_modes(grid, kind), each pair once (first <= second)."""
+    plane, partner = plane_pairs(grid, band_modes(grid, kind))
+    once = plane <= partner
+    plane, partner = plane[once], partner[once]
+    for arr in (plane, partner):
+        arr.setflags(write=False)
+    return plane, partner
+
+
+@lru_cache(maxsize=8)
 def _stack_index(grid: Grid, kind: str) -> np.ndarray:
     """Read-only flat index of the band's modes in all three components of a
     (3, n, n, n//2+1) stack, component by component (one flat take or
@@ -135,10 +146,9 @@ class Trajectory:
     State i is e^{t_i L} u0 + scatter(band, increments[i]): u0 is a half
     stack (3, n, n, n//2+1), band a read-only flat index into the half
     spectrum (band_modes) and increments a (T, 3, len(band)) array.
-    Trajectory(times, states) takes real fields (VelocityField.half_spectrum)
-    and stores u0 = 0 with the whole half band, so each state's half
-    spectrum comes back bit for bit; the solvers build theirs with
-    from_increments on the kept band.
+    Trajectory(times, states) stores u0 = 0 with the whole half band, so each
+    state's half spectrum comes back bit for bit; the solvers build theirs
+    with from_increments on the kept band.
 
     Diagnostics cache tables derived from the states on the instance, so the
     arrays are read-only.
@@ -424,9 +434,8 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
     (residual_max = inf); an interval still above the stop threshold after
     max_iter updates leaves the result not converged. Either stops the
     march, and the trajectory then ends at that interval's last iterate.
-    u0 must be a real field (VelocityField.half_spectrum). The march holds
-    the three latest states only; the trajectory keeps each accepted w as
-    its increment over e^{tL} u0 on the kept modes.
+    The march holds the three latest states only; the trajectory keeps each
+    accepted w as its increment over e^{tL} u0 on the kept modes.
     """
     grid = u0.grid
     times = config.times
@@ -525,9 +534,8 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
     Requires t_final to be an integer multiple of dt (relative slack 1e-9).
     Raises BlowupError when coefficients grow beyond BLOWUP_FACTOR times the
     initial scale. keep="final" stores only the endpoints (the returned
-    trajectory has two lattice times, 0 and t_final). u0 must be a real
-    field; the states are stored as increments on the kept modes, like
-    picard_solve's.
+    trajectory has two lattice times, 0 and t_final). The states are
+    stored as increments on the kept modes, like picard_solve's.
     """
     if not (t_final > 0.0 and math.isfinite(t_final)):
         raise ValueError(f"t_final must be positive and finite, got {t_final}")

@@ -222,14 +222,10 @@ class Grid:
         modes on the kz = 0 and kz = n/2 planes (each plane holds both k
         and -k), and the list position of each of their -k.
         """
-        n = self.n_per_axis
-        modes = np.flatnonzero(self.dealias_mask[..., :n // 2 + 1])
-        i, j, l = np.unravel_index(modes, self.half_shape)
-        full = np.ravel_multi_index((i, j, l), self.shape)
-        plane = np.flatnonzero((l == 0) | (l == n // 2))
-        negated = np.unravel_index(self.negated_modes[full[plane]], self.shape)
-        partner = np.searchsorted(modes, np.ravel_multi_index(negated, self.half_shape))
-        for arr in (modes, full, plane, partner):
+        modes = np.flatnonzero(self.dealias_mask[..., :self.n_per_axis // 2 + 1])
+        full = np.ravel_multi_index(np.unravel_index(modes, self.half_shape), self.shape)
+        plane, partner = plane_pairs(self, modes)
+        for arr in (modes, full):
             arr.setflags(write=False)
         return modes, full, plane, partner
 
@@ -247,6 +243,21 @@ def build_grid(n_per_axis: int, period: float = 2.0 * math.pi,
     """Validate and construct a Grid (n_per_axis even and >= 4, period > 0)."""
     return Grid(n_per_axis=n_per_axis, period=float(period),
                 dealias_fraction=float(dealias_fraction))
+
+
+def plane_pairs(grid: Grid, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only list positions, in sorted flat half_shape indices modes, of
+    the modes on the kz = 0 and kz = n/2 planes (each holds both k and -k)
+    and of each of their -k, which modes must hold."""
+    n = grid.n_per_axis
+    i, j, l = np.unravel_index(modes, grid.half_shape)
+    plane = np.flatnonzero((l == 0) | (l == n // 2))
+    full = np.ravel_multi_index((i[plane], j[plane], l[plane]), grid.shape)
+    negated = np.unravel_index(grid.negated_modes[full], grid.shape)
+    partner = np.searchsorted(modes, np.ravel_multi_index(negated, grid.half_shape))
+    for arr in (plane, partner):
+        arr.setflags(write=False)
+    return plane, partner
 
 
 @lru_cache(maxsize=8)
@@ -277,26 +288,27 @@ def hermitian_deviation(coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(gap)))
 
 
-def hermitian_half(coeffs: np.ndarray) -> np.ndarray:
-    """Half spectrum of the real field nearest to full (..., n, n, n) coefficients.
-
-    This is the half of hermitian_symmetrize(coeffs), as a new array; the
-    real-field contract at the API edge. A Hermitian deviation above
-    HERMITIAN_REJECT_TOL raises CorruptedFieldError, and exactly Hermitian
-    input comes back bit for bit.
-    """
-    half = to_half(coeffs)
-    mirror = _half_mirror(coeffs)
-    dev = float(np.max(np.abs(half - mirror)))
+def _real_field(values: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+    """values held to the real-field contract against mirror (conj c(-k) at
+    their modes, a new array): values if equal, (values + mirror) / 2 within
+    HERMITIAN_REJECT_TOL, CorruptedFieldError beyond it."""
+    dev = float(np.max(np.abs(values - mirror), initial=0.0))
     if dev > HERMITIAN_REJECT_TOL:
         raise CorruptedFieldError(
             f"not a real field: Hermitian deviation {dev:.3e} exceeds "
             f"{HERMITIAN_REJECT_TOL:.1e}", dev)
     if dev == 0.0:
-        return half.copy()
-    mirror += half
+        return values
+    mirror += values
     mirror *= 0.5
     return mirror
+
+
+def hermitian_half(coeffs: np.ndarray) -> np.ndarray:
+    """The real-field contract: the half of hermitian_symmetrize(coeffs) as a
+    new complex128 array, bit for bit for exactly Hermitian coeffs, and
+    CorruptedFieldError beyond HERMITIAN_REJECT_TOL."""
+    return np.array(_real_field(to_half(coeffs), _half_mirror(coeffs)), dtype=np.complex128)
 
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
@@ -333,9 +345,9 @@ class SpectralField:
     """A scalar periodic field stored by its full (n, n, n) spectral coefficients.
 
     Construction does not check Hermitian symmetry: check_symmetry tests it
-    against HERMITIAN_BUILD_TOL on demand, and inverse_transform and the
-    field readers reject data beyond HERMITIAN_REJECT_TOL unless called
-    with check=False.
+    against HERMITIAN_BUILD_TOL on demand, inverse_transform rejects data
+    beyond HERMITIAN_REJECT_TOL unless called with check=False, and
+    VelocityField holds its components to hermitian_half.
     """
 
     grid: Grid
@@ -420,15 +432,21 @@ class ShellSpectrum:
 
 def shell_reduce_max(spectral: SpectralField, n_shells: int) -> ShellSpectrum:
     """Reduce |coeffs| to per-shell maxima over n_shells equal-width |k| shells."""
+    return _shell_maxima(spectral.grid, np.abs(spectral.coeffs), n_shells)
+
+
+def _shell_maxima(grid: Grid, magnitudes: np.ndarray, n_shells: int) -> ShellSpectrum:
+    """shell_reduce_max of magnitudes on the full lattice or the half spectrum
+    (read off the last axis). A real field's half gives the full lattice's
+    values, peaks and empty shells; counts are those of the layout given."""
     if not isinstance(n_shells, int) or n_shells < 2:
         raise ValueError(f"n_shells must be an int >= 2, got {n_shells!r}")
-    grid = spectral.grid
     kmax = grid.k_max
     edges = np.linspace(0.0, kmax, n_shells + 1)
     width = kmax / n_shells
 
-    knorm = grid.k_norm.ravel()
-    mag = np.abs(spectral.coeffs).ravel()
+    knorm = (to_half(grid.k_norm) if _is_half(grid, magnitudes) else grid.k_norm).ravel()
+    mag = magnitudes.ravel()
     idx = np.minimum((knorm / width).astype(np.int64), n_shells - 1)
 
     values = np.zeros(n_shells)

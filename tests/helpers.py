@@ -7,7 +7,11 @@ package and oracle is meaningful.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -83,6 +87,52 @@ def oracle_ns_nonlinearity(coeffs3: np.ndarray, n: int, period: float,
             prod_hat = oracle_forward(phys[a] * phys[j]) * mask
             div[j] += 1j * kvec[a] * prod_hat
     return oracle_leray(-div, n, period)
+
+
+def oracle_multiplier(alpha: np.ndarray, n: int, period: float) -> np.ndarray:
+    """M[j, a, b](k) = sum_{m,p,q} alpha[j,m,p,q,a,b] k_m k_p k_q / |k|^2 on the
+    whole lattice, shaped (3, 3, 3, n, n, n); 0 at k = 0."""
+    kvec = np.array(oracle_k_vectors(n, period))
+    ksq = np.sum(kvec**2, axis=0)
+    cubic = np.einsum("jmpqab,m...,p...,q...->jab...", alpha, kvec, kvec, kvec)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(ksq > 0, cubic / ksq, 0.0)
+
+
+def write_raw_field(path: Path, grid, stack: np.ndarray) -> Path:
+    """Write a (3, n, n, n) coefficient stack as gns-field-v1 bytes, as given.
+
+    The layout (docs/formats.md) is packed here with struct and numpy, so a
+    test can put on disk a field the package would refuse to build.
+    """
+    header = struct.pack("<4sIIIdd", b"GSF1", 1, grid.n_per_axis, 3,
+                         grid.period, grid.dealias_fraction)
+    Path(path).write_bytes(header + np.asarray(stack, dtype="<c16").tobytes(order="C"))
+    return Path(path)
+
+
+def repoint_digest(directory: Path, name: str) -> None:
+    """Make a trajectory manifest's sha256 of file name match the file as it is now."""
+    manifest_path = Path(directory) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    digest = hashlib.sha256((Path(directory) / name).read_bytes()).hexdigest()
+    for entry in manifest["files"]:
+        if entry["name"] == name:
+            entry["sha256"] = digest
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def shift_increment(directory: Path, index: tuple[int, int, int], shift: complex) -> None:
+    """Add shift to one value of a trajectory's increments.gsi (20-byte header,
+    then (T, 3, band) complex128 values; docs/formats.md) and re-point the
+    manifest's digest."""
+    path = Path(directory) / "increments.gsi"
+    data = path.read_bytes()
+    _, _, _, count, size = struct.unpack_from("<4sIIII", data)
+    values = np.frombuffer(data, dtype="<c16", offset=20).reshape(count, 3, size).copy()
+    values[index] += shift
+    path.write_bytes(data[:20] + values.tobytes())
+    repoint_digest(directory, "increments.gsi")
 
 
 def oracle_parseval(values: np.ndarray, coeffs: np.ndarray) -> tuple[float, float]:

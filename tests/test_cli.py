@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from gnsflow import cli, runner, spectral
 from gnsflow import io as gio
 from gnsflow.config import ConfigError, parse_config_text
 from gnsflow.diagnostics import InconclusiveFitError
-from gnsflow.operators import leray_project_stack, velocity_from_stack
+from gnsflow.operators import leray_project_stack
 from gnsflow.runner import (
     EXIT_CONFIG,
     EXIT_FAILURE,
@@ -22,7 +23,7 @@ from gnsflow.runner import (
     resolve_output_dir,
     run_scenario,
 )
-from gnsflow.solver import BlowupError
+from gnsflow.solver import BlowupError, band_plane_pairs
 from gnsflow.spectral import CorruptedFieldError
 
 BASE_CFG = """
@@ -334,22 +335,34 @@ class TestCliCommands:
                          str(tmp_path / "run")]) == 0
         capsys.readouterr()
         trajectory = tmp_path / "run" / "trajectory"
-        manifest_path = trajectory / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
         grid = gio.read_field(trajectory / gio.U0_FILE).grid
         # Leray projection of Hermitian noise with Nyquist content
         noise = np.stack([spectral.fftn(np.random.default_rng(1).standard_normal(grid.shape))
                           for _ in range(3)])
-        digest = gio.write_field(trajectory / gio.U0_FILE, velocity_from_stack(
-            grid, leray_project_stack(grid, noise)), sidecar=False)
-        for entry in manifest["files"]:
-            if entry["name"] == gio.U0_FILE:
-                entry["sha256"] = digest
-        manifest_path.write_text(json.dumps(manifest))
+        helpers.write_raw_field(trajectory / gio.U0_FILE, grid,
+                                leray_project_stack(grid, noise))
+        helpers.repoint_digest(trajectory, gio.U0_FILE)
         rc = cli.main(["diagnose", str(trajectory), str(cfg_path),
                        "--out", str(tmp_path / "diag")])
         assert rc == EXIT_CONFIG
         assert "Hermitian deviation" in capsys.readouterr().err
+
+    def test_diagnose_rejects_non_hermitian_plane_increments(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, BASE_CFG)
+        assert cli.main(["solve", str(cfg_path), "--out",
+                         str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        trajectory = tmp_path / "run" / "trajectory"
+        traj = gio.read_trajectory(trajectory)
+        plane, partner = band_plane_pairs(traj.grid, traj.band_kind)
+        pos = int(plane[np.flatnonzero(plane != partner)[0]])
+        helpers.shift_increment(trajectory, (-1, 0, pos), 1e-3 * (1 + 1j))
+        rc = cli.main(["diagnose", str(trajectory), str(cfg_path),
+                       "--out", str(tmp_path / "diag")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert gio.INCREMENTS_FILE in err and "Hermitian deviation" in err
+        assert not (tmp_path / "diag").exists()
 
     def test_report_command(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, BASE_CFG)

@@ -28,9 +28,10 @@ from gnsflow.diagnostics import (
     sobolev_norm,
     zeta_J,
 )
+from gnsflow.initial_data import DataParams, make_initial_data
 from gnsflow.operators import navier_stokes_coeffs, stack_coefficients, velocity_from_stack
-from gnsflow.solver import Trajectory
-from gnsflow.spectral import build_grid, hermitian_symmetrize
+from gnsflow.solver import SolverConfig, Trajectory, picard_solve
+from gnsflow.spectral import SpectralField, build_grid, hermitian_symmetrize, shell_reduce_max
 
 
 def single_pair_velocity(grid, mode, amplitude, component=0):
@@ -516,10 +517,43 @@ class TestEstimateRadius:
             estimate_radius(u, 2.0, 10.0)
         assert exc.value.slope is not None and exc.value.slope > 0.0
 
+    @staticmethod
+    def full_lattice_estimate(u, fit_lo, fit_hi, n_shells):
+        """(radius, r2, n_shells_used) as estimate_radius took them from the
+        full lattice: componentwise max of the full coefficient magnitudes,
+        shell_reduce_max, a floor on the full coefficient l2 norm."""
+        full = stack_coefficients(u)
+        mag = np.maximum(np.maximum(np.abs(full[0]), np.abs(full[1])), np.abs(full[2]))
+        shells = shell_reduce_max(SpectralField(u.grid, mag.astype(np.complex128)),
+                                  n_shells)
+        norm = math.sqrt(sum(float(np.sum(np.abs(c) ** 2)) for c in full))
+        peaks = shells.peak_wavenumbers
+        usable = (~shells.empty & ~np.isnan(peaks) & (peaks >= fit_lo)
+                  & (peaks <= fit_hi) & (shells.values > diagnostics.RADIUS_FLOOR_FACTOR * norm))
+        x = peaks[usable]
+        y = np.log(shells.values[usable])
+        slope, intercept = np.polyfit(x, y, 1)
+        ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+        ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+        return float(-slope), 1.0 - ss_res / ss_tot, int(np.count_nonzero(usable))
+
+    def test_half_spectrum_equals_full_lattice_reduction(self):
+        grid = build_grid(16)
+        u0 = make_initial_data("random_sobolev_tail", grid,
+                               DataParams(amplitude=0.01, band_lo=1.0, band_hi=6.0), seed=5)
+        traj, report = picard_solve(u0, navier_stokes_coeffs(),
+                                    SolverConfig(t_final=0.02, n_times=9))
+        assert report.converged
+        for state in traj.states[1:]:
+            est = estimate_radius(state, 1.5, 5.5, 48)
+            assert not est.capped
+            want = self.full_lattice_estimate(state, 1.5, 5.5, 48)
+            assert (est.radius, est.r2, est.n_shells_used) == want
+
     def test_noise_spectrum_is_inconclusive(self, rng):
         grid = build_grid(16)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
-        stack[0] = 0.5 + rng.uniform(0.0, 1.0, grid.shape)
+        stack[0] = hermitian_symmetrize(0.5 + rng.uniform(0.0, 1.0, grid.shape))
         u = velocity_from_stack(grid, stack)
         with pytest.raises(InconclusiveFitError) as exc:
             estimate_radius(u, 2.0, 12.0)

@@ -6,14 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
 from conftest import random_hermitian_coeffs
 from gnsflow import io as gio
 from gnsflow import operators
 from gnsflow.diagnostics import bound_report
 from gnsflow.initial_data import DataParams, make_initial_data
 from gnsflow.operators import navier_stokes_coeffs, velocity_from_stack, stack_coefficients
-from gnsflow.solver import SolverConfig, Trajectory, picard_solve
-from gnsflow.spectral import CorruptedFieldError, build_grid
+from gnsflow.solver import SolverConfig, Trajectory, band_plane_pairs, picard_solve
+from gnsflow.spectral import CorruptedFieldError, build_grid, hermitian_deviation
 
 
 def make_field(grid, rng):
@@ -93,13 +94,9 @@ class TestFieldRoundTrip:
         grid = build_grid(8)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
         stack[0, 1, 0, 0] = 1.0  # no conjugate partner
-        u = velocity_from_stack(grid, stack)
-        path = tmp_path / "f.gsf"
-        gio.write_field(path, u, sidecar=False)
+        path = helpers.write_raw_field(tmp_path / "f.gsf", grid, stack)
         with pytest.raises(CorruptedFieldError):
             gio.read_field(path)
-        got = gio.read_field(path, check=False)
-        np.testing.assert_array_equal(stack_coefficients(got), stack)
 
     def test_write_is_deterministic(self, rng, tmp_path):
         u = make_field(build_grid(8), rng)
@@ -120,6 +117,15 @@ def picard_traj(n=8, n_times=4):
                                 SolverConfig(t_final=0.01, n_times=n_times, tol=1e-8))
     assert report.converged
     return traj
+
+
+def shift_plane_increment(directory, traj, shift):
+    """Add shift to the first component of the last state's increment at a
+    kz = 0 plane mode of the band, without the matching change at its -k."""
+    plane, partner = band_plane_pairs(traj.grid, traj.band_kind)
+    pos = int(plane[np.flatnonzero(plane != partner)[0]])
+    helpers.shift_increment(directory, (-1, 0, pos), shift)
+    return pos
 
 
 class TestTrajectoryRoundTrip:
@@ -195,8 +201,9 @@ class TestTrajectoryRoundTrip:
         gio.write_trajectory(tmp_path / "run", traj)
         target = tmp_path / "run" / gio.INCREMENTS_FILE
         target.write_bytes(target.read_bytes()[:-16])
+        helpers.repoint_digest(tmp_path / "run", gio.INCREMENTS_FILE)
         with pytest.raises(gio.FormatError, match="size"):
-            gio.read_trajectory(tmp_path / "run", check=False)
+            gio.read_trajectory(tmp_path / "run")
 
     def test_reads_each_state_file_once(self, rng, tmp_path, monkeypatch):
         traj = heat_traj(make_field(build_grid(8), rng), [0.0, 0.005, 0.01])
@@ -230,21 +237,47 @@ class TestTrajectoryRoundTrip:
         gio.write_trajectory(tmp_path / "run", traj)
         gio.write_field(tmp_path / "run" / gio.U0_FILE,
                         make_field(build_grid(8, period=3.0), rng), sidecar=False)
+        helpers.repoint_digest(tmp_path / "run", gio.U0_FILE)
         with pytest.raises(gio.FormatError, match="grid differs"):
-            gio.read_trajectory(tmp_path / "run", check=False)
+            gio.read_trajectory(tmp_path / "run")
 
     def test_rejects_non_hermitian_u0(self, rng, tmp_path):
         grid = build_grid(8)
         traj = heat_traj(make_field(grid, rng), [0.0, 0.01])
-        manifest_path = gio.write_trajectory(tmp_path / "run", traj)
+        gio.write_trajectory(tmp_path / "run", traj)
         stack = np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)])
-        digest = gio.write_field(tmp_path / "run" / gio.U0_FILE, velocity_from_stack(
-            grid, operators.leray_project_stack(grid, stack)), sidecar=False)
-        manifest = json.loads(manifest_path.read_text())
-        manifest["files"][0]["sha256"] = digest
-        manifest_path.write_text(json.dumps(manifest))
+        helpers.write_raw_field(tmp_path / "run" / gio.U0_FILE, grid,
+                                operators.leray_project_stack(grid, stack))
+        helpers.repoint_digest(tmp_path / "run", gio.U0_FILE)
         with pytest.raises(CorruptedFieldError):
             gio.read_trajectory(tmp_path / "run")
+
+    @pytest.mark.parametrize("band", ["kept", "all"])
+    def test_rejects_non_hermitian_plane_increments(self, rng, tmp_path, band):
+        # the kz = 0 and kz = n/2 planes of the band hold both k and -k
+        traj = (picard_traj() if band == "kept"
+                else heat_traj(make_field(build_grid(8), rng), [0.0, 0.005, 0.01]))
+        assert traj.band_kind == band
+        gio.write_trajectory(tmp_path / "run", traj)
+        shift_plane_increment(tmp_path / "run", traj, 1e-3 * (1 + 1j))
+        with pytest.raises(CorruptedFieldError, match=gio.INCREMENTS_FILE):
+            gio.read_trajectory(tmp_path / "run")
+
+    @pytest.mark.parametrize("band", ["kept", "all"])
+    def test_symmetrizes_plane_increments_within_tolerance(self, rng, tmp_path, band):
+        traj = (picard_traj() if band == "kept"
+                else heat_traj(make_field(build_grid(8), rng), [0.0, 0.005, 0.01]))
+        gio.write_trajectory(tmp_path / "run", traj)
+        pos = shift_plane_increment(tmp_path / "run", traj, 1e-12)
+        back = gio.read_trajectory(tmp_path / "run")
+        plane, partner = band_plane_pairs(traj.grid, band)
+        mate = int(partner[np.flatnonzero(plane == pos)[0]])
+        want = traj.increments.copy()
+        want[-1, 0, pos] = 0.5 * (want[-1, 0, pos] + 1e-12
+                                  + np.conj(want[-1, 0, mate]))
+        want[-1, 0, mate] = np.conj(want[-1, 0, pos])
+        np.testing.assert_array_equal(back.increments, want)
+        assert hermitian_deviation(stack_coefficients(back.states[-1])) == 0.0
 
     def test_rejects_wrong_manifest_format(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"format": "other"}))

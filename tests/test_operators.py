@@ -24,12 +24,20 @@ from gnsflow.operators import (
 from gnsflow.spectral import SpectralField, build_grid
 
 
+def nyquist_free(grid):
+    keep = grid.alias_integers != -(grid.n_per_axis // 2)
+    return keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+
+
 def make_velocity(grid, rng, divergence_free=True, scale=1.0):
     stack = np.stack([random_hermitian_coeffs(grid, rng, scale) for _ in range(3)])
+    # Leray only preserves conjugate symmetry on Nyquist-free input, so the
+    # projection of a real field is a real field only without Nyquist content
     if divergence_free:
-        # Leray only preserves conjugate symmetry on Nyquist-free input
         stack *= np.asarray(grid.dealias_mask)
         stack = operators.leray_project_stack(grid, stack)
+    else:
+        stack *= nyquist_free(grid)
     return velocity_from_stack(grid, stack)
 
 
@@ -198,7 +206,7 @@ class TestApplyQ:
         a = QCoefficients(rng.standard_normal((3,) * 6))
         u, v = make_velocity(grid, rng), make_velocity(grid, rng)
         q = apply_Q(a, u, v)
-        assert q.hermitian_deviation() <= 1e-12
+        assert spectral.hermitian_deviation(stack_coefficients(q)) == 0.0
 
     def test_navier_stokes_output_divergence_free(self, rng):
         grid = build_grid(16)
@@ -238,14 +246,23 @@ class TestApplyQ:
         q2 = operators.apply_Q_stack(a, grid, 3.0 * stack)
         assert np.max(np.abs(q2 - 9.0 * q1)) <= 1e-11 * max(1.0, np.max(np.abs(q1)))
 
-    def test_multiplier_is_cached_per_grid(self, rng):
+    def test_pair_weights_cached_per_grid(self, rng):
         a = QCoefficients(rng.standard_normal((3,) * 6))
         g = build_grid(8)
-        m1 = a.multiplier(g)
-        m2 = a.multiplier(g)
-        assert m1 is m2
+        w1 = a.pair_weights(g, True)
+        assert a.pair_weights(g, True) is w1
         g2 = build_grid(8, period=1.0)
-        assert a.multiplier(g2) is not m1
+        w2 = a.pair_weights(g2, True)
+        assert w2 is not w1
+        np.testing.assert_allclose(w2, 2 * math.pi * w1, rtol=1e-12)
+
+    @pytest.mark.parametrize("period", [2 * math.pi, 3.7])
+    def test_multiplier_matches_oracle(self, rng, period):
+        grid = build_grid(8, period=period)
+        alpha = rng.standard_normal((3,) * 6)
+        got = operators._multiplier_at(grid, alpha, np.arange(8**3))
+        want = helpers.oracle_multiplier(alpha, 8, period).reshape(got.shape)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_pair_weights_cached_and_read_only(self, rng):
         a = QCoefficients(rng.standard_normal((3,) * 6))
@@ -271,7 +288,8 @@ class TestApplyQ:
 
         u = real_stack()
         v = real_stack() if distinct else None
-        M = a.multiplier(grid)
+        M = operators._multiplier_at(grid, a.alpha, np.arange(math.prod(grid.shape)))
+        M = M.reshape((3, 3, 3) + grid.shape)
         u_phys = spectral.ifftn(u).real
         v_phys = u_phys if v is None else spectral.ifftn(v).real
         pairs = ([(p, q) for p in range(3) for q in range(3)] if distinct
@@ -296,7 +314,7 @@ class TestApplyQ:
         a = QCoefficients(rng.standard_normal((3,) * 6))
         w = a.pair_weights(grid, False)
         kept = grid.half_dealias_modes[1]
-        M = a.multiplier(grid).reshape((3, 9, -1))[..., kept]
+        M = operators._multiplier_at(grid, a.alpha, kept).reshape((3, 9, -1))
         alias = np.array(np.unravel_index(kept, grid.shape))
         off_nyquist = np.all(alias != grid.n_per_axis // 2, axis=0)
         np.testing.assert_array_equal(w[..., off_nyquist], M[..., off_nyquist])
@@ -316,6 +334,14 @@ class TestLeray:
         grid = build_grid(16)
         u = make_velocity(grid, rng, divergence_free=False)
         assert leray_project(u).divergence_deviation() <= 1e-10
+
+    def test_rejects_nyquist_content(self, rng):
+        # the output is held to the real-field contract
+        grid = build_grid(8)
+        stack = np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)])
+        u = velocity_from_stack(grid, stack)
+        with pytest.raises(spectral.CorruptedFieldError):
+            leray_project(u)
 
     def test_self_adjoint(self, rng):
         grid = build_grid(8)
