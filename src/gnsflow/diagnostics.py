@@ -18,8 +18,8 @@ from .operators import QCoefficients, VelocityField
 from .solver import Trajectory, _duhamel_lattice, _lattice_quadrature
 from .spectral import (
     EXP_GUARD,
-    _shell_maxima,
     irfftn,
+    shell_reduce_max,
     to_half,
     weighted_l2_stack,
     weighted_tail_sums,
@@ -347,7 +347,7 @@ def estimate_radius(u: VelocityField, fit_lo: float, fit_hi: float,
     if fit_hi > grid.k_max * (1.0 + 1e-12):
         raise ValueError(f"fit_hi {fit_hi} exceeds the lattice k_max {grid.k_max}")
 
-    shells = _shell_maxima(grid, np.abs(u.half_spectrum()).max(axis=0), n_shells)
+    shells = shell_reduce_max(grid, np.abs(u.half_spectrum()).max(axis=0), n_shells)
 
     floor = RADIUS_FLOOR_FACTOR * u.l2_coefficient_norm()
     lo, hi = float(fit_lo), float(fit_hi)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,6 @@ import numpy as np
 # these names because the benchmark's trace hooks rebind them.
 from .spectral import (  # noqa: F401
     Grid,
-    SpectralField,
     _half_weight_table,
     fftn,
     hermitian_half,
@@ -170,21 +168,11 @@ def navier_stokes_coeffs() -> QCoefficients:
 class VelocityField:
     """A real velocity field, held by its (3, n, n, n//2+1) half spectrum.
 
-    Built from components (or by velocity_from_stack) it is held to the
-    real-field contract, spectral.hermitian_half, there and only there;
-    from_half wraps a half the program made. components is the full view,
-    made on first use.
+    velocity_from_stack builds one from a full (3, n, n, n) stack of outside
+    data and holds it to the real-field contract, spectral.hermitian_half,
+    there and only there; from_half wraps a half the program made.
+    stack_coefficients is the one way back to the full lattice.
     """
-
-    def __init__(self, components) -> None:
-        components = tuple(components)
-        if len(components) != 3:
-            raise ValueError("a velocity field needs exactly 3 components")
-        g = components[0].grid
-        if any(c.grid != g for c in components[1:]):
-            raise ValueError("velocity components must share one grid")
-        self._grid = g
-        self._half = hermitian_half(np.stack([c.coeffs for c in components]))
 
     @classmethod
     def from_half(cls, grid: Grid, half: np.ndarray) -> "VelocityField":
@@ -199,11 +187,6 @@ class VelocityField:
     @property
     def grid(self) -> Grid:
         return self._grid
-
-    @cached_property
-    def components(self) -> tuple[SpectralField, SpectralField, SpectralField]:
-        full = to_full(self._grid, self._half)
-        return tuple(SpectralField(self._grid, full[j]) for j in range(3))
 
     def half_spectrum(self) -> np.ndarray:
         """The (3, n, n, n//2+1) half spectrum of this field."""

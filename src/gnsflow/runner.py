@@ -344,10 +344,6 @@ def emit_plot_data(artifacts_dir: Path) -> list[Path]:
         doc = json.load(fh)
     rows = doc["rows"]
 
-    def fmt(values):
-        return [gio.format_float(v) if isinstance(v, float) else str(v)
-                for v in values]
-
     def revive(values):
         return [float(v) for v in values]
 

@@ -215,7 +215,7 @@ class Trajectory:
 
     @property
     def states(self) -> "_States":
-        """The states as transient full views (VelocityField.from_half)."""
+        """The states, each rebuilt on access as a VelocityField (from_half)."""
         return _States(self)
 
     @property

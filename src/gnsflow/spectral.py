@@ -7,8 +7,12 @@ constant field c has ``coeffs[0,0,0] = c`` and Parseval reads
 integer aliases m in [-n/2, n/2).
 
 A real field's coefficients satisfy c(-k) = conj c(k), so the half spectrum
-``coeffs[..., :n//2+1]`` (the ``rfftn`` layout) determines them: ``to_half``
-and ``to_full`` convert between the two layouts.
+``coeffs[..., :n//2+1]`` (the ``rfftn`` layout) determines them. Every field
+the package computes on is such a half spectrum, and the reductions
+(``weighted_l2_stack``, ``weighted_tail_sums``, ``shell_reduce_max``) take
+that layout only. The full lattice is used by ``SpectralField`` and its
+transforms, and at the edges: ``to_half`` and ``to_full`` convert between
+the two layouts.
 """
 
 from __future__ import annotations
@@ -187,13 +191,15 @@ class Grid:
 
     @cached_property
     def k_norm_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted distinct k_norm values, and the level index of each mode (flat C order).
+        """Sorted distinct k_norm values, and the level index of each
+        half-spectrum mode (flat C order over half_shape).
 
         Levels are the k_norm floats themselves (distinct k_sq floats can
         share one sqrt), so the modes at or above level m are exactly those
-        with k_norm >= levels[m].
+        with k_norm >= levels[m]. Every |k| of the lattice is that of a
+        half-spectrum mode (|-k| = |k|), so the levels are the full lattice's.
         """
-        levels, mode_level = np.unique(self.k_norm, return_inverse=True)
+        levels, mode_level = np.unique(to_half(self.k_norm), return_inverse=True)
         mode_level = mode_level.ravel()
         for arr in (levels, mode_level):
             arr.setflags(write=False)
@@ -293,7 +299,8 @@ def _real_field(values: np.ndarray, mirror: np.ndarray) -> np.ndarray:
     their modes, a new array): values if equal, (values + mirror) / 2 within
     HERMITIAN_REJECT_TOL, CorruptedFieldError beyond it."""
     dev = float(np.max(np.abs(values - mirror), initial=0.0))
-    if dev > HERMITIAN_REJECT_TOL:
+    # written so that a NaN deviation (non-finite data) is rejected too
+    if not dev <= HERMITIAN_REJECT_TOL:
         raise CorruptedFieldError(
             f"not a real field: Hermitian deviation {dev:.3e} exceeds "
             f"{HERMITIAN_REJECT_TOL:.1e}", dev)
@@ -345,9 +352,8 @@ class SpectralField:
     """A scalar periodic field stored by its full (n, n, n) spectral coefficients.
 
     Construction does not check Hermitian symmetry: check_symmetry tests it
-    against HERMITIAN_BUILD_TOL on demand, inverse_transform rejects data
-    beyond HERMITIAN_REJECT_TOL unless called with check=False, and
-    VelocityField holds its components to hermitian_half.
+    against HERMITIAN_BUILD_TOL on demand, and inverse_transform rejects data
+    beyond HERMITIAN_REJECT_TOL unless called with check=False.
     """
 
     grid: Grid
@@ -405,7 +411,8 @@ class ShellSpectrum:
 
     values[s] is the max over modes with |k| in shell s (0 for empty shells,
     flagged in `empty`); peak_wavenumbers[s] is the |k| at which the max is
-    attained (NaN for empty shells).
+    attained (NaN for empty shells); counts[s] is the number of
+    half-spectrum modes in shell s.
     """
 
     shell_edges: np.ndarray
@@ -430,22 +437,20 @@ class ShellSpectrum:
         return len(self.values)
 
 
-def shell_reduce_max(spectral: SpectralField, n_shells: int) -> ShellSpectrum:
-    """Reduce |coeffs| to per-shell maxima over n_shells equal-width |k| shells."""
-    return _shell_maxima(spectral.grid, np.abs(spectral.coeffs), n_shells)
-
-
-def _shell_maxima(grid: Grid, magnitudes: np.ndarray, n_shells: int) -> ShellSpectrum:
-    """shell_reduce_max of magnitudes on the full lattice or the half spectrum
-    (read off the last axis). A real field's half gives the full lattice's
-    values, peaks and empty shells; counts are those of the layout given."""
+def shell_reduce_max(grid: Grid, magnitudes: np.ndarray, n_shells: int) -> ShellSpectrum:
+    """Reduce half-spectrum magnitudes (half_shape) to per-shell maxima over
+    n_shells equal-width |k| shells. The pair k, -k has one |k|, so a real
+    field's half gives the full lattice's values, peaks and empty shells."""
     if not isinstance(n_shells, int) or n_shells < 2:
         raise ValueError(f"n_shells must be an int >= 2, got {n_shells!r}")
+    if magnitudes.shape != grid.half_shape:
+        raise ValueError(f"expected half-spectrum magnitudes {grid.half_shape}, "
+                         f"got shape {magnitudes.shape}")
     kmax = grid.k_max
     edges = np.linspace(0.0, kmax, n_shells + 1)
     width = kmax / n_shells
 
-    knorm = (to_half(grid.k_norm) if _is_half(grid, magnitudes) else grid.k_norm).ravel()
+    knorm = to_half(grid.k_norm).ravel()
     mag = magnitudes.ravel()
     idx = np.minimum((knorm / width).astype(np.int64), n_shells - 1)
 
@@ -453,48 +458,51 @@ def _shell_maxima(grid: Grid, magnitudes: np.ndarray, n_shells: int) -> ShellSpe
     np.maximum.at(values, idx, mag)
     counts = np.bincount(idx, minlength=n_shells)
 
-    # |k| of each shell's peak: write in ascending-magnitude order so the
-    # final write per shell corresponds to the shell maximum.
-    order = np.argsort(mag, kind="stable")
+    # |k| of each shell's peak: of the modes at the shell max, the last in
+    # flat order is written last
+    top = mag == values[idx]
     peaks = np.full(n_shells, np.nan)
-    peaks[idx[order]] = knorm[order]
+    peaks[idx[top]] = knorm[top]
     peaks[counts == 0] = np.nan
     return ShellSpectrum(shell_edges=edges, values=values, counts=counts,
                          peak_wavenumbers=peaks)
 
 
 @lru_cache(maxsize=8)
-def _weight_table(grid: Grid, s: float, homogeneous: bool) -> np.ndarray:
-    """Read-only w(k)^{2s}: w = |k| when homogeneous, sqrt(1 + |k|^2) otherwise.
+def _half_weight_table(grid: Grid, s: float, homogeneous: bool) -> np.ndarray:
+    """Read-only w(k)^{2s} on half_shape, each mode of an interior kz plane
+    counted twice: once for itself and once for its unstored -k.
 
-    Homogeneous k = 0 entry: 1 for s = 0, else 0.
+    w = |k| when homogeneous, sqrt(1 + |k|^2) otherwise; the homogeneous
+    k = 0 entry is 1 for s = 0, else 0.
     """
+    k_sq = to_half(grid.k_sq)
     if homogeneous:
         with np.errstate(divide="ignore", invalid="ignore"):
-            table = np.where(grid.k_sq > 0.0, grid.k_sq**s, 0.0 if s != 0.0 else 1.0)
+            table = np.where(k_sq > 0.0, k_sq**s, 0.0 if s != 0.0 else 1.0)
     else:
-        table = (1.0 + grid.k_sq) ** s
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=8)
-def _half_weight_table(grid: Grid, s: float, homogeneous: bool) -> np.ndarray:
-    """_weight_table on half_shape, with each mode of an interior kz plane
-    counted twice: once for itself and once for its unstored -k."""
+        table = (1.0 + k_sq) ** s
     multiplicity = np.full(grid.n_per_axis // 2 + 1, 2.0)
     multiplicity[[0, -1]] = 1.0
-    table = to_half(_weight_table(grid, s, homogeneous)) * multiplicity
+    table *= multiplicity
     table.setflags(write=False)
     return table
 
 
 @lru_cache(maxsize=16)
-def _cutoff_mask(grid: Grid, half: bool, cutoff: float) -> np.ndarray:
-    """Read-only k_norm >= cutoff mask on the half or the full lattice."""
-    mask = (to_half(grid.k_norm) if half else grid.k_norm) >= cutoff
+def _cutoff_mask(grid: Grid, cutoff: float) -> np.ndarray:
+    """Read-only k_norm >= cutoff mask on the half spectrum."""
+    mask = to_half(grid.k_norm) >= cutoff
     mask.setflags(write=False)
     return mask
+
+
+def _half_components(grid: Grid, stacks: np.ndarray) -> np.ndarray:
+    """stacks as (components, *half_shape); ValueError for any other layout."""
+    if stacks.shape[-3:] != grid.half_shape:
+        raise ValueError(f"expected a half-spectrum stack (..., {grid.half_shape}), "
+                         f"got shape {stacks.shape}")
+    return stacks.reshape((-1,) + grid.half_shape)
 
 
 def _require_zero_mean(flat: np.ndarray) -> None:
@@ -504,21 +512,16 @@ def _require_zero_mean(flat: np.ndarray) -> None:
             "homogeneous norm with s < 0 is undefined for data with nonzero mean")
 
 
-def _is_half(grid: Grid, stacks: np.ndarray) -> bool:
-    """Whether a coefficient stack is in the half layout (read off its last axis)."""
-    return stacks.shape[-1] != grid.n_per_axis
-
-
 def weighted_l2_stack(grid: Grid, stacks: np.ndarray, s: float, homogeneous: bool,
                       cutoff: float = 0.0, factor: np.ndarray | None = None) -> float:
-    """Lattice-weighted Sobolev-type norm of a coefficient stack in either layout.
+    """Lattice-weighted Sobolev-type norm of a half-spectrum coefficient stack.
 
-    The layout is read off the trailing axis: (..., n, n, n) full or
-    (..., n, n, n//2+1) half spectrum of Hermitian data; factor is a full
-    (n, n, n) array, or a half one for a half stack. Returns sqrt(
-    mode_weight * sum_components sum_{|k| >= cutoff} factor * w^{2s} |c|^2 )
-    with w(k) = |k| when homogeneous, sqrt(1 + |k|^2) otherwise; factor (an
-    exponential weight or a mode mask) defaults to 1.
+    stacks is (..., n, n, n//2+1), the half spectrum of Hermitian data, and
+    factor a half_shape array; any other layout raises ValueError. Returns
+    sqrt(mode_weight * sum_components sum_{|k| >= cutoff} factor * w^{2s}
+    |c|^2) over the full lattice, each interior-plane half mode standing for
+    itself and -k, with w(k) = |k| when homogeneous, sqrt(1 + |k|^2)
+    otherwise; factor (an exponential weight or a mode mask) defaults to 1.
     In the homogeneous case the k = 0 mode contributes its plain magnitude
     for s = 0 and nothing for s != 0; for s < 0 without a cutoff the norm is
     undefined unless every component has zero mean, so a nonzero mean raises
@@ -526,52 +529,38 @@ def weighted_l2_stack(grid: Grid, stacks: np.ndarray, s: float, homogeneous: boo
     """
     if cutoff < 0.0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    half = _is_half(grid, stacks)
-    flat = stacks.reshape((-1,) + (grid.half_shape if half else grid.shape))
+    flat = _half_components(grid, stacks)
     if homogeneous and s < 0.0 and cutoff == 0.0:
         _require_zero_mean(flat)
-    table = (_half_weight_table if half else _weight_table)(grid, s, homogeneous)
+    table = _half_weight_table(grid, s, homogeneous)
     if factor is not None:
-        table = table * (to_half(factor) if half else factor)
-    mask = _cutoff_mask(grid, half, cutoff)
+        table = table * factor
+    mask = _cutoff_mask(grid, cutoff)
     total = 0.0
     for comp in flat:
         total += float(np.sum(table * np.abs(comp) ** 2, where=mask))
     return math.sqrt(grid.mode_weight * total)
 
 
-@lru_cache(maxsize=8)
-def _half_mode_level(grid: Grid) -> np.ndarray:
-    """The k_norm_levels level index of every half-spectrum mode (flat C order)."""
-    _, mode_level = grid.k_norm_levels
-    arr = to_half(mode_level.reshape(grid.shape)).ravel()
-    arr.setflags(write=False)
-    return arr
-
-
 def weighted_tail_sums(grid: Grid, stacks: np.ndarray, s: float,
                        homogeneous: bool) -> np.ndarray:
-    """Squared weighted tail norms of a coefficient stack at every |k| level.
+    """Squared weighted tail norms of a half-spectrum stack at every |k| level.
 
-    The stack is (..., n, n, n) full or (..., n, n, n//2+1) half spectrum,
-    as in weighted_l2_stack. Entry m is mode_weight * sum_components
-    sum_{|k| >= levels[m]} w^{2s} |c|^2 over the levels of
-    grid.k_norm_levels, so its sqrt is weighted_l2_stack with cutoff
-    levels[m]. Weights and the homogeneous s < 0 domain error are those of
-    weighted_l2_stack; entry 0 is the untruncated norm, so the error applies
-    whatever level is read.
+    The stack is (..., n, n, n//2+1), as in weighted_l2_stack. Entry m is
+    mode_weight * sum_components sum_{|k| >= levels[m]} w^{2s} |c|^2 over
+    the levels of grid.k_norm_levels, so its sqrt is weighted_l2_stack with
+    cutoff levels[m]. Weights and the homogeneous s < 0 domain error are
+    those of weighted_l2_stack; entry 0 is the untruncated norm, so the
+    error applies whatever level is read.
     """
-    half = _is_half(grid, stacks)
-    flat = stacks.reshape((-1,) + (grid.half_shape if half else grid.shape))
+    flat = _half_components(grid, stacks)
     if homogeneous and s < 0.0:
         _require_zero_mean(flat)
     power = np.zeros(flat.shape[1:])
     for comp in flat:
         power += np.abs(comp) ** 2
     levels, mode_level = grid.k_norm_levels
-    if half:
-        mode_level = _half_mode_level(grid)
-    table = (_half_weight_table if half else _weight_table)(grid, s, homogeneous)
+    table = _half_weight_table(grid, s, homogeneous)
     per_level = np.bincount(mode_level, minlength=levels.size,
                             weights=(table * power).ravel())
     return grid.mode_weight * np.cumsum(per_level[::-1])[::-1]

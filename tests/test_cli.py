@@ -9,7 +9,7 @@ from gnsflow import cli, runner, spectral
 from gnsflow import io as gio
 from gnsflow.config import ConfigError, parse_config_text
 from gnsflow.diagnostics import InconclusiveFitError
-from gnsflow.operators import leray_project_stack
+from gnsflow.operators import leray_project_stack, stack_coefficients
 from gnsflow.runner import (
     EXIT_CONFIG,
     EXIT_FAILURE,
@@ -346,6 +346,24 @@ class TestCliCommands:
                        "--out", str(tmp_path / "diag")])
         assert rc == EXIT_CONFIG
         assert "Hermitian deviation" in capsys.readouterr().err
+
+    def test_diagnose_rejects_nan_in_u0(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, BASE_CFG)
+        assert cli.main(["solve", str(cfg_path), "--out",
+                         str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        trajectory = tmp_path / "run" / "trajectory"
+        u0 = gio.read_field(trajectory / gio.U0_FILE)
+        stack = stack_coefficients(u0)
+        stack[0, 1, 2, 3] = np.nan
+        helpers.write_raw_field(trajectory / gio.U0_FILE, u0.grid, stack)
+        helpers.repoint_digest(trajectory, gio.U0_FILE)
+        rc = cli.main(["diagnose", str(trajectory), str(cfg_path),
+                       "--out", str(tmp_path / "diag")])
+        assert rc == EXIT_CONFIG == 2
+        err = capsys.readouterr().err
+        assert gio.U0_FILE in err and "Hermitian deviation" in err
+        assert not (tmp_path / "diag").exists()
 
     def test_diagnose_rejects_non_hermitian_plane_increments(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, BASE_CFG)

@@ -31,7 +31,7 @@ from gnsflow.diagnostics import (
 from gnsflow.initial_data import DataParams, make_initial_data
 from gnsflow.operators import navier_stokes_coeffs, stack_coefficients, velocity_from_stack
 from gnsflow.solver import SolverConfig, Trajectory, picard_solve
-from gnsflow.spectral import SpectralField, build_grid, hermitian_symmetrize, shell_reduce_max
+from gnsflow.spectral import build_grid, hermitian_symmetrize
 
 
 def single_pair_velocity(grid, mode, amplitude, component=0):
@@ -438,7 +438,7 @@ class TestLebesgueNorm:
     def test_l2_matches_parseval(self, rng):
         grid = build_grid(8, period=3.0)
         u = random_div_free(grid, rng)
-        coeff_sq = sum(float(np.sum(np.abs(c.coeffs) ** 2)) for c in u.components)
+        coeff_sq = float(np.sum(np.abs(stack_coefficients(u)) ** 2))
         want = math.sqrt(3.0**3 * coeff_sq)
         assert lebesgue_norm(u, 2.0) == pytest.approx(want, rel=1e-12)
 
@@ -519,19 +519,28 @@ class TestEstimateRadius:
 
     @staticmethod
     def full_lattice_estimate(u, fit_lo, fit_hi, n_shells):
-        """(radius, r2, n_shells_used) as estimate_radius took them from the
-        full lattice: componentwise max of the full coefficient magnitudes,
-        shell_reduce_max, a floor on the full coefficient l2 norm."""
+        """(radius, r2, n_shells_used) from the full lattice, brute force:
+        componentwise max of the full coefficient magnitudes, each shell's max
+        and the |k| of the last mode in flat order attaining it, a floor on
+        the full coefficient l2 norm."""
         full = stack_coefficients(u)
         mag = np.maximum(np.maximum(np.abs(full[0]), np.abs(full[1])), np.abs(full[2]))
-        shells = shell_reduce_max(SpectralField(u.grid, mag.astype(np.complex128)),
-                                  n_shells)
+        mag = mag.ravel()
+        knorm = np.asarray(u.grid.k_norm).ravel()
+        shell = np.minimum((knorm / (u.grid.k_max / n_shells)).astype(np.int64),
+                           n_shells - 1)
+        values = np.zeros(n_shells)
+        peaks = np.full(n_shells, np.nan)
+        for s in range(n_shells):
+            sel = np.flatnonzero(shell == s)
+            if sel.size:
+                values[s] = mag[sel].max()
+                peaks[s] = knorm[sel[mag[sel] == values[s]][-1]]
         norm = math.sqrt(sum(float(np.sum(np.abs(c) ** 2)) for c in full))
-        peaks = shells.peak_wavenumbers
-        usable = (~shells.empty & ~np.isnan(peaks) & (peaks >= fit_lo)
-                  & (peaks <= fit_hi) & (shells.values > diagnostics.RADIUS_FLOOR_FACTOR * norm))
+        usable = (~np.isnan(peaks) & (peaks >= fit_lo) & (peaks <= fit_hi)
+                  & (values > diagnostics.RADIUS_FLOOR_FACTOR * norm))
         x = peaks[usable]
-        y = np.log(shells.values[usable])
+        y = np.log(values[usable])
         slope, intercept = np.polyfit(x, y, 1)
         ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
         ss_tot = float(np.sum((y - np.mean(y)) ** 2))

@@ -12,7 +12,7 @@ from gnsflow.initial_data import (
     taylor_green,
 )
 from gnsflow.operators import stack_coefficients
-from gnsflow.spectral import build_grid, hermitian_deviation, inverse_transform
+from gnsflow.spectral import SpectralField, build_grid, hermitian_deviation, inverse_transform
 
 ALL_KINDS = ("taylor_green", "single_mode", "random_sobolev_tail",
              "compact_spectrum")
@@ -22,6 +22,11 @@ def field_kwargs(kind):
     return {"random_sobolev_tail": {"seed": 7}}.get(kind, {})
 
 
+def physical_values(u):
+    """The three real components of u on the physical grid."""
+    return [inverse_transform(SpectralField(u.grid, c)) for c in stack_coefficients(u)]
+
+
 class TestCommonGuarantees:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_divergence_free_hermitian_mean_free(self, kind):
@@ -29,9 +34,9 @@ class TestCommonGuarantees:
         u = make_initial_data(kind, grid, DataParams(band_hi=5.0, k_cut=4.0),
                               **field_kwargs(kind))
         assert u.divergence_deviation() <= 1e-12
-        assert hermitian_deviation(stack_coefficients(u)) == 0.0
-        for c in u.components:
-            assert c.coeffs[0, 0, 0] == 0.0
+        stack = stack_coefficients(u)
+        assert hermitian_deviation(stack) == 0.0
+        np.testing.assert_array_equal(stack[:, 0, 0, 0], 0.0)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_nyquist_planes_empty(self, kind):
@@ -69,12 +74,10 @@ class TestTaylorGreen:
         x, y, _ = np.meshgrid(theta, theta, theta, indexing="ij", sparse=True)
         want0 = 2.0 * np.sin(x) * np.cos(y) * np.ones(grid.shape)
         want1 = -2.0 * np.cos(x) * np.sin(y) * np.ones(grid.shape)
-        np.testing.assert_allclose(inverse_transform(u.components[0]), want0,
-                                   atol=1e-13)
-        np.testing.assert_allclose(inverse_transform(u.components[1]), want1,
-                                   atol=1e-13)
-        np.testing.assert_allclose(inverse_transform(u.components[2]), 0.0,
-                                   atol=1e-14)
+        values = physical_values(u)
+        np.testing.assert_allclose(values[0], want0, atol=1e-13)
+        np.testing.assert_allclose(values[1], want1, atol=1e-13)
+        np.testing.assert_allclose(values[2], 0.0, atol=1e-14)
 
     def test_spectral_support_is_first_harmonics(self):
         grid = build_grid(8)
@@ -103,8 +106,8 @@ class TestSingleMode:
         grid = build_grid(8)
         u = single_mode(grid, DataParams(amplitude=1.5, mode=(1, 2, 0)))
         mag = np.zeros(grid.shape)
-        for c in u.components:
-            mag += inverse_transform(c) ** 2
+        for values in physical_values(u):
+            mag += values ** 2
         assert math.sqrt(mag.max()) == pytest.approx(1.5, rel=1e-12)
 
     def test_polarization_orthogonal_to_mode(self):

@@ -10,7 +10,6 @@ from gnsflow.initial_data import DataParams, make_initial_data
 from gnsflow.io import read_field
 from gnsflow.operators import (
     QCoefficients,
-    VelocityField,
     apply_Q,
     heat_factor,
     navier_stokes_coeffs,
@@ -30,7 +29,6 @@ from gnsflow.solver import (
 from gnsflow.spectral import (
     HERMITIAN_REJECT_TOL,
     CorruptedFieldError,
-    SpectralField,
     build_grid,
     hermitian_deviation,
     hermitian_symmetrize,
@@ -282,10 +280,11 @@ class TestPicard:
         u0 = divergence_free_velocity(grid, rng)
         cfg = SolverConfig(t_final=0.01, n_times=5, tol=1e-6)
         traj, _ = picard_solve(u0, navier_stokes_coeffs(), cfg)
+        mean0 = stack_coefficients(u0)[:, 0, 0, 0]
         for state in traj.states:
+            mean = stack_coefficients(state)[:, 0, 0, 0]
             for j in range(3):
-                assert state.components[j].coeffs[0, 0, 0] == pytest.approx(
-                    complex(u0.components[j].coeffs[0, 0, 0]), abs=1e-15)
+                assert mean[j] == pytest.approx(complex(mean0[j]), abs=1e-15)
 
     def test_non_convergence_reported_honestly(self):
         grid, u0 = vortex_velocity(n=8, amplitude=1.0)
@@ -325,7 +324,7 @@ class TestMarchCertificate:
         assert report.converged
         oracle = mild_residual(traj, u0, navier_stokes_coeffs(), cfg.gamma,
                                quad_order=cfg.quad_order)
-        scale = max(weighted_l2_stack(grid, stack_coefficients(s), cfg.gamma, False)
+        scale = max(weighted_l2_stack(grid, s.half_spectrum(), cfg.gamma, False)
                     for s in traj.states)
         assert len(report.residuals) == len(oracle)
         np.testing.assert_allclose(report.residuals, oracle, rtol=0.0,
@@ -510,8 +509,7 @@ class TestHalfSpectrumStates:
     @staticmethod
     def real_vortex(n=12):
         grid, u = vortex_velocity(n=n, amplitude=1.0)
-        stack = np.stack([hermitian_symmetrize(c.coeffs) for c in u.components])
-        return grid, velocity_from_stack(grid, stack)
+        return grid, velocity_from_stack(grid, hermitian_symmetrize(stack_coefficients(u)))
 
     @staticmethod
     def deviation(traj):
@@ -557,20 +555,28 @@ class TestRealFieldContract:
         assert hermitian_deviation(stack) > HERMITIAN_REJECT_TOL
         return stack
 
-    @pytest.mark.parametrize("entry", ["VelocityField", "velocity_from_stack",
-                                       "read_field"])
+    @staticmethod
+    def build(entry, grid, stack, tmp_path):
+        if entry == "velocity_from_stack":
+            return velocity_from_stack(grid, stack)
+        return read_field(helpers.write_raw_field(tmp_path / "u.gsf", grid, stack))
+
+    @pytest.mark.parametrize("entry", ["velocity_from_stack", "read_field"])
     def test_rejects_leray_projected_nyquist_content(self, entry, rng, tmp_path):
         grid = build_grid(8)
         stack = self.nyquist_projected(grid, rng)
-        calls = {
-            "VelocityField": lambda: VelocityField(
-                tuple(SpectralField(grid, stack[j]) for j in range(3))),
-            "velocity_from_stack": lambda: velocity_from_stack(grid, stack),
-            "read_field": lambda: read_field(
-                helpers.write_raw_field(tmp_path / "u.gsf", grid, stack)),
-        }
         with pytest.raises(CorruptedFieldError):
-            calls[entry]()
+            self.build(entry, grid, stack, tmp_path)
+
+    @pytest.mark.parametrize("entry", ["velocity_from_stack", "read_field"])
+    def test_rejects_a_nan_coefficient(self, entry, tmp_path):
+        # NaN compares false with any tolerance, so a deviation test written
+        # as dev > tol would let it through
+        grid, u = vortex_velocity(n=8)
+        stack = stack_coefficients(u)
+        stack[0, 1, 2, 3] = np.nan
+        with pytest.raises(CorruptedFieldError):
+            self.build(entry, grid, stack, tmp_path)
 
     def test_exactly_hermitian_states_pass_bit_for_bit(self, rng):
         grid = build_grid(8)

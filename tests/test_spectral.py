@@ -221,27 +221,47 @@ class TestHalfSpectrum:
         (0.0, 0.0, False), (1.3, 0.0, False), (0.7, 2.5, False), (1.0, 0.0, True)])
     def test_weighted_l2_same_on_half_and_full(self, rng, homogeneous, s, cutoff,
                                                use_factor):
+        # the reduction of the half against the oracle's sum over the whole
+        # lattice; a factor enters the oracle as sqrt(factor) on each mode
         g = build_grid(10, period=3.0)
         full = np.stack([hermitian_symmetrize(random_hermitian_coeffs(g, rng))
                          for _ in range(3)])
         factor = np.exp(0.3 * np.asarray(g.k_norm)) if use_factor else None
-        want = weighted_l2_stack(g, full, s, homogeneous, cutoff=cutoff, factor=factor)
+        scaled = full if factor is None else full * np.sqrt(factor)
+        want = math.sqrt(g.mode_weight * sum(
+            helpers.oracle_weighted_tail_sum(c, 10, 3.0, s, homogeneous, cutoff) ** 2
+            for c in scaled))
         got = weighted_l2_stack(g, to_half(full), s, homogeneous, cutoff=cutoff,
-                                factor=factor)
+                                factor=None if factor is None else to_half(factor))
         assert want > 0.0
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_negative_s_nonzero_mean_rejected_in_both_layouts(self, grid8):
+        # the half is refused for its mean, the full lattice for its layout
         stack = np.zeros((3,) + grid8.shape, dtype=complex)
         stack[1, 2, 0, 0] = stack[1, -2, 0, 0] = 1.0
         stack[2, 0, 0, 0] = 0.5
-        for layout in (stack, to_half(stack)):
-            with pytest.raises(ValueError, match="nonzero mean"):
-                weighted_l2_stack(grid8, layout, -1.0, True)
+        with pytest.raises(ValueError, match="nonzero mean"):
+            weighted_l2_stack(grid8, to_half(stack), -1.0, True)
+        with pytest.raises(ValueError, match="half-spectrum"):
+            weighted_l2_stack(grid8, stack, -1.0, True)
+
+    def test_reductions_reject_full_lattice_input(self, grid8, rng):
+        full = np.stack([random_hermitian_coeffs(grid8, rng) for _ in range(3)])
+        reductions = (
+            lambda: weighted_l2_stack(grid8, full, 1.0, True),
+            lambda: weighted_l2_stack(grid8, full[0], 1.0, False, cutoff=2.0),
+            lambda: weighted_tail_sums(grid8, full, 1.0, True),
+            lambda: shell_reduce_max(grid8, np.abs(full[0]), 8),
+        )
+        for reduce in reductions:
+            with pytest.raises(ValueError, match="half-spectrum"):
+                reduce()
 
     def test_half_weight_table_counts_interior_planes_twice(self, grid8):
         table = spectral._half_weight_table(grid8, 0.5, False)
-        full = spectral._weight_table(grid8, 0.5, False)
+        full = (1.0 + np.asarray(grid8.k_sq)) ** 0.5
+        assert table.shape == grid8.half_shape
         np.testing.assert_array_equal(table[..., 0], full[..., 0])
         np.testing.assert_array_equal(table[..., 4], full[..., 4])
         np.testing.assert_array_equal(table[..., 1:4], 2.0 * full[..., 1:4])
@@ -263,11 +283,14 @@ class TestHalfSpectrum:
 
 
 class TestShellReduceMax:
+    """shell_reduce_max on the half spectrum of real fields, against maxima
+    taken over the whole lattice."""
+
     def test_exponential_profile_shell_maxima(self):
         # u_hat = exp(-0.2 |k|): each shell max is attained at the smallest |k|
         g = build_grid(16)
-        c = np.exp(-0.2 * g.k_norm).astype(complex)
-        spec = shell_reduce_max(SpectralField(g, c), n_shells=8)
+        c = np.exp(-0.2 * g.k_norm)
+        spec = shell_reduce_max(g, to_half(c), n_shells=8)
         knorm = g.k_norm.ravel()
         width = g.k_max / 8
         idx = np.minimum((knorm / width).astype(int), 7)
@@ -282,7 +305,7 @@ class TestShellReduceMax:
             assert spec.peak_wavenumbers[s] == pytest.approx(kmin, abs=1e-12)
 
     def test_edges_cover_zero_to_kmax(self, grid8):
-        spec = shell_reduce_max(SpectralField(grid8, np.zeros(grid8.shape, complex)), 5)
+        spec = shell_reduce_max(grid8, np.zeros(grid8.half_shape), 5)
         assert spec.shell_edges[0] == 0.0
         assert spec.shell_edges[-1] == pytest.approx(grid8.k_max)
         assert len(spec.shell_edges) == 6
@@ -290,64 +313,86 @@ class TestShellReduceMax:
     def test_empty_shells_flagged_not_dropped(self):
         # many narrow shells on a tiny grid leave gaps near k_max
         g = build_grid(4)
-        c = np.ones(g.shape, dtype=complex)
-        spec = shell_reduce_max(SpectralField(g, c), n_shells=40)
+        spec = shell_reduce_max(g, np.ones(g.half_shape), n_shells=40)
         assert spec.n_shells == 40
         assert spec.empty.any()
         assert np.all(spec.values[spec.empty] == 0.0)
         assert np.all(np.isnan(spec.peak_wavenumbers[spec.empty]))
 
     def test_counts_partition_lattice(self, grid8, rng):
+        # counts are of half-spectrum modes
         spec = shell_reduce_max(
-            SpectralField(grid8, random_hermitian_coeffs(grid8, rng)), 6)
-        assert spec.counts.sum() == 8**3
+            grid8, np.abs(to_half(random_hermitian_coeffs(grid8, rng))), 6)
+        assert spec.counts.sum() == 8 * 8 * 5
 
     def test_rejects_fewer_than_two_shells(self, grid8):
-        f = SpectralField(grid8, np.zeros(grid8.shape, complex))
         with pytest.raises(ValueError):
-            shell_reduce_max(f, 1)
+            shell_reduce_max(grid8, np.zeros(grid8.half_shape), 1)
 
     def test_brute_force_agreement(self, grid8, rng):
-        f = SpectralField(grid8, random_hermitian_coeffs(grid8, rng))
-        spec = shell_reduce_max(f, 5)
+        c = random_hermitian_coeffs(grid8, rng)
+        spec = shell_reduce_max(grid8, np.abs(to_half(c)), 5)
         knorm = grid8.k_norm.ravel()
-        mag = np.abs(f.coeffs).ravel()
+        mag = np.abs(c).ravel()
         width = grid8.k_max / 5
         for s in range(5):
             sel = np.minimum((knorm / width).astype(int), 4) == s
             if sel.any():
                 assert spec.values[s] == pytest.approx(mag[sel].max(), rel=1e-15)
 
+    @pytest.mark.parametrize("n,n_shells", [(8, 8), (20, 24), (24, 64)])
+    def test_peaks_follow_the_stable_sort_rule_on_ties(self, rng, n, n_shells):
+        # four magnitude values only, so shells hold exact ties at their max
+        g = build_grid(n)
+        mag = rng.integers(0, 4, size=g.half_shape).astype(float)
+        spec = shell_reduce_max(g, mag, n_shells)
+        # the rule: visit the modes in stable ascending order of magnitude;
+        # each shell keeps the |k| of the last mode visited in it
+        knorm = to_half(g.k_norm).ravel()
+        idx = np.minimum((knorm / (g.k_max / n_shells)).astype(np.int64), n_shells - 1)
+        flat = mag.ravel()
+        want = np.full(n_shells, np.nan)
+        for m in np.argsort(flat, kind="stable"):
+            want[idx[m]] = knorm[m]
+        np.testing.assert_array_equal(spec.peak_wavenumbers, want)
+        at_max = [np.unique(knorm[(idx == s) & (flat == spec.values[s])]).size
+                  for s in range(n_shells)]
+        assert max(at_max) > 1
+
 
 class TestWeightedL2:
-    """weighted_l2_stack on single (n, n, n) coefficient arrays.
+    """weighted_l2_stack on the half spectrum (n, n, n//2+1) of single
+    Hermitian coefficient arrays.
 
     The reduction applies the lattice measure, so each closed form carries a
     factor sqrt(mode_weight) (1 on the unit-spacing 2 pi box).
     """
 
     def test_single_mode_homogeneous_example(self, grid8):
-        # one unit coefficient at |k| = 2, s = 1/2: (|k|^{2s})^{1/2} = sqrt(2)
+        # a unit pair at k, -k with |k| = 2 (interior kz plane: the half
+        # holds k only), s = 1/2: (2 |k|^{2s})^{1/2} = 2
         c = np.zeros(grid8.shape, dtype=complex)
-        c[2, 0, 0] = 1.0
-        assert weighted_l2_stack(grid8, c, 0.5, homogeneous=True) == pytest.approx(
-            math.sqrt(grid8.mode_weight) * math.sqrt(2), abs=1e-15)
+        c[0, 0, 2] = c[0, 0, -2] = 1.0
+        assert weighted_l2_stack(grid8, to_half(c), 0.5, homogeneous=True) == \
+            pytest.approx(math.sqrt(grid8.mode_weight) * 2.0, abs=1e-15)
 
     def test_single_mode_inhomogeneous_example(self, grid8):
-        # one unit coefficient at |k| = 2, s = 1/2: ((1+4)^{1/2})^{1/2} = 5^{1/4}
+        # the same pair: (2 (1+4)^{1/2})^{1/2} = sqrt(2) 5^{1/4}
         c = np.zeros(grid8.shape, dtype=complex)
-        c[2, 0, 0] = 1.0
-        assert weighted_l2_stack(grid8, c, 0.5, homogeneous=False) == pytest.approx(
-            math.sqrt(grid8.mode_weight) * 5**0.25, abs=1e-15)
+        c[0, 0, 2] = c[0, 0, -2] = 1.0
+        assert weighted_l2_stack(grid8, to_half(c), 0.5, homogeneous=False) == \
+            pytest.approx(math.sqrt(grid8.mode_weight) * math.sqrt(2) * 5**0.25,
+                          abs=1e-15)
 
     def test_s_zero_equals_plain_l2(self, grid8, rng):
         c = random_hermitian_coeffs(grid8, rng)
         plain = math.sqrt(grid8.mode_weight * float(np.sum(np.abs(c) ** 2)))
-        assert weighted_l2_stack(grid8, c, 0.0, True) == pytest.approx(plain, rel=1e-14)
-        assert weighted_l2_stack(grid8, c, 0.0, False) == pytest.approx(plain, rel=1e-14)
+        half = to_half(c)
+        assert weighted_l2_stack(grid8, half, 0.0, True) == pytest.approx(plain, rel=1e-14)
+        assert weighted_l2_stack(grid8, half, 0.0, False) == pytest.approx(plain, rel=1e-14)
 
     def test_homogeneous_zero_mode_dropped_for_positive_s(self, grid8):
-        c = np.zeros(grid8.shape, dtype=complex)
+        c = np.zeros(grid8.half_shape, dtype=complex)
         c[0, 0, 0] = 7.0
         assert weighted_l2_stack(grid8, c, 1.0, homogeneous=True) == 0.0
 
@@ -356,12 +401,12 @@ class TestWeightedL2:
         c[0, 0, 0] = 1.0
         c[1, 0, 0] = c[-1, 0, 0] = 0.5
         with pytest.raises(ValueError):
-            weighted_l2_stack(grid8, c, -1.0, homogeneous=True)
+            weighted_l2_stack(grid8, to_half(c), -1.0, homogeneous=True)
 
     def test_homogeneous_negative_s_fine_with_zero_mean(self, grid8):
         c = np.zeros(grid8.shape, dtype=complex)
         c[2, 0, 0] = c[-2, 0, 0] = 1.0
-        val = weighted_l2_stack(grid8, c, -1.0, homogeneous=True)
+        val = weighted_l2_stack(grid8, to_half(c), -1.0, homogeneous=True)
         assert val == pytest.approx(
             math.sqrt(grid8.mode_weight) * math.sqrt(2 * 2.0**-2), rel=1e-14)
 
@@ -370,23 +415,20 @@ class TestWeightedL2:
         for s, hom, cut in [(0.7, True, 0.0), (1.0, True, 2.5), (-0.3, False, 0.0),
                             (0.5, False, 3.0), (0.0, True, 1.0)]:
             want = helpers.oracle_weighted_tail_sum(c, 8, 2 * math.pi, s, hom, cut)
-            assert weighted_l2_stack(grid8, c, s, hom, cut) == pytest.approx(
+            assert weighted_l2_stack(grid8, to_half(c), s, hom, cut) == pytest.approx(
                 math.sqrt(grid8.mode_weight) * want, rel=1e-12, abs=1e-300)
 
     def test_cutoff_monotonicity(self, grid8, rng):
-        c = random_hermitian_coeffs(grid8, rng)
+        c = to_half(random_hermitian_coeffs(grid8, rng))
         cuts = [0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 8.0]
         vals = [weighted_l2_stack(grid8, c, 0.8, True, cut) for cut in cuts]
         for lo, hi in zip(vals[1:], vals[:-1]):
             assert lo <= hi + 1e-15
 
-    @pytest.mark.parametrize("half", [False, True])
-    def test_cached_cutoff_mask_gives_the_freshly_masked_sum(self, grid8, rng, half):
-        full = np.stack([random_hermitian_coeffs(grid8, rng) for _ in range(3)])
-        stack = to_half(full) if half else full
-        table = (spectral._half_weight_table if half else spectral._weight_table)(
-            grid8, 0.8, True)
-        knorm = to_half(grid8.k_norm) if half else grid8.k_norm
+    def test_cached_cutoff_mask_gives_the_freshly_masked_sum(self, grid8, rng):
+        stack = to_half(np.stack([random_hermitian_coeffs(grid8, rng) for _ in range(3)]))
+        table = spectral._half_weight_table(grid8, 0.8, True)
+        knorm = to_half(grid8.k_norm)
         shell_radius = float(grid8.k_norm_levels[0][5])
         for cut in (0.0, shell_radius, grid8.k_max + 1.0):
             total = 0.0
@@ -394,17 +436,17 @@ class TestWeightedL2:
                 total += float(np.sum(table * np.abs(comp) ** 2, where=knorm >= cut))
             assert weighted_l2_stack(grid8, stack, 0.8, True, cut) == \
                 math.sqrt(grid8.mode_weight * total)
-            mask = spectral._cutoff_mask(grid8, half, cut)
+            mask = spectral._cutoff_mask(grid8, cut)
             assert not mask.flags.writeable
-            assert spectral._cutoff_mask(grid8, half, cut) is mask
+            assert spectral._cutoff_mask(grid8, cut) is mask
 
     def test_cutoff_beyond_kmax_gives_zero(self, grid8, rng):
-        c = random_hermitian_coeffs(grid8, rng)
+        c = to_half(random_hermitian_coeffs(grid8, rng))
         assert weighted_l2_stack(grid8, c, 1.0, True, grid8.k_max + 1.0) == 0.0
 
     def test_rejects_negative_cutoff(self, grid8):
         with pytest.raises(ValueError):
-            weighted_l2_stack(grid8, np.zeros(grid8.shape, complex), 1.0, True, -1.0)
+            weighted_l2_stack(grid8, np.zeros(grid8.half_shape, complex), 1.0, True, -1.0)
 
     @settings(max_examples=20, deadline=None)
     @given(s=st.floats(-1.0, 2.0), cutoff=st.floats(0.0, 6.0), seed=st.integers(0, 999))
@@ -412,8 +454,8 @@ class TestWeightedL2:
         g = build_grid(8)
         c = spectral.fftn(np.random.default_rng(seed).standard_normal(g.shape))
         c[0, 0, 0] = 0.0  # keep negative-s homogeneous case in domain
-        lo = weighted_l2_stack(g, c, s, True, cutoff)
-        hi = weighted_l2_stack(g, c, s, True, 0.0)
+        lo = weighted_l2_stack(g, to_half(c), s, True, cutoff)
+        hi = weighted_l2_stack(g, to_half(c), s, True, 0.0)
         assert lo <= hi * (1 + 1e-12) + 1e-300
 
 
@@ -423,18 +465,18 @@ class TestWeightedStack:
         total = sum(helpers.oracle_weighted_tail_sum(
             stacks[j], 8, 2 * math.pi, 0.9, False, 1.0) ** 2 for j in range(3))
         want = math.sqrt(grid8.mode_weight * total)
-        got = weighted_l2_stack(grid8, stacks, 0.9, False, 1.0)
+        got = weighted_l2_stack(grid8, to_half(stacks), 0.9, False, 1.0)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_lattice_weight_is_identity_on_unit_box(self, grid8, rng):
         c = random_hermitian_coeffs(grid8, rng)
-        one = weighted_l2_stack(grid8, c[None], 0.5, True)
+        one = weighted_l2_stack(grid8, to_half(c)[None], 0.5, True)
         raw = helpers.oracle_weighted_tail_sum(c, 8, 2 * math.pi, 0.5, True, 0.0)
         assert grid8.mode_weight == 1.0
         assert one == pytest.approx(raw, rel=1e-14)
 
     def test_negative_s_rejects_stack_with_nonzero_mean(self, grid8):
-        stack = np.zeros((3,) + grid8.shape, dtype=complex)
+        stack = np.zeros((3,) + grid8.half_shape, dtype=complex)
         stack[1, 2, 0, 0] = stack[1, -2, 0, 0] = 1.0
         assert weighted_l2_stack(grid8, stack, -1.0, True) > 0.0
         stack[2, 0, 0, 0] = 0.5  # one component with a mean
@@ -444,8 +486,8 @@ class TestWeightedStack:
         assert weighted_l2_stack(grid8, stack, -1.0, True, cutoff=1.0) > 0.0
 
     def test_weight_table_is_cached_and_read_only(self, grid8):
-        table = spectral._weight_table(grid8, 0.75, True)
-        assert spectral._weight_table(build_grid(8), 0.75, True) is table
+        table = spectral._half_weight_table(grid8, 0.75, True)
+        assert spectral._half_weight_table(build_grid(8), 0.75, True) is table
         with pytest.raises(ValueError):
             table[1, 0, 0] = 0.0
 
@@ -454,12 +496,12 @@ class TestWeightedStack:
         knorm = np.asarray(grid8.k_norm)
         factor = np.exp(0.3 * knorm)
         want = math.sqrt(float(np.sum(knorm**2 * factor * np.abs(c) ** 2)))
-        assert weighted_l2_stack(grid8, c, 1.0, True, factor=factor) == pytest.approx(
-            want, rel=1e-13)
+        assert weighted_l2_stack(grid8, to_half(c), 1.0, True,
+                                 factor=to_half(factor)) == pytest.approx(want, rel=1e-13)
         low = knorm <= 2.0
         want_low = math.sqrt(float(np.sum((knorm**2 * np.abs(c) ** 2)[low])))
-        assert weighted_l2_stack(grid8, c, 1.0, True, factor=low) == pytest.approx(
-            want_low, rel=1e-13)
+        assert weighted_l2_stack(grid8, to_half(c), 1.0, True,
+                                 factor=to_half(low)) == pytest.approx(want_low, rel=1e-13)
 
 
 class TestWeightedTailSums:
@@ -467,7 +509,7 @@ class TestWeightedTailSums:
         (True, 0.0), (True, 1.0), (False, 0.0), (False, 0.75)])
     def test_every_level_matches_cutoff_reduction(self, rng, homogeneous, s):
         grid = build_grid(8, period=3.0)
-        stacks = np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)])
+        stacks = to_half(np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)]))
         levels, _ = grid.k_norm_levels
         tails = weighted_tail_sums(grid, stacks, s, homogeneous)
         assert tails.shape == levels.shape
@@ -477,17 +519,19 @@ class TestWeightedTailSums:
 
     @pytest.mark.parametrize("period", [2 * math.pi, 3.0])
     def test_levels_reproduce_k_norm_and_are_read_only(self, period):
+        # levels index the half spectrum and are every |k| of the lattice
         grid = build_grid(16, period=period)
         levels, mode_level = grid.k_norm_levels
         assert np.all(np.diff(levels) > 0.0)
-        np.testing.assert_array_equal(levels[mode_level], np.asarray(grid.k_norm).ravel())
+        np.testing.assert_array_equal(levels[mode_level], to_half(grid.k_norm).ravel())
+        np.testing.assert_array_equal(levels, np.unique(grid.k_norm))
         assert grid.k_norm_levels is grid.k_norm_levels
         for arr in (levels, mode_level):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
     def test_negative_s_rejects_stack_with_nonzero_mean(self, grid8):
-        stack = np.zeros((3,) + grid8.shape, dtype=complex)
+        stack = np.zeros((3,) + grid8.half_shape, dtype=complex)
         stack[0, 1, 0, 0] = stack[0, -1, 0, 0] = 1.0
         assert weighted_tail_sums(grid8, stack, -1.0, True)[0] > 0.0
         stack[0, 0, 0, 0] = 0.5
