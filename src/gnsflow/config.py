@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,75 +30,90 @@ class ConfigError(ValueError):
 DIAGNOSTIC_MODES = ("subcritical", "critical")
 OUTPUT_FORMATS = ("csv", "json")
 
-# key -> (attribute, type tag, default); "auto" defaults resolve after parse
-_SCHEMA: dict[str, tuple[str, str, object]] = {
-    "grid.n": ("grid_n", "int", 32),
-    "grid.period": ("grid_period", "float", 2.0 * math.pi),
-    "grid.dealias_fraction": ("grid_dealias_fraction", "float", 2.0 / 3.0),
-    "solver.t_final": ("solver_t_final", "float", 0.01),
-    "solver.n_times": ("solver_n_times", "int", 33),
-    "solver.quad_order": ("solver_quad_order", "int", 2),
-    "solver.tol": ("solver_tol", "float", 1e-8),
-    "solver.max_iter": ("solver_max_iter", "int", 16),
-    "solver.dt": ("solver_dt", "float", 1e-4),
-    "solver.etd_check": ("solver_etd_check", "bool", False),
-    "solver.oracle_tol": ("solver_oracle_tol", "float", 1e-6),
-    "physics.coefficients": ("physics_coefficients", "str", "navier_stokes"),
-    "physics.gamma": ("physics_gamma", "float", 1.0),
-    "physics.delta": ("physics_delta", "float", 0.1),
-    "physics.eta0": ("physics_eta0", "float", 1e-5),
-    "data.kind": ("data_kind", "str", "taylor_green"),
-    "data.amplitude": ("data_amplitude", "float", 1.0),
-    "data.seed": ("data_seed", "int", 0),
-    "data.band_lo": ("data_band_lo", "float", 0.5),
-    "data.band_hi": ("data_band_hi", "float", 2.5),
-    "data.mode": ("data_mode", "int_triple", (1, 0, 0)),
-    "data.k_cut": ("data_k_cut", "float", 2.0),
-    "data.spectral_exponent": ("data_spectral_exponent", "float_or_auto", "auto"),
-    "diagnostics.mode": ("diagnostics_mode", "str", "subcritical"),
-    "diagnostics.sample_times": ("diagnostics_sample_times", "float_list", "auto"),
-    "diagnostics.fit_lo": ("diagnostics_fit_lo", "float", 1.0),
-    "diagnostics.fit_hi": ("diagnostics_fit_hi", "float", 2.0),
-    "diagnostics.n_shells": ("diagnostics_n_shells", "int", 32),
-    "output.directory": ("output_directory", "str", "run"),
-    "output.formats": ("output_formats", "str_list", ("csv", "json")),
-}
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _, _) in _SCHEMA.items()}
+def _unchecked(value) -> None:
+    return None
+
+
+def _key(key: str, tag: str, default, check=_unchecked):
+    """A ScenarioConfig field declared as scenario key `key`: its type tag,
+    its default ("auto" defaults resolve after parse) and its single-key
+    check, value -> problem text or None."""
+    return field(metadata={"key": key, "tag": tag, "default": default, "check": check})
+
+
+def _rule(ok, allowed: str):
+    """A single-key check: "must be <allowed>, got <value>" unless ok(value)."""
+    return lambda value: None if ok(value) else f"must be {allowed}, got {value}"
+
+
+def _one_of(choices: tuple[str, ...]):
+    return lambda value: (None if value in choices else
+                          f"must be one of {', '.join(choices)}, got {value!r}")
+
+
+def _known_formats(formats: tuple[str, ...]) -> str | None:
+    unknown = [f for f in formats if f not in OUTPUT_FORMATS]
+    if unknown:
+        return f"unknown formats {unknown}, allowed: {', '.join(OUTPUT_FORMATS)}"
+    return None
+
+
+def _at_least(lo):
+    return _rule(lambda x: x >= lo, f">= {lo}")
+
+
+_POSITIVE = _rule(lambda x: x > 0.0, "positive")
+_POSITIVE_FINITE = _rule(lambda x: x > 0.0 and math.isfinite(x), "positive and finite")
+_OPEN_UNIT = _rule(lambda x: 0.0 < x < 1.0, "in (0, 1)")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    grid_n: int
-    grid_period: float
-    grid_dealias_fraction: float
-    solver_t_final: float
-    solver_n_times: int
-    solver_quad_order: int
-    solver_tol: float
-    solver_max_iter: int
-    solver_dt: float
-    solver_etd_check: bool
-    solver_oracle_tol: float
-    physics_coefficients: str
-    physics_gamma: float
-    physics_delta: float
-    physics_eta0: float
-    data_kind: str
-    data_amplitude: float
-    data_seed: int
-    data_band_lo: float
-    data_band_hi: float
-    data_mode: tuple[int, int, int]
-    data_k_cut: float
-    data_spectral_exponent: float
-    diagnostics_mode: str
-    diagnostics_sample_times: tuple[float, ...]
-    diagnostics_fit_lo: float
-    diagnostics_fit_hi: float
-    diagnostics_n_shells: int
-    output_directory: str
-    output_formats: tuple[str, ...]
+    """A parsed scenario. Each field is the one declaration of its key; the
+    single-key checks run in field order, before the cross-key checks."""
+
+    grid_n: int = _key("grid.n", "int", 32,
+                       _rule(lambda n: n >= 4 and n % 2 == 0, "an even integer >= 4"))
+    grid_period: float = _key("grid.period", "float", 2.0 * math.pi, _POSITIVE_FINITE)
+    grid_dealias_fraction: float = _key("grid.dealias_fraction", "float", 2.0 / 3.0,
+                                        _rule(lambda x: 0.0 < x <= 1.0, "in (0, 1]"))
+    solver_t_final: float = _key("solver.t_final", "float", 0.01, _POSITIVE_FINITE)
+    solver_n_times: int = _key("solver.n_times", "int", 33, _at_least(2))
+    solver_quad_order: int = _key("solver.quad_order", "int", 2,
+                                  _rule(lambda q: 1 <= q <= 12, "in [1, 12]"))
+    solver_tol: float = _key("solver.tol", "float", 1e-8, _OPEN_UNIT)
+    solver_max_iter: int = _key("solver.max_iter", "int", 16, _at_least(1))
+    solver_dt: float = _key("solver.dt", "float", 1e-4, _POSITIVE_FINITE)
+    solver_etd_check: bool = _key("solver.etd_check", "bool", False)
+    solver_oracle_tol: float = _key("solver.oracle_tol", "float", 1e-6, _POSITIVE)
+    physics_coefficients: str = _key("physics.coefficients", "str", "navier_stokes")
+    physics_gamma: float = _key("physics.gamma", "float", 1.0,
+                                _rule(lambda g: g >= 0.5 and math.isfinite(g), ">= 0.5"))
+    physics_delta: float = _key("physics.delta", "float", 0.1, _OPEN_UNIT)
+    physics_eta0: float = _key("physics.eta0", "float", 1e-5, _OPEN_UNIT)
+    data_kind: str = _key("data.kind", "str", "taylor_green", _one_of(DATA_KINDS))
+    data_amplitude: float = _key("data.amplitude", "float", 1.0,
+                                 _rule(lambda a: a >= 0.0 and math.isfinite(a),
+                                       ">= 0 and finite"))
+    data_seed: int = _key("data.seed", "int", 0,
+                          _rule(lambda s: 0 <= s < 2**64, "in [0, 2^64)"))
+    data_band_lo: float = _key("data.band_lo", "float", 0.5, _POSITIVE)
+    data_band_hi: float = _key("data.band_hi", "float", 2.5)
+    data_mode: tuple[int, int, int] = _key("data.mode", "int_triple", (1, 0, 0))
+    data_k_cut: float = _key("data.k_cut", "float", 2.0, _POSITIVE)
+    data_spectral_exponent: float = _key("data.spectral_exponent", "float_or_auto",
+                                         "auto", _POSITIVE)
+    diagnostics_mode: str = _key("diagnostics.mode", "str", "subcritical",
+                                 _one_of(DIAGNOSTIC_MODES))
+    diagnostics_n_shells: int = _key("diagnostics.n_shells", "int", 32, _at_least(2))
+    diagnostics_sample_times: tuple[float, ...] = _key("diagnostics.sample_times",
+                                                       "float_list", "auto")
+    diagnostics_fit_lo: float = _key("diagnostics.fit_lo", "float", 1.0, _POSITIVE)
+    diagnostics_fit_hi: float = _key("diagnostics.fit_hi", "float", 2.0)
+    output_directory: str = _key("output.directory", "str", "run")
+    output_formats: tuple[str, ...] = _key("output.formats", "str_list", ("csv", "json"),
+                                           _known_formats)
 
     def build_grid(self) -> Grid:
         return build_grid(self.grid_n, period=self.grid_period,
@@ -110,19 +125,21 @@ class ScenarioConfig:
                             quad_order=self.solver_quad_order,
                             tol=self.solver_tol,
                             gamma=self.physics_gamma,
-                            max_iter=self.solver_max_iter,
-                            dt=self.solver_dt)
+                            max_iter=self.solver_max_iter)
 
     def canonical_text(self) -> str:
         """Every key in sorted order with fully resolved values; stable bytes."""
         lines = []
-        for key in sorted(_SCHEMA):
-            attr, typ, _ = _SCHEMA[key]
-            lines.append(f"{key} = {_format_value(typ, getattr(self, attr))}")
+        for key, f in sorted(_FIELDS.items()):
+            value = getattr(self, f.name)
+            lines.append(f"{key} = {_format_value(f.metadata['tag'], value)}")
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
+
+
+_FIELDS = {f.metadata["key"]: f for f in fields(ScenarioConfig)}
 
 
 def _format_float(x: float) -> str:
@@ -218,7 +235,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
             continue
         key, _, token = stripped.partition("=")
         key = key.strip()
-        if key not in _SCHEMA:
+        if key not in _FIELDS:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in seen_lines:
@@ -226,15 +243,13 @@ def parse_config_text(text: str) -> ScenarioConfig:
                             f"(first set on line {seen_lines[key]})")
             continue
         seen_lines[key] = lineno
-        _, typ, _ = _SCHEMA[key]
-        value, err = _parse_value(typ, token)
+        value, err = _parse_value(_FIELDS[key].metadata["tag"], token)
         if err is not None:
             problems.append(f"line {lineno}: {key}: {err}")
             continue
         raw[key] = value
 
-    values = {attr: raw.get(key, default)
-              for key, (attr, _, default) in _SCHEMA.items()}
+    values = {f.name: raw.get(key, f.metadata["default"]) for key, f in _FIELDS.items()}
 
     _resolve_auto(values)
     problems.extend(_validate(values))
@@ -261,73 +276,8 @@ def _resolve_auto(values: dict) -> None:
 
 
 def _validate(v: dict) -> list[str]:
-    p: list[str] = []
-
-    def bad(key_attr: str, msg: str) -> None:
-        p.append(f"{_ATTR_TO_KEY[key_attr]}: {msg}")
-
-    n = v["grid_n"]
-    if not (isinstance(n, int) and n >= 4 and n % 2 == 0):
-        bad("grid_n", f"must be an even integer >= 4, got {n}")
-    if not (v["grid_period"] > 0.0 and math.isfinite(v["grid_period"])):
-        bad("grid_period", f"must be positive and finite, got {v['grid_period']}")
-    if not (0.0 < v["grid_dealias_fraction"] <= 1.0):
-        bad("grid_dealias_fraction",
-            f"must be in (0, 1], got {v['grid_dealias_fraction']}")
-
-    if not (v["solver_t_final"] > 0.0 and math.isfinite(v["solver_t_final"])):
-        bad("solver_t_final", f"must be positive and finite, got {v['solver_t_final']}")
-    if v["solver_n_times"] < 2:
-        bad("solver_n_times", f"must be >= 2, got {v['solver_n_times']}")
-    if not (1 <= v["solver_quad_order"] <= 12):
-        bad("solver_quad_order", f"must be in [1, 12], got {v['solver_quad_order']}")
-    if not (v["solver_tol"] > 0.0):
-        bad("solver_tol", f"must be positive, got {v['solver_tol']}")
-    if v["solver_max_iter"] < 1:
-        bad("solver_max_iter", f"must be >= 1, got {v['solver_max_iter']}")
-    if not (v["solver_dt"] > 0.0):
-        bad("solver_dt", f"must be positive, got {v['solver_dt']}")
-    if not (v["solver_oracle_tol"] > 0.0):
-        bad("solver_oracle_tol", f"must be positive, got {v['solver_oracle_tol']}")
-
-    if not v["physics_coefficients"]:
-        bad("physics_coefficients", "must be 'navier_stokes' or a file path")
-    gamma, delta = v["physics_gamma"], v["physics_delta"]
-    if not (gamma >= 0.5 and math.isfinite(gamma)):
-        bad("physics_gamma", f"must be >= 0.5, got {gamma}")
-    if not (0.0 < delta < 1.0):
-        bad("physics_delta", f"must be in (0, 1), got {delta}")
-    if not (0.0 < v["physics_eta0"] < 1.0):
-        bad("physics_eta0", f"must be in (0, 1), got {v['physics_eta0']}")
-
-    if v["data_kind"] not in DATA_KINDS:
-        bad("data_kind", f"must be one of {', '.join(DATA_KINDS)}, got {v['data_kind']!r}")
-    if not (v["data_amplitude"] >= 0.0 and math.isfinite(v["data_amplitude"])):
-        bad("data_amplitude", f"must be >= 0 and finite, got {v['data_amplitude']}")
-    if not (0 <= v["data_seed"] < 2**64):
-        bad("data_seed", f"must be in [0, 2^64), got {v['data_seed']}")
-    if not (v["data_band_lo"] > 0.0):
-        bad("data_band_lo", f"must be positive, got {v['data_band_lo']}")
-    if not (v["data_k_cut"] > 0.0):
-        bad("data_k_cut", f"must be positive, got {v['data_k_cut']}")
-    exponent = v["data_spectral_exponent"]
-    if not (isinstance(exponent, float) and exponent > 0.0):
-        bad("data_spectral_exponent", f"must be positive, got {exponent}")
-
-    if v["diagnostics_mode"] not in DIAGNOSTIC_MODES:
-        bad("diagnostics_mode",
-            f"must be one of {', '.join(DIAGNOSTIC_MODES)}, got {v['diagnostics_mode']!r}")
-    if v["diagnostics_n_shells"] < 2:
-        bad("diagnostics_n_shells", f"must be >= 2, got {v['diagnostics_n_shells']}")
-    if not (v["diagnostics_fit_lo"] > 0.0):
-        bad("diagnostics_fit_lo", f"must be positive, got {v['diagnostics_fit_lo']}")
-
-    if not v["output_directory"]:
-        bad("output_directory", "must be a non-empty path")
-    unknown_formats = [f for f in v["output_formats"] if f not in OUTPUT_FORMATS]
-    if unknown_formats:
-        bad("output_formats",
-            f"unknown formats {unknown_formats}, allowed: {', '.join(OUTPUT_FORMATS)}")
+    p = [f"{key}: {problem}" for key, f in _FIELDS.items()
+         if (problem := f.metadata["check"](v[f.name]))]
 
     # cross-field checks only when the pieces above are individually sane
     grid_ok = not any(s.startswith("grid.") for s in p)
@@ -335,7 +285,8 @@ def _validate(v: dict) -> list[str]:
     if grid_ok:
         k_max = (2.0 * math.pi / v["grid_period"]) * (v["grid_n"] // 2) * math.sqrt(3.0)
 
-    scaling_ok = (gamma >= 0.5 and math.isfinite(gamma) and 0.0 < delta < 1.0)
+    gamma, delta = v["physics_gamma"], v["physics_delta"]
+    scaling_ok = not any(s.startswith(("physics.gamma:", "physics.delta:")) for s in p)
     if v["diagnostics_mode"] == "subcritical" and scaling_ok:
         if not (gamma > 0.5 + 2.0 * delta):
             p.append("physics.gamma: subcritical scaling requires "

@@ -230,7 +230,8 @@ def read_trajectory(manifest_path: Path) -> Trajectory:
 
     Each file is read once: the bytes that are hashed are the bytes that
     are parsed. u0 and the increments on the kz = 0 and kz = n/2 planes
-    are held to the real-field contract; exact increments are the array read.
+    are held to the real-field contract, and every increment must be finite;
+    exact increments are the array read.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
@@ -276,6 +277,8 @@ def read_trajectory(manifest_path: Path) -> Trajectory:
     if len(data) != want:
         raise FormatError(f"{path}: payload size {len(data)} != expected {want}")
     increments = np.frombuffer(data, dtype="<c16", offset=_INCREMENTS_HEADER.size)
+    if not np.isfinite(increments.view("<f8")).all():
+        raise CorruptedFieldError(f"{path}: non-finite increment values", math.nan)
     increments = increments.reshape(count * 3, size)
     plane, partner = band_plane_pairs(grid, manifest["band"])
     ours = increments[:, plane]

@@ -13,7 +13,7 @@ the next interval starts. The defect each interval leaves behind is carried
 forward under the heat semigroup, which yields the per-time mild residual as
 a by-product of the march; mild_residual recomputes it independently.
 
-The march, the residual pass and the ETD steps compute on the half spectrum
+The march, mild_residual and the ETD steps compute on the half spectrum
 (3, n, n, n//2+1) of the real fields (see operators.apply_Q_stack). A
 Trajectory holds its states as the heat flow of the initial data plus
 increments on a band of half-spectrum modes: state i is
@@ -67,12 +67,12 @@ class BlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Picard/ETD parameters.
+    """Picard parameters.
 
     t_final: horizon T; n_times: lattice points including t = 0; quad_order:
     Gauss-Legendre nodes per lattice interval; tol: Picard stopping threshold
     on the sup-in-time inhomogeneous Sobolev distance of order gamma;
-    max_iter: iterate cap; dt: ETD step size.
+    max_iter: iterate cap.
     """
 
     t_final: float
@@ -81,7 +81,6 @@ class SolverConfig:
     tol: float = 1e-8
     gamma: float = 1.0
     max_iter: int = 16
-    dt: float = 1e-4
 
     def __post_init__(self) -> None:
         if not (self.t_final > 0.0 and math.isfinite(self.t_final)):
@@ -94,8 +93,6 @@ class SolverConfig:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if not isinstance(self.max_iter, int) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
     @property
     def times(self) -> np.ndarray:

@@ -353,7 +353,7 @@ class SpectralField:
 
     Construction does not check Hermitian symmetry: check_symmetry tests it
     against HERMITIAN_BUILD_TOL on demand, and inverse_transform rejects data
-    beyond HERMITIAN_REJECT_TOL unless called with check=False.
+    beyond HERMITIAN_REJECT_TOL. Both reject non-finite coefficients.
     """
 
     grid: Grid
@@ -368,7 +368,7 @@ class SpectralField:
 
     def check_symmetry(self, tol: float = HERMITIAN_BUILD_TOL) -> float:
         dev = hermitian_deviation(self.coeffs)
-        if dev > tol:
+        if not dev <= tol:
             raise CorruptedFieldError(
                 f"spectral field breaks Hermitian symmetry: deviation {dev:.3e} > {tol:.1e}", dev)
         return dev
@@ -386,17 +386,17 @@ def forward_transform(grid: Grid, physical: np.ndarray) -> SpectralField:
     return SpectralField(grid, fftn(arr.astype(np.float64)))
 
 
-def inverse_transform(spectral: SpectralField, check: bool = True) -> np.ndarray:
+def inverse_transform(spectral: SpectralField) -> np.ndarray:
     """Reconstruct real physical values; rejects non-Hermitian input.
 
-    Symmetry deviation above HERMITIAN_REJECT_TOL raises CorruptedFieldError.
+    Symmetry deviation above HERMITIAN_REJECT_TOL, or a non-finite one,
+    raises CorruptedFieldError.
     """
-    if check:
-        dev = hermitian_deviation(spectral.coeffs)
-        if dev > HERMITIAN_REJECT_TOL:
-            raise CorruptedFieldError(
-                f"cannot reconstruct a real field: Hermitian deviation {dev:.3e} "
-                f"exceeds {HERMITIAN_REJECT_TOL:.1e}", dev)
+    dev = hermitian_deviation(spectral.coeffs)
+    if not dev <= HERMITIAN_REJECT_TOL:
+        raise CorruptedFieldError(
+            f"cannot reconstruct a real field: Hermitian deviation {dev:.3e} "
+            f"exceeds {HERMITIAN_REJECT_TOL:.1e}", dev)
     return ifftn(spectral.coeffs).real
 
 

@@ -279,6 +279,16 @@ class TestCliCommands:
         assert "diagnostics.sample_times[0]" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg_path]
 
+    @pytest.mark.parametrize("line", ["solver.tol = 1.0", "solver.tol = 1.5",
+                                      "solver.dt = inf"])
+    def test_solve_tol_and_dt_outside_solver_range_fail_at_parse(self, tmp_path,
+                                                                 capsys, line):
+        cfg_path = write_cfg(tmp_path, BASE_CFG + line + "\n")
+        rc = cli.main(["solve", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_CONFIG
+        assert line.split(" = ")[0] + ": must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     @pytest.mark.parametrize("exc, code", [
         (ConfigError(["grid.n: bad"]), EXIT_CONFIG),
         (gio.FormatError("bad header"), EXIT_CONFIG),
@@ -380,6 +390,23 @@ class TestCliCommands:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert gio.INCREMENTS_FILE in err and "Hermitian deviation" in err
+        assert not (tmp_path / "diag").exists()
+
+    def test_diagnose_rejects_nan_interior_increment(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, BASE_CFG)
+        assert cli.main(["solve", str(cfg_path), "--out",
+                         str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        trajectory = tmp_path / "run" / "trajectory"
+        traj = gio.read_trajectory(trajectory)
+        plane, _ = band_plane_pairs(traj.grid, traj.band_kind)
+        pos = int(np.setdiff1d(np.arange(traj.increments.shape[-1]), plane)[0])
+        helpers.shift_increment(trajectory, (-1, 0, pos), np.nan)
+        rc = cli.main(["diagnose", str(trajectory), str(cfg_path),
+                       "--out", str(tmp_path / "diag")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert gio.INCREMENTS_FILE in err and "non-finite" in err
         assert not (tmp_path / "diag").exists()
 
     def test_report_command(self, tmp_path, capsys):

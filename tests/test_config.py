@@ -1,7 +1,11 @@
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from gnsflow import runner
 from gnsflow.config import (
     ConfigError,
     ScenarioConfig,
@@ -233,3 +237,39 @@ class TestDerivedObjects:
         assert sc.n_times == 11
         assert sc.quad_order == 4
         assert sc.gamma == 1.5
+
+
+class TestSingleKeyRules:
+    @pytest.mark.parametrize("line, key", [
+        ("solver.tol = 1.0", "solver.tol"), ("solver.tol = 1.5", "solver.tol"),
+        ("solver.dt = inf", "solver.dt")])
+    def test_values_the_solver_rejects_are_config_errors(self, line, key):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(line + "\n")
+        assert [p.split(":")[0] for p in exc.value.problems] == [key]
+
+    # every key whose value reaches Grid, SolverConfig or DataParams
+    CONSTRUCTOR_KEYS = ("grid.n", "grid.period", "grid.dealias_fraction",
+                        "solver.t_final", "solver.n_times", "solver.quad_order",
+                        "solver.tol", "solver.max_iter", "physics.gamma",
+                        "data.amplitude", "data.band_lo", "data.band_hi",
+                        "data.k_cut", "data.spectral_exponent")
+
+    @pytest.mark.parametrize("key", CONSTRUCTOR_KEYS)
+    @pytest.mark.parametrize("value", ["0", "-1", "1", "1.5", "inf", "nan"])
+    def test_parse_accepts_only_what_the_constructors_accept(self, key, value):
+        try:
+            cfg = parse_config_text(f"{key} = {value}\n")
+        except ConfigError:
+            return
+        cfg.build_grid()
+        cfg.solver_config()
+        runner.data_params(cfg)
+
+
+def test_reference_tables_list_exactly_the_declared_keys():
+    doc = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+    documented = re.findall(r"^\| `([a-z_]+\.[a-z0-9_]+)` \|", doc.read_text(), re.M)
+    declared = [f.metadata["key"] for f in fields(ScenarioConfig)]
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(declared)

@@ -264,6 +264,18 @@ class TestTrajectoryRoundTrip:
             gio.read_trajectory(tmp_path / "run")
 
     @pytest.mark.parametrize("band", ["kept", "all"])
+    def test_rejects_non_finite_interior_increment(self, rng, tmp_path, band):
+        # off the kz = 0 and kz = n/2 planes no Hermitian pair check sees it
+        traj = (picard_traj() if band == "kept"
+                else heat_traj(make_field(build_grid(8), rng), [0.0, 0.005, 0.01]))
+        gio.write_trajectory(tmp_path / "run", traj)
+        plane, _ = band_plane_pairs(traj.grid, band)
+        pos = int(np.setdiff1d(np.arange(traj.increments.shape[-1]), plane)[0])
+        helpers.shift_increment(tmp_path / "run", (-1, 0, pos), np.nan)
+        with pytest.raises(CorruptedFieldError, match=gio.INCREMENTS_FILE):
+            gio.read_trajectory(tmp_path / "run")
+
+    @pytest.mark.parametrize("band", ["kept", "all"])
     def test_symmetrizes_plane_increments_within_tolerance(self, rng, tmp_path, band):
         traj = (picard_traj() if band == "kept"
                 else heat_traj(make_field(build_grid(8), rng), [0.0, 0.005, 0.01]))

@@ -79,7 +79,7 @@ class TestSolverConfig:
         {"t_final": 0.0}, {"t_final": -1.0}, {"t_final": math.inf},
         {"t_final": 0.01, "n_times": 1}, {"t_final": 0.01, "quad_order": 0},
         {"t_final": 0.01, "tol": 0.0}, {"t_final": 0.01, "tol": 1.5},
-        {"t_final": 0.01, "max_iter": 0}, {"t_final": 0.01, "dt": 0.0},
+        {"t_final": 0.01, "max_iter": 0},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):

@@ -115,6 +115,15 @@ class TestTransforms:
         c[1, 2, 3] += 1e-12
         inverse_transform(SpectralField(grid8, c))  # below rejection threshold
 
+    def test_non_finite_coefficient_rejected(self, grid8, rng):
+        c = random_hermitian_coeffs(grid8, rng)
+        c[1, 2, 3] = np.nan
+        field = SpectralField(grid8, c)
+        with pytest.raises(CorruptedFieldError):
+            field.check_symmetry()
+        with pytest.raises(CorruptedFieldError):
+            inverse_transform(field)
+
     def test_shape_mismatch_rejected(self, grid8):
         with pytest.raises(ValueError):
             forward_transform(grid8, np.zeros((4, 4, 4)))
