@@ -130,8 +130,7 @@ def _cmd_selftest(args) -> int:
     check("heat factor", float(np.max(np.abs(
         hf - np.exp(-t * np.asarray(grid.k_sq))))) <= 1e-13)
 
-    stack = np.stack([np.asarray(forward_transform(grid,
-                                                   rng.standard_normal(grid.shape)).coeffs)
+    stack = np.stack([forward_transform(grid, rng.standard_normal(grid.shape))
                       for _ in range(3)])
     stack *= np.asarray(grid.dealias_mask)
     u = velocity_from_stack(grid, leray_project_stack(grid, stack))

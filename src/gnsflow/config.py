@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from .initial_data import DATA_KINDS
 from .solver import SolverConfig
 from .spectral import Grid, build_grid
@@ -66,6 +64,8 @@ def _at_least(lo):
 _POSITIVE = _rule(lambda x: x > 0.0, "positive")
 _POSITIVE_FINITE = _rule(lambda x: x > 0.0 and math.isfinite(x), "positive and finite")
 _OPEN_UNIT = _rule(lambda x: 0.0 < x < 1.0, "in (0, 1)")
+# increments.gsi stores the number of lattice times as a uint32
+_UINT32 = _rule(lambda x: x <= 2**32 - 1, "<= 2^32 - 1")
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,8 @@ class ScenarioConfig:
     grid_dealias_fraction: float = _key("grid.dealias_fraction", "float", 2.0 / 3.0,
                                         _rule(lambda x: 0.0 < x <= 1.0, "in (0, 1]"))
     solver_t_final: float = _key("solver.t_final", "float", 0.01, _POSITIVE_FINITE)
-    solver_n_times: int = _key("solver.n_times", "int", 33, _at_least(2))
+    solver_n_times: int = _key("solver.n_times", "int", 33,
+                               lambda m: _at_least(2)(m) or _UINT32(m))
     solver_quad_order: int = _key("solver.quad_order", "int", 2,
                                   _rule(lambda q: 1 <= q <= 12, "in [1, 12]"))
     solver_tol: float = _key("solver.tol", "float", 1e-8, _OPEN_UNIT)
@@ -262,15 +263,22 @@ def parse_config(path: Path) -> ScenarioConfig:
     return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
+def _lattice_point(t_final: float, n_times: int, i: int) -> float:
+    """np.linspace(0, t_final, n_times)[i] bit for bit, without the array."""
+    if i == n_times - 1:
+        return t_final
+    step = t_final / (n_times - 1)
+    return i * step if step else i / (n_times - 1) * t_final
+
+
 def _resolve_auto(values: dict) -> None:
     if values["data_spectral_exponent"] == "auto":
         values["data_spectral_exponent"] = values["physics_gamma"] + 2.0
     if values["diagnostics_sample_times"] == "auto":
         t, m = values["solver_t_final"], values["solver_n_times"]
         if isinstance(t, float) and t > 0.0 and isinstance(m, int) and m >= 2:
-            lattice = np.linspace(0.0, t, m)
             idx = sorted({max(1, (m - 1) // 4), max(1, (m - 1) // 2), m - 1})
-            values["diagnostics_sample_times"] = tuple(float(lattice[i]) for i in idx)
+            values["diagnostics_sample_times"] = tuple(_lattice_point(t, m, i) for i in idx)
         else:
             values["diagnostics_sample_times"] = ()
 
@@ -331,8 +339,7 @@ def _validate(v: dict) -> list[str]:
     times = v["diagnostics_sample_times"]
     if isinstance(times, tuple):
         t_final, n_times = v["solver_t_final"], v["solver_n_times"]
-        lattice_ok = t_final > 0.0 and n_times >= 2
-        lattice = np.linspace(0.0, t_final, n_times) if lattice_ok else None
+        lattice_ok = 0.0 < t_final < math.inf and n_times >= 2
         tol = 1e-9 * max(1.0, t_final)
         # lambda_subcritical is defined for t < 1/e, beta and lambda_critical for t < 1
         limit = {"subcritical": (1.0 / math.e, "1/e"),
@@ -346,7 +353,12 @@ def _validate(v: dict) -> list[str]:
                 p.append(f"diagnostics.sample_times[{i}]: {t!r} is not below "
                          f"{limit[1]}, the end of the {v['diagnostics_mode']} "
                          f"bound's time domain")
-            if lattice is not None and float(np.min(np.abs(lattice - t))) > tol:
+            if not lattice_ok:
+                continue
+            # the lattice point nearest t is one of those next to t / step
+            j = round(min(t / t_final, 1.0) * (n_times - 1))
+            if min(abs(_lattice_point(t_final, n_times, k) - t)
+                   for k in range(max(0, j - 2), min(n_times, j + 3))) > tol:
                 p.append(f"diagnostics.sample_times[{i}]: {t!r} is not on the "
                          f"solver time lattice (t_final={t_final}, "
                          f"n_times={n_times})")

@@ -225,6 +225,42 @@ def write_trajectory(directory: Path, traj: Trajectory,
     return manifest_path
 
 
+def read_json(path: Path):
+    """The JSON document in path; FormatError naming path if it is not JSON."""
+    try:
+        with open(path, "rb") as fh:
+            return json.loads(fh.read())
+    except ValueError as exc:
+        raise FormatError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _manifest_fields(path: Path) -> tuple[Grid, np.ndarray, str, dict[str, str]]:
+    """The grid, times, band kind and file digests of a trajectory manifest;
+    FormatError naming path for a missing key or a value of the wrong type
+    or range."""
+    manifest = read_json(path)
+    try:
+        if manifest["format"] != TRAJECTORY_FORMAT:
+            raise ValueError(f"format {manifest['format']!r}, expected {TRAJECTORY_FORMAT!r}")
+        g = manifest["grid"]
+        grid = build_grid(g["n_per_axis"], period=g["period"],
+                          dealias_fraction=g["dealias_fraction"])
+        times = np.array(manifest["times"], dtype=np.float64)
+        if not (times.ndim == 1 and times.size and times[0] == 0.0
+                and np.all(np.diff(times) > 0.0) and np.isfinite(times[-1])):
+            raise ValueError("times must rise strictly from 0 to a finite end")
+        band_kind = manifest["band"]
+        if band_kind not in ("kept", "all"):
+            raise ValueError(f"band must be 'kept' or 'all', got {band_kind!r}")
+        digests = {entry["name"]: entry["sha256"] for entry in manifest["files"]}
+        if set(digests) != {U0_FILE, INCREMENTS_FILE}:
+            raise ValueError(f"files {sorted(map(str, digests))}, expected "
+                             f"{sorted((U0_FILE, INCREMENTS_FILE))}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad or missing entry: {exc}") from None
+    return grid, times, band_kind, digests
+
+
 def read_trajectory(manifest_path: Path) -> Trajectory:
     """Reload a trajectory from its manifest; verifies sha256 and grid match.
 
@@ -236,30 +272,15 @@ def read_trajectory(manifest_path: Path) -> Trajectory:
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != TRAJECTORY_FORMAT:
-        raise FormatError(f"{manifest_path}: format {manifest.get('format')!r}, "
-                          f"expected {TRAJECTORY_FORMAT!r}")
-    g = manifest["grid"]
-    grid = build_grid(g["n_per_axis"], period=g["period"],
-                      dealias_fraction=g["dealias_fraction"])
+    grid, times, band_kind, digests = _manifest_fields(manifest_path)
     directory = manifest_path.parent
-    times = np.asarray(manifest["times"], dtype=float)
-    try:
-        band = band_modes(grid, manifest["band"])
-    except ValueError as exc:
-        raise FormatError(f"{manifest_path}: {exc}") from None
-    digests = {entry["name"]: entry["sha256"] for entry in manifest["files"]}
-    if set(digests) != {U0_FILE, INCREMENTS_FILE}:
-        raise FormatError(f"{manifest_path}: files {sorted(digests)}, expected "
-                          f"{sorted((U0_FILE, INCREMENTS_FILE))}")
 
     path = directory / U0_FILE
     data = _sha256_file(path, digests[U0_FILE])
     if _field_grid(path, data) != grid:
         raise FormatError(f"{path}: grid differs from manifest grid")
     u0 = _checked_half(path, grid, data)
+    band = band_modes(grid, band_kind)
 
     path = directory / INCREMENTS_FILE
     data = _sha256_file(path, digests[INCREMENTS_FILE])
@@ -280,7 +301,7 @@ def read_trajectory(manifest_path: Path) -> Trajectory:
     if not np.isfinite(increments.view("<f8")).all():
         raise CorruptedFieldError(f"{path}: non-finite increment values", math.nan)
     increments = increments.reshape(count * 3, size)
-    plane, partner = band_plane_pairs(grid, manifest["band"])
+    plane, partner = band_plane_pairs(grid, band_kind)
     ours = increments[:, plane]
     fixed = _real_field_in(path, _real_field, ours, np.conj(increments[:, partner]))
     if fixed is not ours:
@@ -288,7 +309,7 @@ def read_trajectory(manifest_path: Path) -> Trajectory:
         increments[:, partner] = np.conj(fixed)
         increments[:, plane] = fixed
     increments = increments.reshape(count, 3, size)
-    return Trajectory.from_increments(grid, times, u0, increments, band=manifest["band"])
+    return Trajectory.from_increments(grid, times, u0, increments, band=band_kind)
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

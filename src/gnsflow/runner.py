@@ -7,7 +7,6 @@ inconclusive radius fit, an internal error).
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import shutil
@@ -328,47 +327,54 @@ def diagnose_trajectory(manifest_path: Path, cfg: ScenarioConfig,
     return report
 
 
+def _report_columns(path: Path) -> tuple[float, dict[str, list[float]]]:
+    """gamma and the report.json columns the curves plot; FormatError naming
+    path for a missing key, a wrong value or columns of unequal length."""
+    doc = gio.read_json(path)
+    try:
+        rows = {name: [float(v) for v in doc["rows"][name]]
+                for name in ("t", "ratio", "measured_radius", "predictor")}
+        if len({len(column) for column in rows.values()}) != 1:
+            raise ValueError("rows columns differ in length")
+        return float(doc["gamma"]), rows
+    except (KeyError, TypeError, ValueError) as exc:
+        raise gio.FormatError(f"{path}: bad or missing entry: {exc}") from None
+
+
 def emit_plot_data(artifacts_dir: Path) -> list[Path]:
     """Write whitespace-separated .dat curves from a finished run directory.
 
     ratio_vs_time.dat    t, measured/predicted radius ratio
     radius_vs_time.dat   t, measured radius, predicted lower bound
     eta_vs_j.dat         J, tail height at the trajectory horizon
-    Non-finite values use the inf/-inf/nan sentinels.
+    Non-finite values use inf/-inf/nan; bad input raises before any write.
     """
     artifacts_dir = Path(artifacts_dir)
     report_path = artifacts_dir / "report.json"
     if not report_path.exists():
         raise ScenarioError(f"no report.json in {artifacts_dir}", EXIT_CONFIG)
-    with open(report_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    rows = doc["rows"]
-
-    def revive(values):
-        return [float(v) for v in values]
+    gamma, rows = _report_columns(report_path)
+    traj = gio.read_trajectory(artifacts_dir / "trajectory")
 
     written = []
 
     path = artifacts_dir / "ratio_vs_time.dat"
     lines = ["# t ratio (non-finite values: inf/-inf/nan)"]
-    for t, r in zip(revive(rows["t"]), revive(rows["ratio"])):
+    for t, r in zip(rows["t"], rows["ratio"]):
         lines.append(f"{gio.format_float(t)} {gio.format_float(r)}")
     gio.write_text(path, "\n".join(lines) + "\n")
     written.append(path)
 
     path = artifacts_dir / "radius_vs_time.dat"
     lines = ["# t measured_radius predicted_bound (non-finite values: inf/-inf/nan)"]
-    for t, m, pr in zip(revive(rows["t"]), revive(rows["measured_radius"]),
-                        revive(rows["predictor"])):
+    for t, m, pr in zip(rows["t"], rows["measured_radius"], rows["predictor"]):
         lines.append(f"{gio.format_float(t)} {gio.format_float(m)} "
                      f"{gio.format_float(pr)}")
     gio.write_text(path, "\n".join(lines) + "\n")
     written.append(path)
 
-    traj = gio.read_trajectory(artifacts_dir / "trajectory")
     grid = traj.grid
     horizon = traj.horizon
-    gamma = float(doc["gamma"])
     n_points = max(2, len(rows["t"]))
     j_lo = 100.0 * grid.spacing
     j_hi = 100.0 * grid.k_max

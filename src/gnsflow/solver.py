@@ -231,9 +231,6 @@ class Trajectory:
                 f"(nearest lattice time: {float(self.times[idx])!r})")
         return idx
 
-    def state_at(self, t: float) -> VelocityField:
-        return self.states[self.index_at_time(t)]
-
     @cached_property
     def tail_tables(self) -> dict[float, np.ndarray]:
         """Per-gamma running-max tail tables, filled by the diagnostics on first use."""

@@ -10,15 +10,15 @@ A real field's coefficients satisfy c(-k) = conj c(k), so the half spectrum
 ``coeffs[..., :n//2+1]`` (the ``rfftn`` layout) determines them. Every field
 the package computes on is such a half spectrum, and the reductions
 (``weighted_l2_stack``, ``weighted_tail_sums``, ``shell_reduce_max``) take
-that layout only. The full lattice is used by ``SpectralField`` and its
-transforms, and at the edges: ``to_half`` and ``to_full`` convert between
-the two layouts.
+that layout only. The full lattice is used only at the edges: by the array
+transforms ``forward_transform`` and ``inverse_transform``, and by
+``to_half`` and ``to_full``, which convert between the two layouts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -26,7 +26,6 @@ import scipy.fft
 
 __all__ = [
     "Grid",
-    "SpectralField",
     "ShellSpectrum",
     "CorruptedFieldError",
     "build_grid",
@@ -36,7 +35,6 @@ __all__ = [
     "irfftn",
     "to_half",
     "to_full",
-    "dealias",
     "shell_reduce_max",
     "weighted_l2_stack",
     "weighted_tail_sums",
@@ -47,8 +45,7 @@ __all__ = [
     "get_fft_workers",
 ]
 
-# Hermitian symmetry: construction tolerance vs. reconstruction rejection.
-HERMITIAN_BUILD_TOL = 1e-12
+# Hermitian symmetry: deviation beyond which data is not a real field.
 HERMITIAN_REJECT_TOL = 1e-9
 
 # exp() overflow guard, natural-log units.
@@ -347,35 +344,8 @@ def to_full(grid: Grid, half: np.ndarray) -> np.ndarray:
     return full
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """A scalar periodic field stored by its full (n, n, n) spectral coefficients.
-
-    Construction does not check Hermitian symmetry: check_symmetry tests it
-    against HERMITIAN_BUILD_TOL on demand, and inverse_transform rejects data
-    beyond HERMITIAN_REJECT_TOL. Both reject non-finite coefficients.
-    """
-
-    grid: Grid
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        c = self.coeffs
-        if c.shape != self.grid.shape:
-            raise ValueError(f"coefficient shape {c.shape} does not match grid {self.grid.shape}")
-        if c.dtype != np.complex128:
-            object.__setattr__(self, "coeffs", c.astype(np.complex128))
-
-    def check_symmetry(self, tol: float = HERMITIAN_BUILD_TOL) -> float:
-        dev = hermitian_deviation(self.coeffs)
-        if not dev <= tol:
-            raise CorruptedFieldError(
-                f"spectral field breaks Hermitian symmetry: deviation {dev:.3e} > {tol:.1e}", dev)
-        return dev
-
-
-def forward_transform(grid: Grid, physical: np.ndarray) -> SpectralField:
-    """Transform a real physical-space array into a SpectralField."""
+def forward_transform(grid: Grid, physical: np.ndarray) -> np.ndarray:
+    """Full (n, n, n) spectral coefficients of a real physical-space array."""
     arr = np.asarray(physical)
     if arr.shape != grid.shape:
         raise ValueError(f"physical array shape {arr.shape} does not match grid {grid.shape}")
@@ -383,26 +353,24 @@ def forward_transform(grid: Grid, physical: np.ndarray) -> SpectralField:
         if np.max(np.abs(arr.imag)) > 0.0:
             raise ValueError("physical values must be real")
         arr = arr.real
-    return SpectralField(grid, fftn(arr.astype(np.float64)))
+    return fftn(arr.astype(np.float64))
 
 
-def inverse_transform(spectral: SpectralField) -> np.ndarray:
-    """Reconstruct real physical values; rejects non-Hermitian input.
+def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
+    """Real physical values of full (n, n, n) coefficients; rejects a
+    non-cubic array (ValueError) and non-Hermitian input.
 
     Symmetry deviation above HERMITIAN_REJECT_TOL, or a non-finite one,
     raises CorruptedFieldError.
     """
-    dev = hermitian_deviation(spectral.coeffs)
+    if coeffs.ndim != 3 or len(set(coeffs.shape)) != 1:
+        raise ValueError(f"expected cubic (n, n, n) coefficients, got shape {coeffs.shape}")
+    dev = hermitian_deviation(coeffs)
     if not dev <= HERMITIAN_REJECT_TOL:
         raise CorruptedFieldError(
             f"cannot reconstruct a real field: Hermitian deviation {dev:.3e} "
             f"exceeds {HERMITIAN_REJECT_TOL:.1e}", dev)
-    return ifftn(spectral.coeffs).real
-
-
-def dealias(spectral: SpectralField) -> SpectralField:
-    """Zero all modes with any |alias| above dealias_fraction * n/2 (keep-mask rule)."""
-    return SpectralField(spectral.grid, spectral.coeffs * spectral.grid.dealias_mask)
+    return ifftn(coeffs).real
 
 
 @dataclass(frozen=True)

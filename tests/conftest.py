@@ -24,6 +24,19 @@ def grid16() -> spectral.Grid:
     return spectral.build_grid(16)
 
 
+@pytest.fixture
+def small_linspace(monkeypatch):
+    """numpy.linspace that fails fast beyond 10^6 points: a config with a huge
+    solver.n_times must never build its time lattice while it is parsed."""
+    real = np.linspace
+
+    def bounded(start, stop, num=50, **kwargs):
+        if num > 10**6:
+            raise AssertionError(f"linspace over {num} points")
+        return real(start, stop, num, **kwargs)
+    monkeypatch.setattr(np, "linspace", bounded)
+
+
 def random_hermitian_coeffs(grid: spectral.Grid, rng: np.random.Generator,
                             scale: float = 1.0) -> np.ndarray:
     """Random Hermitian-symmetric coefficients (via a real physical field)."""

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -289,6 +291,16 @@ class TestCliCommands:
         assert line.split(" = ")[0] + ": must be" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg_path]
 
+    @pytest.mark.parametrize("n_times", [2**32, 2**64])
+    def test_solve_n_times_beyond_uint32_fails_at_parse(self, tmp_path, capsys,
+                                                        small_linspace, n_times):
+        cfg_path = write_cfg(tmp_path, BASE_CFG.replace("solver.n_times = 9",
+                                                        f"solver.n_times = {n_times}"))
+        rc = cli.main(["solve", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_CONFIG
+        assert f"solver.n_times: must be <= 2^32 - 1, got {n_times}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     @pytest.mark.parametrize("exc, code", [
         (ConfigError(["grid.n: bad"]), EXIT_CONFIG),
         (gio.FormatError("bad header"), EXIT_CONFIG),
@@ -446,3 +458,147 @@ class TestCliCommands:
             assert get_fft_workers() == 2
         finally:
             set_fft_workers(1)
+
+
+def _rewrite_json(edit):
+    """A corruption that applies edit to the parsed document and writes it back."""
+    def corrupt(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return corrupt
+
+
+def _not_json(path):
+    path.write_text(path.read_text()[:-10])
+
+
+MANIFEST_CORRUPTIONS = {
+    "not_json": _not_json,
+    "not_an_object": lambda path: path.write_text(f"[{path.read_text()}]"),
+    "missing_band": _rewrite_json(lambda m: m.pop("band")),
+    "missing_times": _rewrite_json(lambda m: m.pop("times")),
+    "missing_file_name": _rewrite_json(lambda m: m["files"][0].pop("name")),
+    "missing_grid_period": _rewrite_json(lambda m: m["grid"].pop("period")),
+    "grid_n_is_text": _rewrite_json(lambda m: m["grid"].update(n_per_axis="16")),
+    "grid_n_odd": _rewrite_json(lambda m: m["grid"].update(n_per_axis=15)),
+    "grid_not_an_object": _rewrite_json(lambda m: m.update(grid=16)),
+    "times_not_a_list": _rewrite_json(lambda m: m.update(times=0.02)),
+    "times_hold_text": _rewrite_json(lambda m: m["times"].__setitem__(1, "soon")),
+    "times_nested": _rewrite_json(lambda m: m.update(times=[m["times"]])),
+    "times_not_increasing": _rewrite_json(lambda m: m["times"].reverse()),
+    "band_unknown": _rewrite_json(lambda m: m.update(band="some")),
+    "band_not_text": _rewrite_json(lambda m: m.update(band=["kept"])),
+    "files_not_a_list": _rewrite_json(lambda m: m.update(files="u0.gsf")),
+    "file_name_not_text": _rewrite_json(lambda m: m["files"][0].update(name=3)),
+}
+
+REPORT_CORRUPTIONS = {
+    "not_json": _not_json,
+    "missing_rows": _rewrite_json(lambda d: d.pop("rows")),
+    "missing_ratio": _rewrite_json(lambda d: d["rows"].pop("ratio")),
+    "missing_gamma": _rewrite_json(lambda d: d.pop("gamma")),
+    "ratio_holds_text": _rewrite_json(lambda d: d["rows"]["ratio"].__setitem__(0, "big")),
+    "ratio_not_a_list": _rewrite_json(lambda d: d["rows"].update(ratio=1.0)),
+    "columns_differ_in_length": _rewrite_json(lambda d: d["rows"]["t"].pop()),
+}
+
+
+@pytest.fixture(scope="module")
+def solved_run(tmp_path_factory):
+    """One finished run of BASE_CFG, to be copied by each test that corrupts it."""
+    base = tmp_path_factory.mktemp("solved")
+    cfg_path = write_cfg(base, BASE_CFG)
+    assert cli.main(["solve", str(cfg_path), "--out", str(base / "run")]) == 0
+    return cfg_path, base / "run"
+
+
+class TestMalformedFiles:
+    """A malformed manifest.json or report.json is a file-format problem: exit 2,
+    with the file named on stderr and no output written."""
+
+    @pytest.mark.parametrize("command", ["diagnose", "report"])
+    @pytest.mark.parametrize("corrupt", MANIFEST_CORRUPTIONS.values(),
+                             ids=MANIFEST_CORRUPTIONS.keys())
+    def test_malformed_manifest(self, tmp_path, capsys, solved_run, command, corrupt):
+        cfg_path, solved = solved_run
+        run = shutil.copytree(solved, tmp_path / "run")
+        corrupt(run / "trajectory" / "manifest.json")
+        capsys.readouterr()
+        if command == "diagnose":
+            argv = ["diagnose", str(run / "trajectory"), str(cfg_path),
+                    "--out", str(tmp_path / "diag")]
+        else:
+            argv = ["report", str(run)]
+        assert cli.main(argv) == EXIT_CONFIG
+        assert "manifest.json" in capsys.readouterr().err
+        assert not (tmp_path / "diag").exists()
+        assert sorted(run.glob("*.dat")) == []
+
+    @pytest.mark.parametrize("corrupt", REPORT_CORRUPTIONS.values(),
+                             ids=REPORT_CORRUPTIONS.keys())
+    def test_malformed_report(self, tmp_path, capsys, solved_run, corrupt):
+        _, solved = solved_run
+        run = shutil.copytree(solved, tmp_path / "run")
+        corrupt(run / "report.json")
+        capsys.readouterr()
+        assert cli.main(["report", str(run)]) == EXIT_CONFIG
+        assert "report.json" in capsys.readouterr().err
+        assert sorted(run.glob("*.dat")) == []
+
+
+DIVERGING_CFG = """
+grid.n = 8
+data.kind = random_sobolev_tail
+data.amplitude = 1e6
+data.band_lo = 1.0
+data.band_hi = 3.0
+solver.t_final = 0.3
+solver.n_times = 8
+solver.max_iter = 10
+"""
+
+
+def _etd_blows_up(*args, **kwargs):
+    raise BlowupError("reference integrator overflowed", 0.005, 1e300)
+
+
+def _disk_full(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("text, patch, code, files, evidence", [
+    pytest.param(DIVERGING_CFG, None, EXIT_NO_CONVERGENCE,
+                 ["config.txt", "deltas.csv", "run.json"],
+                 {("run.json", "status"): "diverged",
+                  ("run.json", "picard", "residual_max"): "inf"},
+                 id="picard_diverges"),
+    pytest.param(BASE_CFG + "solver.etd_check = true\nsolver.dt = 0.001\n",
+                 (runner, "etd_integrate", _etd_blows_up), EXIT_ORACLE_DISAGREEMENT,
+                 ["config.txt", "run.json"],
+                 {("run.json", "status"): "oracle_disagreement",
+                  ("run.json", "etd_rel_error"): "inf",
+                  ("run.json", "picard", "converged"): True},
+                 id="etd_blows_up_after_converged_solve"),
+    pytest.param(BASE_CFG, (gio, "write_trajectory", _disk_full), EXIT_FAILURE,
+                 ["config.txt", "error.json", "norms.csv"],
+                 {("error.json", "error"): "OSError: [Errno 28] No space left on device"},
+                 id="trajectory_write_fails"),
+])
+def test_failure_classes_through_the_runner(tmp_path, capsys, monkeypatch, text, patch,
+                                            code, files, evidence):
+    """Each failure class ends in its exit code with its evidence published
+    under the output directory and no partial directory left behind."""
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    cfg_path = write_cfg(tmp_path, text)
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(cfg_path), "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in out.iterdir()) == files
+    for (name, *keys), want in evidence.items():
+        doc = json.loads((out / name).read_text())
+        for key in keys:
+            doc = doc[key]
+        assert doc == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run", cfg_path.name]

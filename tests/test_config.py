@@ -3,6 +3,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gnsflow import runner
@@ -192,6 +193,34 @@ class TestErrorCollection:
         cfg = parse_config_text(
             "solver.etd_check = true\nsolver.t_final = 0.01\nsolver.dt = 0.0001\n")
         assert cfg.solver_etd_check
+
+
+@pytest.mark.usefixtures("small_linspace")
+class TestTimeLatticeSize:
+    @pytest.mark.parametrize("n_times", [2**32, 2**64])
+    def test_n_times_beyond_uint32_is_named(self, n_times):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"solver.n_times = {n_times}\n")
+        assert exc.value.problems == [
+            f"solver.n_times: must be <= 2^32 - 1, got {n_times}"]
+
+    def test_largest_n_times_parses_without_building_the_lattice(self):
+        cfg = parse_config_text("solver.t_final = 0.01\nsolver.n_times = 4294967295\n")
+        m = 2**32 - 1
+        step = 0.01 / (m - 1)
+        assert cfg.diagnostics_sample_times == ((m - 1) // 4 * step, (m - 1) // 2 * step, 0.01)
+        cfg = parse_config_text("solver.t_final = 0.01\nsolver.n_times = 4294967295\n"
+                                "diagnostics.sample_times = 0.0025, 0.005\n")
+        assert cfg.diagnostics_sample_times == (0.0025, 0.005)
+
+    @pytest.mark.parametrize("t_final", [0.01, 0.02, 0.5])
+    @pytest.mark.parametrize("n_times", [2, 3, 5, 10, 33, 101, 4097])
+    def test_auto_sample_times_are_linspace_points(self, t_final, n_times):
+        cfg = parse_config_text(f"solver.t_final = {t_final}\nsolver.n_times = {n_times}\n"
+                                "diagnostics.mode = critical\nphysics.gamma = 0.5\n")
+        lattice = np.linspace(0.0, t_final, n_times)
+        idx = sorted({max(1, (n_times - 1) // 4), max(1, (n_times - 1) // 2), n_times - 1})
+        assert cfg.diagnostics_sample_times == tuple(float(lattice[i]) for i in idx)
 
 
 class TestCanonicalForm:

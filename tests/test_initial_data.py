@@ -12,7 +12,7 @@ from gnsflow.initial_data import (
     taylor_green,
 )
 from gnsflow.operators import stack_coefficients
-from gnsflow.spectral import SpectralField, build_grid, hermitian_deviation, inverse_transform
+from gnsflow.spectral import build_grid, hermitian_deviation, inverse_transform
 
 ALL_KINDS = ("taylor_green", "single_mode", "random_sobolev_tail",
              "compact_spectrum")
@@ -24,7 +24,7 @@ def field_kwargs(kind):
 
 def physical_values(u):
     """The three real components of u on the physical grid."""
-    return [inverse_transform(SpectralField(u.grid, c)) for c in stack_coefficients(u)]
+    return [inverse_transform(c) for c in stack_coefficients(u)]
 
 
 class TestCommonGuarantees:

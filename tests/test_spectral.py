@@ -10,9 +10,7 @@ from conftest import random_hermitian_coeffs
 from gnsflow import spectral
 from gnsflow.spectral import (
     CorruptedFieldError,
-    SpectralField,
     build_grid,
-    dealias,
     forward_transform,
     hermitian_deviation,
     hermitian_symmetrize,
@@ -74,9 +72,9 @@ class TestTransforms:
         assert rel <= 1e-12
 
     def test_constant_field_maps_to_zero_mode(self, grid8):
-        f = forward_transform(grid8, np.full(grid8.shape, 3.25))
-        assert f.coeffs[0, 0, 0] == pytest.approx(3.25, abs=1e-14)
-        others = np.abs(f.coeffs).copy()
+        c = forward_transform(grid8, np.full(grid8.shape, 3.25))
+        assert c[0, 0, 0] == pytest.approx(3.25, abs=1e-14)
+        others = np.abs(c)
         others[0, 0, 0] = 0.0
         assert np.max(others) <= 1e-14
 
@@ -86,7 +84,7 @@ class TestTransforms:
         g = build_grid(16, period=period)
         x = np.arange(16) * (2 * math.pi / 16)
         phys = np.cos(x)[:, None, None] * np.ones(g.shape)
-        c = forward_transform(g, phys).coeffs
+        c = forward_transform(g, phys)
         assert c[1, 0, 0] == pytest.approx(0.5, abs=1e-14)
         assert c[-1, 0, 0] == pytest.approx(0.5, abs=1e-14)
         zeroed = np.abs(c).copy()
@@ -95,40 +93,41 @@ class TestTransforms:
 
     def test_parseval(self, grid16, rng):
         phys = rng.standard_normal(grid16.shape)
-        f = forward_transform(grid16, phys)
-        lhs, rhs = helpers.oracle_parseval(phys, f.coeffs)
+        lhs, rhs = helpers.oracle_parseval(phys, forward_transform(grid16, phys))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_forward_transform_output_is_hermitian(self, grid16, rng):
-        f = forward_transform(grid16, rng.standard_normal(grid16.shape))
-        assert f.check_symmetry() <= 1e-12
+        c = forward_transform(grid16, rng.standard_normal(grid16.shape))
+        assert c.shape == grid16.shape and c.dtype == np.complex128
+        assert hermitian_deviation(c) <= 1e-12
 
     def test_inverse_rejects_corrupted_field(self, grid8):
         c = np.zeros(grid8.shape, dtype=complex)
         c[1, 0, 0] = 1.0  # missing conjugate partner
         with pytest.raises(CorruptedFieldError) as exc:
-            inverse_transform(SpectralField(grid8, c))
+            inverse_transform(c)
         assert exc.value.deviation > 1e-9
 
     def test_inverse_accepts_tiny_asymmetry(self, grid8, rng):
         c = random_hermitian_coeffs(grid8, rng)
         c[1, 2, 3] += 1e-12
-        inverse_transform(SpectralField(grid8, c))  # below rejection threshold
+        inverse_transform(c)  # below rejection threshold
 
     def test_non_finite_coefficient_rejected(self, grid8, rng):
         c = random_hermitian_coeffs(grid8, rng)
         c[1, 2, 3] = np.nan
-        field = SpectralField(grid8, c)
-        with pytest.raises(CorruptedFieldError):
-            field.check_symmetry()
-        with pytest.raises(CorruptedFieldError):
-            inverse_transform(field)
+        with pytest.raises(CorruptedFieldError) as exc:
+            inverse_transform(c)
+        assert math.isnan(exc.value.deviation)
 
     def test_shape_mismatch_rejected(self, grid8):
         with pytest.raises(ValueError):
             forward_transform(grid8, np.zeros((4, 4, 4)))
-        with pytest.raises(ValueError):
-            SpectralField(grid8, np.zeros((4, 4, 4), dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 8, 5), (3, 8, 8, 8)])
+    def test_inverse_rejects_non_cubic_coefficients(self, shape):
+        with pytest.raises(ValueError, match="cubic"):
+            inverse_transform(np.zeros(shape, dtype=complex))
 
     def test_hermitian_symmetrize_is_projection(self, grid8, rng):
         c = rng.standard_normal(grid8.shape) + 1j * rng.standard_normal(grid8.shape)
@@ -147,36 +146,27 @@ class TestTransforms:
 
 class TestDealias:
     def test_two_thirds_rule_boundary_on_32(self):
-        # n = 32: cutoff (2/3)*16 = 10.67 -> alias 10 kept, 12 zeroed
-        g = build_grid(32)
-        c = np.zeros(g.shape, dtype=complex)
-        c[12, 0, 0] = 1.0
-        c[-12, 0, 0] = 1.0
-        c[10, 0, 0] = 2.0
-        c[-10, 0, 0] = 2.0
-        out = dealias(SpectralField(g, c)).coeffs
-        assert out[12, 0, 0] == 0.0 and out[-12, 0, 0] == 0.0
-        assert out[10, 0, 0] == 2.0 and out[-10, 0, 0] == 2.0
+        # n = 32: cutoff (2/3)*16 = 10.67 -> alias 10 kept, 11 and 12 zeroed
+        mask = build_grid(32).dealias_mask
+        assert mask[10, 0, 0] and mask[-10, 0, 0] and mask[0, 10, -10]
+        assert not mask[11, 0, 0] and not mask[-12, 0, 0] and not mask[0, 0, 12]
 
-    def test_matches_direct_mask(self, grid16, rng):
-        c = random_hermitian_coeffs(grid16, rng)
-        out = dealias(SpectralField(grid16, c)).coeffs
-        np.testing.assert_array_equal(out, c * helpers.oracle_dealias_mask(16))
+    def test_matches_direct_mask(self, grid16):
+        mask = grid16.dealias_mask
+        assert mask.dtype == bool and not mask.flags.writeable
+        np.testing.assert_array_equal(mask, helpers.oracle_dealias_mask(16))
 
     def test_idempotent(self, grid16, rng):
-        f = SpectralField(grid16, random_hermitian_coeffs(grid16, rng))
-        once = dealias(f)
-        twice = dealias(once)
-        np.testing.assert_array_equal(once.coeffs, twice.coeffs)
+        mask = grid16.dealias_mask
+        once = random_hermitian_coeffs(grid16, rng) * mask
+        np.testing.assert_array_equal(once * mask, once)
 
     def test_preserves_hermitian_symmetry(self, grid16, rng):
-        f = SpectralField(grid16, random_hermitian_coeffs(grid16, rng))
-        assert dealias(f).check_symmetry() <= 1e-12
+        c = random_hermitian_coeffs(grid16, rng)
+        assert hermitian_deviation(c * grid16.dealias_mask) <= 1e-12
 
-    def test_fraction_one_keeps_everything(self, rng):
-        g = build_grid(8, dealias_fraction=1.0)
-        c = random_hermitian_coeffs(g, rng)
-        np.testing.assert_array_equal(dealias(SpectralField(g, c)).coeffs, c)
+    def test_fraction_one_keeps_everything(self):
+        assert np.all(build_grid(8, dealias_fraction=1.0).dealias_mask)
 
 
 class TestHalfSpectrum:
@@ -557,10 +547,10 @@ class TestWorkers:
 
     def test_setting_workers_does_not_change_results(self, grid8, rng):
         phys = rng.standard_normal(grid8.shape)
-        before = forward_transform(grid8, phys).coeffs
+        before = forward_transform(grid8, phys)
         spectral.set_fft_workers(2)
         try:
-            after = forward_transform(grid8, phys).coeffs
+            after = forward_transform(grid8, phys)
         finally:
             spectral.set_fft_workers(1)
         np.testing.assert_array_equal(before, after)
