@@ -90,12 +90,6 @@ class NormParams:
     def is_subcritical(self) -> bool:
         return self.gamma > 0.5 + 2.0 * self.delta
 
-    def require_subcritical(self) -> None:
-        if not self.is_subcritical:
-            raise ValueError(
-                f"subcritical regime requires gamma > 1/2 + 2*delta; got "
-                f"gamma={self.gamma}, delta={self.delta}")
-
 
 def sobolev_norm(u: VelocityField, s: float, homogeneous: bool) -> float:
     """Lattice-weighted Sobolev norm of a velocity field.

@@ -149,7 +149,10 @@ def _field_grid(path: Path, data: bytes) -> Grid:
         raise FormatError(f"{path}: unsupported version {version}")
     if ncomp != 3:
         raise FormatError(f"{path}: expected 3 components, header says {ncomp}")
-    grid = build_grid(n, period=period, dealias_fraction=frac)
+    try:
+        grid = build_grid(n, period=period, dealias_fraction=frac)
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad grid in header: {exc}") from None
     want = _HEADER.size + ncomp * n**3 * 16
     if len(data) != want:
         raise FormatError(f"{path}: payload size {len(data)} != expected {want}")

@@ -225,24 +225,27 @@ def stack_coefficients(u: VelocityField) -> np.ndarray:
     return to_full(u.grid, u.half_spectrum())
 
 
-def apply_Q_stack(coeffs: QCoefficients, grid: Grid, u_stack: np.ndarray,
-                  v_stack: np.ndarray | None = None) -> np.ndarray:
-    """Q(u, v) on half-spectrum (3, n, n, n//2+1) coefficient stacks (solver hot path).
+def apply_Q_stack(coeffs: QCoefficients, grid: Grid, u_phys: np.ndarray,
+                  v_phys: np.ndarray | None = None) -> np.ndarray:
+    """Q(u, v) from the physical values of real fields (solver hot path).
 
-    Every field is held by the half spectrum of a real field (the rfftn
-    layout). result_j = i * sum_{a,b} W[j,a,b] * dealias(rfftn(u_a v_b))
-    with the symmetrized multiplier of QCoefficients.pair_weights; the kz = 0
-    and kz = n/2 planes, which hold both k and -k, are then set to
+    u_phys and v_phys are (3, n, n, n) real arrays, the irfftn of the
+    fields' half spectra; each caller makes its own inverse transform, so a
+    caller that interpolates fields linearly can interpolate their physical
+    values instead. The result is the (3, n, n, n//2+1) half spectrum
+    result_j = i * sum_{a,b} W[j,a,b] * dealias(rfftn(u_a v_b)) with the
+    symmetrized multiplier of QCoefficients.pair_weights; the kz = 0 and
+    kz = n/2 planes, which hold both k and -k, are then set to
     (c(k) + conj c(-k)) / 2, so the full spectrum of the output is exactly
     Hermitian.
     """
-    same = v_stack is None or v_stack is u_stack
+    same = v_phys is None or v_phys is u_phys
     modes, _, plane, partner = grid.half_dealias_modes
     weights = coeffs.pair_weights(grid, same)
     pairs = _SAME_PAIRS if same else _ALL_PAIRS
 
-    u_phys = irfftn(u_stack)
-    v_phys = u_phys if same else irfftn(v_stack)
+    if same:
+        v_phys = u_phys
     products = np.empty((len(pairs),) + grid.shape)
     for p, (a, b) in enumerate(pairs):
         np.multiply(u_phys[a], v_phys[b], out=products[p])
@@ -267,9 +270,9 @@ def apply_Q(coeffs: QCoefficients, u: VelocityField, v: VelocityField) -> Veloci
     of Q's half spectrum."""
     if u.grid != v.grid:
         raise ValueError("apply_Q operands must share one grid")
-    u_stack = u.half_spectrum()
-    v_stack = None if v is u else v.half_spectrum()
-    return VelocityField.from_half(u.grid, apply_Q_stack(coeffs, u.grid, u_stack, v_stack))
+    u_phys = irfftn(u.half_spectrum())
+    v_phys = None if v is u else irfftn(v.half_spectrum())
+    return VelocityField.from_half(u.grid, apply_Q_stack(coeffs, u.grid, u_phys, v_phys))
 
 
 def leray_project_stack(grid: Grid, stack: np.ndarray) -> np.ndarray:

@@ -9,12 +9,16 @@ quadrature against the exact per-mode heat kernel.
 picard_solve marches the lattice causally (windowed waveform relaxation):
 interval [t_i, t_{i+1}] solves its own small fixed point
 u_{i+1} = e^{hL} u_i + int_{t_i}^{t_{i+1}} e^{(t_{i+1}-s)L} Q(u(s)) ds before
-the next interval starts. The defect each interval leaves behind is carried
-forward under the heat semigroup, which yields the per-time mild residual as
-a by-product of the march; mild_residual recomputes it independently.
+the next interval starts, from a cubic extrapolation of the states before
+it. The defect each interval leaves behind is carried forward under the heat
+semigroup, which yields the per-time mild residual as a by-product of the
+march; mild_residual recomputes it independently.
 
-The march, mild_residual and the ETD steps compute on the half spectrum
-(3, n, n, n//2+1) of the real fields (see operators.apply_Q_stack). A
+The march, mild_residual and the ETD steps hold states as the half spectrum
+(3, n, n, n//2+1) of the real fields. Q is evaluated from physical values
+(operators.apply_Q_stack): the march transforms each iterate once and
+interpolates in physical space, since irfftn is linear; mild_residual, the
+Duhamel integrals and ETD transform every state they hand to Q. A
 Trajectory holds its states as the heat flow of the initial data plus
 increments on a band of half-spectrum modes: state i is
 e^{t_i L} u0 + B_i, and a solver's B_i lives on the 2/3-rule kept modes
@@ -35,7 +39,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .operators import QCoefficients, VelocityField, apply_Q_stack, heat_factor
-from .spectral import Grid, plane_pairs, weighted_l2_stack
+from .spectral import Grid, irfftn, plane_pairs, weighted_l2_stack
 
 __all__ = [
     "SolverConfig",
@@ -274,12 +278,14 @@ def _lattice_quadrature(times: np.ndarray, state_at: Callable[[int], Sequence[np
                         integrand) -> np.ndarray:
     """int_lo^hi kernel(s) * integrand(*states(s)) ds over a time lattice.
 
-    state_at(j) gives the argument stacks at lattice time times[j], all in
-    one layout; states(s) interpolates each linearly in s between lattice
-    times, and each endpoint is fetched once per interval.
-    Every lattice interval meeting [lo, hi] gets a quad_order Gauss-Legendre
-    rule; kernel(s) is a scalar or a per-mode array. integrand must return
-    a new array: it is scaled in place.
+    state_at(j) gives the argument arrays at lattice time times[j] (half
+    spectra or physical values, whatever integrand takes); states(s)
+    interpolates each linearly in s between lattice times, and each endpoint
+    is fetched once per interval. Every lattice interval meeting [lo, hi]
+    gets a quad_order Gauss-Legendre rule; kernel(s) is a scalar or a
+    per-mode array. The accumulator takes the shape of integrand's output,
+    which need not be the endpoints' layout. integrand must return a new
+    array: it is scaled in place.
     """
     acc = None
     for i in range(len(times) - 1):
@@ -291,8 +297,6 @@ def _lattice_quadrature(times: np.ndarray, state_at: Callable[[int], Sequence[np
         mid = 0.5 * (seg_hi + seg_lo)
         inv_h = 1.0 / (t_hi - t_lo)
         ends = tuple(zip(state_at(i), state_at(i + 1)))
-        if acc is None:
-            acc = np.zeros(ends[0][0].shape, dtype=np.complex128)
         for x, w in _gauss_nodes(quad_order):
             s = mid + half * x
             theta = (s - t_lo) * inv_h
@@ -303,10 +307,19 @@ def _lattice_quadrature(times: np.ndarray, state_at: Callable[[int], Sequence[np
                 states.append(state)
             term = integrand(*states)
             term *= (w * half) * kernel(s)
-            acc += term
+            if acc is None:
+                acc = term
+            else:
+                acc += term
     if acc is None:
-        acc = np.zeros(state_at(0)[0].shape, dtype=np.complex128)
+        # [lo, hi] meets no interval: a zero of the integrand's shape
+        acc = np.zeros_like(integrand(*state_at(0)))
     return acc
+
+
+def _q_of_halves(coeffs: QCoefficients, grid: Grid, *halves: np.ndarray) -> np.ndarray:
+    """apply_Q_stack on half stacks, each transformed to physical values here."""
+    return apply_Q_stack(coeffs, grid, *(irfftn(h) for h in halves))
 
 
 def duhamel_B(coeffs: QCoefficients, u: Trajectory, v: Trajectory, t_eval: float,
@@ -331,7 +344,7 @@ def duhamel_B(coeffs: QCoefficients, u: Trajectory, v: Trajectory, t_eval: float
             return (u.half_state(j), v.half_state(j))
     acc = _lattice_quadrature(u.times, state_at, 0.0, t_eval, quad_order,
                               lambda s: heat_factor(grid, t_eval - s, half=True),
-                              partial(apply_Q_stack, coeffs, grid))
+                              partial(_q_of_halves, coeffs, grid))
     return VelocityField.from_half(grid, acc)
 
 
@@ -344,9 +357,9 @@ def _duhamel_lattice(coeffs: QCoefficients, grid: Grid, times: np.ndarray,
     Semigroup recursion:
     B_{i+1} = e^{-h L} B_i + int_{t_i}^{t_{i+1}} e^{-(t_{i+1}-s)L} Q ds, which
     matches the direct integral exactly for the per-mode heat kernel.
-    v_states = None means v = u.
+    v_states = None means v = u. Q's arguments are transformed at every node.
     """
-    integrand = partial(apply_Q_stack, coeffs, grid)
+    integrand = partial(_q_of_halves, coeffs, grid)
     walks = [iter(states)] if v_states is None else [iter(states), iter(v_states)]
     acc = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
     yield acc
@@ -387,10 +400,11 @@ class PicardReport:
 
 
 def _start_guess(times: np.ndarray, recent: Sequence[np.ndarray], i: int) -> np.ndarray:
-    """Lagrange extrapolation to times[i+1] through the states at the two
-    (i = 1) or three (i >= 2) lattice times ending at times[i]; recent holds
-    those states in time order."""
-    nodes = range(max(0, i - 2), i + 1)
+    """Lagrange extrapolation to times[i+1] through the states at the last
+    min(i + 1, 4) lattice times ending at times[i]: linear at i = 1,
+    quadratic at i = 2, cubic from i = 3 on. recent holds those states in
+    time order."""
+    nodes = range(max(0, i - 3), i + 1)
     target = float(times[i + 1])
     guess = np.zeros_like(recent[-1])
     for j, state in zip(nodes, recent):
@@ -415,11 +429,15 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
     """Solve u = e^{tL} u0 + B(u, u) on the config lattice, one interval at a time.
 
     Interval i, h = t_{i+1} - t_i, starts from the heat flow e^{hL} u0
-    (i = 0) or a Lagrange extrapolation of the states before it, and
-    iterates w <- e^{hL} u_i + int_{t_i}^{t_{i+1}} e^{(t_{i+1}-s)L}
-    Q(u(s)) ds with u linear between u_i and w. It stops when the H^gamma
-    update is at most min(tol / 100, 1e-13 * the update's norm) and accepts
-    w, the iterate whose Q values were evaluated. The defect d_i = w - w'
+    (i = 0) or a Lagrange extrapolation of the states before it (cubic from
+    i = 3 on, see _start_guess), and iterates w <- e^{hL} u_i +
+    int_{t_i}^{t_{i+1}} e^{(t_{i+1}-s)L} Q(u(s)) ds with u linear between
+    u_i and w. Each round transforms w to physical values once; Q's
+    argument at a Gauss node is (1 - theta) phys(u_i) + theta phys(w), where
+    phys(u_i) is the transform of the previous interval's accepted iterate
+    (of u0 at i = 0). It stops when the H^gamma update is at most
+    min(tol / 100, 1e-13 * the update's norm) and accepts w, the iterate
+    whose Q values were evaluated. The defect d_i = w - w'
     accumulates as R_{i+1} = e^{hL} R_i + d_i, which is the mild residual
     u(t_{i+1}) - e^{t_{i+1}L} u0 - B(u, u)(t_{i+1}) under the same
     quadrature, so the residual at every lattice time comes with the march.
@@ -428,7 +446,7 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
     (residual_max = inf); an interval still above the stop threshold after
     max_iter updates leaves the result not converged. Either stops the
     march, and the trajectory then ends at that interval's last iterate.
-    The march holds the three latest states only; the trajectory keeps each
+    The march holds the four latest states only; the trajectory keeps each
     accepted w as its increment over e^{tL} u0 on the kept modes.
     """
     grid = u0.grid
@@ -447,7 +465,8 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
     band = band_modes(grid, "kept")
     increments = np.empty((len(times), 3, band.size), dtype=np.complex128)
     increments[0] = 0.0
-    recent = deque([u0_half], maxlen=3)
+    recent = deque([u0_half], maxlen=4)
+    u_phys = irfftn(u0_half)
     defect = np.zeros_like(u0_half)
     residuals = [0.0]
     deltas: list[float] = []
@@ -462,9 +481,10 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
         base = propagator * u_i
         w = base if i == 0 else _start_guess(times, recent, i)
         for rounds in range(1, config.max_iter + 1):
+            w_phys = irfftn(w)
             update = base + _lattice_quadrature(
-                times[i:i + 2], lambda j: ((u_i, w)[j],), t_lo, t_hi, config.quad_order,
-                lambda s: heat(t_hi - s), integrand)
+                times[i:i + 2], lambda j: ((u_phys, w_phys)[j],), t_lo, t_hi,
+                config.quad_order, lambda s: heat(t_hi - s), integrand)
             delta = norm(update - w)
             deltas.append(delta)
             if not math.isfinite(delta) or delta > guard:
@@ -479,6 +499,7 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
         interval_iterates.append(rounds)
         ratios.append(deltas[-1] / deltas[-2] if rounds > 1 else math.nan)
         recent.append(w)
+        u_phys = w_phys
         increments[i + 1] = _increment(grid, t_hi, u0_half, w)
         defect *= propagator
         defect += w - update
@@ -553,8 +574,7 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
                           dtype=np.complex128)
     increments[0] = 0.0
 
-    def N(stack: np.ndarray) -> np.ndarray:
-        return apply_Q_stack(coeffs, grid, stack)
+    N = partial(_q_of_halves, coeffs, grid)
 
     for step in range(n_steps):
         k1 = N(c)

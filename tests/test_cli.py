@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import math
 import shutil
@@ -544,6 +545,31 @@ class TestMalformedFiles:
         capsys.readouterr()
         assert cli.main(["report", str(run)]) == EXIT_CONFIG
         assert "report.json" in capsys.readouterr().err
+        assert sorted(run.glob("*.dat")) == []
+
+    @pytest.mark.parametrize("command", ["diagnose", "report"])
+    def test_bad_grid_in_u0_header(self, tmp_path, capsys, solved_run, command):
+        # n_per_axis = 7 in u0.gsf's header, with the manifest digest repointed
+        # so that the header, not the sha256 check, is what fails
+        cfg_path, solved = solved_run
+        run = shutil.copytree(solved, tmp_path / "run")
+        u0 = run / "trajectory" / "u0.gsf"
+        data = bytearray(u0.read_bytes())
+        data[8:12] = (7).to_bytes(4, "little")
+        u0.write_bytes(bytes(data))
+        digest = hashlib.sha256(bytes(data)).hexdigest()
+
+        def repoint(m):
+            next(f for f in m["files"] if f["name"] == "u0.gsf")["sha256"] = digest
+        _rewrite_json(repoint)(run / "trajectory" / "manifest.json")
+        capsys.readouterr()
+        if command == "diagnose":
+            argv = ["diagnose", str(run / "trajectory"), str(cfg_path),
+                    "--out", str(tmp_path / "diag")]
+        else:
+            argv = ["report", str(run)]
+        assert cli.main(argv) == EXIT_CONFIG
+        assert "u0.gsf" in capsys.readouterr().err
         assert sorted(run.glob("*.dat")) == []
 
 

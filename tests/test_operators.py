@@ -228,8 +228,8 @@ class TestApplyQ:
         a = QCoefficients(rng.standard_normal((3,) * 6))
         stack = spectral.to_half(
             np.stack([random_hermitian_coeffs(g1, rng) for _ in range(3)]))
-        q1 = operators.apply_Q_stack(a, g1, stack)
-        q2 = operators.apply_Q_stack(a, g2, 2.0 * stack)
+        q1 = operators.apply_Q_stack(a, g1, spectral.irfftn(stack))
+        q2 = operators.apply_Q_stack(a, g2, spectral.irfftn(2.0 * stack))
         assert np.max(np.abs(q2 - 8.0 * q1)) <= 1e-12 * max(1.0, np.max(np.abs(q1)))
 
     @settings(max_examples=10, deadline=None)
@@ -241,8 +241,8 @@ class TestApplyQ:
         a = QCoefficients(rng.standard_normal((3,) * 6))
         stack = spectral.to_half(
             np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)]))
-        q1 = operators.apply_Q_stack(a, grid, stack)
-        q2 = operators.apply_Q_stack(a, grid, 3.0 * stack)
+        q1 = operators.apply_Q_stack(a, grid, spectral.irfftn(stack))
+        q2 = operators.apply_Q_stack(a, grid, spectral.irfftn(3.0 * stack))
         assert np.max(np.abs(q2 - 9.0 * q1)) <= 1e-11 * max(1.0, np.max(np.abs(q1)))
 
     def test_pair_weights_cached_per_grid(self, rng):
@@ -303,7 +303,7 @@ class TestApplyQ:
         want *= 1j
         want = np.stack([spectral.hermitian_symmetrize(want[j]) for j in range(3)])
         got = spectral.to_full(grid, operators.apply_Q_stack(
-            a, grid, spectral.to_half(u), None if v is None else spectral.to_half(v)))
+            a, grid, u_phys, None if v is None else v_phys))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         assert max(spectral.hermitian_deviation(got[j]) for j in range(3)) == 0.0
 

@@ -5,6 +5,7 @@ the package, or a call path that stops going through a hooked name, would
 otherwise only surface as missing per-layer data.
 """
 import importlib.util
+import json
 from pathlib import Path
 
 from gnsflow import runner
@@ -60,3 +61,17 @@ def test_trace_hooks_fire_on_a_tiny_run(tmp_path):
     assert set(FIRING) <= fired, sorted(set(FIRING) - fired)
     assert tracer.bytes.get("io.write_trajectory", 0) > 0
     assert tracer.bytes.get("io.read_trajectory", 0) > 0
+
+
+def test_q_spans_count_the_picard_q_evaluations(tmp_path):
+    # operators.q_evals counts solver.apply_Q_stack calls: quad_order per
+    # Picard round, each fed physical values that the march transformed
+    tracing = load_tracing()
+    cfg = parse_config_text(TINY_CFG)
+    assert not cfg.solver_etd_check
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        runner.run_scenario(cfg, out_dir=tmp_path / "run")
+    picard = json.loads((tmp_path / "run" / "run.json").read_text())["picard"]
+    q_spans = sum(1 for name, *_ in tracer.spans if name == "operators.q")
+    assert q_spans == cfg.solver_quad_order * sum(picard["interval_iterates"])

@@ -345,23 +345,32 @@ class TestMarchCertificate:
         np.testing.assert_allclose(report.residuals, oracle, rtol=1e-9)
 
     def test_no_residual_pass_and_quad_order_q_calls_per_update(self, monkeypatch):
-        calls = {"q": 0}
-        real_q = solver.apply_Q_stack
+        # one inverse transform per round: phys(u_i) is carried over from the
+        # interval before (u0's is the one extra), and Q sees interpolated
+        # physical values at the quad_order nodes
+        calls = {"q": 0, "irfftn": 0}
+        real_q, real_irfftn = solver.apply_Q_stack, solver.irfftn
 
         def counting_q(*args, **kwargs):
             calls["q"] += 1
             return real_q(*args, **kwargs)
 
+        def counting_irfftn(*args, **kwargs):
+            calls["irfftn"] += 1
+            return real_irfftn(*args, **kwargs)
+
         def forbidden(*args, **kwargs):
             raise AssertionError("picard_solve called mild_residual")
 
         monkeypatch.setattr(solver, "apply_Q_stack", counting_q)
+        monkeypatch.setattr(solver, "irfftn", counting_irfftn)
         monkeypatch.setattr(solver, "mild_residual", forbidden)
         grid, u0 = vortex_velocity(n=8, amplitude=1.0)
         cfg = SolverConfig(t_final=0.02, n_times=6, quad_order=3, tol=1e-10)
         _, report = picard_solve(u0, navier_stokes_coeffs(), cfg)
         assert report.converged
         assert calls["q"] == cfg.quad_order * sum(report.interval_iterates)
+        assert calls["irfftn"] == sum(report.interval_iterates) + 1
 
     def test_states_are_heat_flow_plus_kept_mode_increments(self):
         grid, u0 = self.sobolev_tail_velocity()
@@ -417,6 +426,50 @@ class TestKeptModeStates:
             off = (state - flow).reshape(3, -1)[:, ~kept]
             assert np.max(np.abs(off)) <= 1e-15 * scale
             assert np.max(np.abs(traj.half_state(i) - state)) <= 1e-15 * scale
+
+
+class TestStartGuess:
+    """The march's start guess is Lagrange extrapolation through the last
+    four lattice states, fewer at the start of the lattice."""
+
+    TIMES = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.55, 0.8])
+
+    @staticmethod
+    def polynomial_states(degree, rng):
+        coeffs = [rng.standard_normal((3, 4, 4, 3)) + 1j * rng.standard_normal((3, 4, 4, 3))
+                  for _ in range(degree + 1)]
+
+        def state(t):
+            return sum(c * t**p for p, c in enumerate(coeffs))
+        return state
+
+    def guess(self, state, i):
+        recent = [state(float(t)) for t in self.TIMES[max(0, i - 3):i + 1]]
+        return solver._start_guess(self.TIMES, recent, i)
+
+    @pytest.mark.parametrize("i", [3, 4, 5])
+    def test_reproduces_a_cubic_on_a_non_uniform_lattice(self, rng, i):
+        state = self.polynomial_states(3, rng)
+        want = state(float(self.TIMES[i + 1]))
+        got = self.guess(state, i)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_falls_back_to_the_states_there_are(self, rng, i):
+        # linear at i = 1, quadratic at i = 2: exact to degree i, not beyond
+        for degree, exact in ((i, True), (i + 1, False)):
+            state = self.polynomial_states(degree, rng)
+            want = state(float(self.TIMES[i + 1]))
+            err = np.max(np.abs(self.guess(state, i) - want))
+            assert (err <= 1e-14 * np.max(np.abs(want))) == exact
+
+    def test_linear_fallback_is_the_two_point_formula(self, rng):
+        state = self.polynomial_states(3, rng)
+        t0, t1, t2 = (float(t) for t in self.TIMES[:3])
+        u0, u1 = state(t0), state(t1)
+        want = u1 + (t2 - t1) / (t1 - t0) * (u1 - u0)
+        got = solver._start_guess(self.TIMES, [u0, u1], 1)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestMildResidual:
