@@ -92,7 +92,6 @@ class ScenarioConfig:
     physics_gamma: float = _key("physics.gamma", "float", 1.0,
                                 _rule(lambda g: g >= 0.5 and math.isfinite(g), ">= 0.5"))
     physics_delta: float = _key("physics.delta", "float", 0.1, _OPEN_UNIT)
-    physics_eta0: float = _key("physics.eta0", "float", 1e-5, _OPEN_UNIT)
     data_kind: str = _key("data.kind", "str", "taylor_green", _one_of(DATA_KINDS))
     data_amplitude: float = _key("data.amplitude", "float", 1.0,
                                  _rule(lambda a: a >= 0.0 and math.isfinite(a),

@@ -14,6 +14,9 @@ it. The defect each interval leaves behind is carried forward under the heat
 semigroup, which yields the per-time mild residual as a by-product of the
 march; mild_residual recomputes it independently.
 
+etd_integrate is the independent oracle: an integrating-factor RK4 run that
+returns the field at its final time only.
+
 The march, mild_residual and the ETD steps hold states as the half spectrum
 (3, n, n, n//2+1) of the real fields. Q is evaluated from physical values
 (operators.apply_Q_stack): the march transforms each iterate once and
@@ -21,9 +24,9 @@ interpolates in physical space, since irfftn is linear; mild_residual, the
 Duhamel integrals and ETD transform every state they hand to Q. A
 Trajectory holds its states as the heat flow of the initial data plus
 increments on a band of half-spectrum modes: state i is
-e^{t_i L} u0 + B_i, and a solver's B_i lives on the 2/3-rule kept modes
-(Q's output is dealiased and the heat factors are diagonal), so the solvers
-store B_i there only. States are rebuilt on demand as transient half stacks
+e^{t_i L} u0 + B_i, and the march's B_i lives on the 2/3-rule kept modes
+(Q's output is dealiased and the heat factors are diagonal), so it stores
+B_i there only. States are rebuilt on demand as transient half stacks
 (Trajectory.half_state) or full views (Trajectory.states).
 """
 
@@ -148,8 +151,8 @@ class Trajectory:
     stack (3, n, n, n//2+1), band a read-only flat index into the half
     spectrum (band_modes) and increments a (T, 3, len(band)) array.
     Trajectory(times, states) stores u0 = 0 with the whole half band, so each
-    state's half spectrum comes back bit for bit; the solvers build theirs
-    with from_increments on the kept band.
+    state's half spectrum comes back bit for bit; picard_solve and
+    io.read_trajectory build theirs with from_increments.
 
     Diagnostics cache tables derived from the states on the instance, so the
     arrays are read-only.
@@ -424,6 +427,15 @@ def _increment(grid: Grid, t: float, u0: np.ndarray, state: np.ndarray) -> np.nd
     return inc.reshape(3, -1)
 
 
+def _finite_half(u0: VelocityField) -> np.ndarray:
+    """A copy of u0's half spectrum; ValueError if it is not finite (bad
+    data, not a failure of the solver)."""
+    u0_half = np.array(u0.half_spectrum())
+    if not np.all(np.isfinite(u0_half)):
+        raise ValueError("u0 has non-finite coefficients")
+    return u0_half
+
+
 def picard_solve(u0: VelocityField, coeffs: QCoefficients,
                  config: SolverConfig) -> tuple[Trajectory, PicardReport]:
     """Solve u = e^{tL} u0 + B(u, u) on the config lattice, one interval at a time.
@@ -442,24 +454,26 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
     u(t_{i+1}) - e^{t_{i+1}L} u0 - B(u, u)(t_{i+1}) under the same
     quadrature, so the residual at every lattice time comes with the march.
 
-    A non-finite update or one above the divergence guard sets diverged
-    (residual_max = inf); an interval still above the stop threshold after
-    max_iter updates leaves the result not converged. Either stops the
-    march, and the trajectory then ends at that interval's last iterate.
+    Non-finite u0 raises ValueError before any work. A non-finite update or
+    one above the divergence guard sets diverged (residual_max = inf); an
+    interval still above the stop threshold after max_iter updates leaves
+    the result not converged. Either stops the march, and the trajectory
+    then ends at that interval's last iterate.
     The march holds the four latest states only; the trajectory keeps each
     accepted w as its increment over e^{tL} u0 on the kept modes.
     """
     grid = u0.grid
     times = config.times
     gamma = config.gamma
-    u0_half = np.array(u0.half_spectrum())
+    u0_half = _finite_half(u0)
 
     def norm(stack: np.ndarray) -> float:
         return weighted_l2_stack(grid, stack, gamma, homogeneous=False)
 
     guard = DIVERGENCE_FACTOR * (1.0 + norm(u0_half))
-    # heat factors by exact time offset: a linspace lattice has a few
-    # distinct interval lengths and node offsets t_{i+1} - s
+    # heat factors by exact time offset (h and t_{i+1} - s): a linspace
+    # lattice repeats them only up to rounding, so a 101-point lattice at
+    # T = 0.01 has 26 distinct offsets at quad_order 2 and 35 at 3
     heat = lru_cache(maxsize=32)(partial(heat_factor, grid, half=True))
     integrand = partial(apply_Q_stack, coeffs, grid)
     band = band_modes(grid, "kept")
@@ -543,36 +557,30 @@ def mild_residual(traj: Trajectory, u0: VelocityField, coeffs: QCoefficients,
 
 
 def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
-                  dt: float, keep: str = "all") -> Trajectory:
-    """Fourth-order integrating-factor Runge-Kutta reference integrator.
+                  dt: float) -> VelocityField:
+    """Fourth-order integrating-factor Runge-Kutta reference integrator: the
+    field at t_final.
 
     Requires t_final to be an integer multiple of dt (relative slack 1e-9).
-    Raises BlowupError when coefficients grow beyond BLOWUP_FACTOR times the
-    initial scale. keep="final" stores only the endpoints (the returned
-    trajectory has two lattice times, 0 and t_final). The states are
-    stored as increments on the kept modes, like picard_solve's.
+    Raises ValueError for non-finite u0 and BlowupError when coefficients
+    grow beyond BLOWUP_FACTOR times the initial scale. A caller that needs
+    intermediate states chains calls, one per interval: the steps are the
+    same, so the states are bit for bit those of one long call.
     """
     if not (t_final > 0.0 and math.isfinite(t_final)):
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if keep not in ("all", "final"):
-        raise ValueError(f"keep must be 'all' or 'final', got {keep!r}")
     n_steps = int(round(t_final / dt))
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * t_final:
         raise ValueError(f"t_final {t_final} is not an integer multiple of dt {dt}")
 
     grid = u0.grid
+    c = _finite_half(u0)
     E = heat_factor(grid, 0.5 * dt, half=True)
     E2 = E * E
-    u0_half = np.array(u0.half_spectrum())
-    c = u0_half
-    scale0 = 1.0 + float(np.max(np.abs(u0_half)))
+    scale0 = 1.0 + float(np.max(np.abs(c)))
     times = np.linspace(0.0, t_final, n_steps + 1)
-    band = band_modes(grid, "kept")
-    increments = np.empty((n_steps + 1 if keep == "all" else 2, 3, band.size),
-                          dtype=np.complex128)
-    increments[0] = 0.0
 
     N = partial(_q_of_halves, coeffs, grid)
 
@@ -588,9 +596,4 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
             raise BlowupError(
                 f"integrator blew up at t = {t_here:.6g}: max coefficient "
                 f"{peak:.3e} vs initial scale {scale0:.3e}", t_here, peak)
-        if keep == "all":
-            increments[step + 1] = _increment(grid, float(times[step + 1]), u0_half, c)
-    if keep == "all":
-        return Trajectory.from_increments(grid, times, u0_half, increments)
-    increments[1] = _increment(grid, t_final, u0_half, c)
-    return Trajectory.from_increments(grid, np.asarray([0.0, t_final]), u0_half, increments)
+    return VelocityField.from_half(grid, c)

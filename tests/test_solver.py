@@ -10,6 +10,7 @@ from gnsflow.initial_data import DataParams, make_initial_data
 from gnsflow.io import read_field
 from gnsflow.operators import (
     QCoefficients,
+    VelocityField,
     apply_Q,
     heat_factor,
     navier_stokes_coeffs,
@@ -61,6 +62,15 @@ def per_interval(report):
 
 def constant_trajectory(u, times):
     return Trajectory(np.asarray(times), tuple(u for _ in times))
+
+
+def etd_chain(u0, coeffs, times, dt):
+    """The ETD fields at times[1:], one etd_integrate call per interval."""
+    states, u = [], u0
+    for t_lo, t_hi in zip(times, times[1:]):
+        u = etd_integrate(u, coeffs, float(t_hi - t_lo), dt)
+        states.append(u)
+    return states
 
 
 def rel_l2(a, b):
@@ -305,6 +315,25 @@ class TestPicard:
         assert report.residual_max == math.inf
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("integrator", ["picard", "etd"])
+def test_non_finite_u0_is_rejected_before_any_work(integrator, value, monkeypatch):
+    # bad data is the caller's fault, not a diverged solve or a blow-up
+    grid, u = vortex_velocity(n=8)
+    half = np.array(u.half_spectrum())
+    half[0, 1, 2, 3] = value
+    u0 = VelocityField.from_half(grid, half)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("Q evaluated on rejected data")
+    monkeypatch.setattr(solver, "apply_Q_stack", no_work)
+    with pytest.raises(ValueError, match="u0"):
+        if integrator == "picard":
+            picard_solve(u0, navier_stokes_coeffs(), SolverConfig(t_final=0.01, n_times=3))
+        else:
+            etd_integrate(u0, navier_stokes_coeffs(), 0.002, 0.001)
+
+
 class TestMarchCertificate:
     """The residual the march reports is mild_residual's, without its pass."""
 
@@ -390,7 +419,7 @@ class TestKeptModeStates:
 
     @staticmethod
     def accepted_states(monkeypatch):
-        """Every state the march (or the ETD loop) hands to the trajectory."""
+        """Every (time, state) the march hands to the trajectory."""
         seen = []
         real = solver._increment
 
@@ -412,20 +441,24 @@ class TestKeptModeStates:
         kept[grid.half_dealias_modes[0]] = True
         # the data reach past the kept band, so the test is not vacuous
         assert np.abs(u0_half.reshape(3, -1)[:, ~kept]).max() > 1e-3
-        seen = self.accepted_states(monkeypatch)
         if integrator == "picard":
+            seen = self.accepted_states(monkeypatch)
             traj, _ = picard_solve(u0, navier_stokes_coeffs(),
                                    SolverConfig(t_final=0.01, n_times=6, tol=1e-8))
+            assert len(seen) == len(traj.times) - 1
+            for i, (t, state) in enumerate(seen, start=1):
+                assert t == traj.times[i]
+                scale = float(np.max(np.abs(state)))
+                assert np.max(np.abs(traj.half_state(i) - state)) <= 1e-15 * scale
         else:
-            traj = etd_integrate(u0, navier_stokes_coeffs(), 0.005, 0.001)
-        assert len(seen) == len(traj.times) - 1
-        for i, (t, state) in enumerate(seen, start=1):
-            assert t == traj.times[i]
+            times = np.linspace(0.0, 0.005, 6)
+            seen = [(float(t), u.half_spectrum()) for t, u in
+                    zip(times[1:], etd_chain(u0, navier_stokes_coeffs(), times, 0.001))]
+        for t, state in seen:
             scale = float(np.max(np.abs(state)))
             flow = heat_factor(grid, t, half=True) * u0_half
             off = (state - flow).reshape(3, -1)[:, ~kept]
             assert np.max(np.abs(off)) <= 1e-15 * scale
-            assert np.max(np.abs(traj.half_state(i) - state)) <= 1e-15 * scale
 
 
 class TestStartGuess:
@@ -510,8 +543,9 @@ class TestEtdIntegrate:
         # zero coefficients: integrating factor reproduces e^{tL} to round-off
         grid = build_grid(8)
         u0 = divergence_free_velocity(grid, rng)
-        traj = etd_integrate(u0, QCoefficients(np.zeros((3,) * 6)), 0.02, 0.005)
-        for t, state in zip(traj.times, traj.states):
+        times = np.linspace(0.0, 0.02, 5)
+        states = etd_chain(u0, QCoefficients(np.zeros((3,) * 6)), times, 0.005)
+        for t, state in zip(times[1:], states):
             want = stack_coefficients(u0) * np.exp(-float(t) * np.asarray(grid.k_sq))
             got = stack_coefficients(state)
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
@@ -522,11 +556,11 @@ class TestEtdIntegrate:
         coeffs = navier_stokes_coeffs()
         T = 0.04
         ref = etd_integrate(u0, coeffs, T, T / 256)
-        ref_final = stack_coefficients(ref.states[-1])
+        ref_final = stack_coefficients(ref)
         errors = []
         for div in (8, 16, 32):
-            traj = etd_integrate(u0, coeffs, T, T / div)
-            errors.append(rel_l2(stack_coefficients(traj.states[-1]), ref_final))
+            final = etd_integrate(u0, coeffs, T, T / div)
+            errors.append(rel_l2(stack_coefficients(final), ref_final))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         for p in orders:
             assert 3.5 <= p <= 4.5
@@ -538,21 +572,17 @@ class TestEtdIntegrate:
         assert exc.value.time > 0.0
         assert exc.value.magnitude > 0.0
 
-    def test_keep_final_matches_full_trajectory(self):
-        grid, u0 = vortex_velocity(n=8, amplitude=1.0)
+    def test_chained_calls_equal_one_call_bitwise(self):
+        grid = build_grid(16)
+        u0 = make_initial_data("random_sobolev_tail", grid,
+                               DataParams(amplitude=0.5, band_lo=1.0, band_hi=10.0),
+                               seed=7)
         coeffs = navier_stokes_coeffs()
-        full = etd_integrate(u0, coeffs, 0.02, 0.002)
-        thin = etd_integrate(u0, coeffs, 0.02, 0.002, keep="final")
-        assert list(thin.times) == [0.0, 0.02]
-        assert len(thin.states) == 2
-        a = stack_coefficients(full.states[-1])
-        b = stack_coefficients(thin.states[-1])
-        assert np.array_equal(a, b)
-
-    def test_keep_validation(self):
-        grid, u0 = vortex_velocity(n=8)
-        with pytest.raises(ValueError):
-            etd_integrate(u0, navier_stokes_coeffs(), 0.01, 0.001, keep="weird")
+        one = etd_integrate(u0, coeffs, 0.004, 0.001)
+        half = etd_integrate(u0, coeffs, 0.002, 0.001)
+        two = etd_integrate(half, coeffs, 0.002, 0.001)
+        assert isinstance(two, VelocityField)
+        assert two.half_spectrum().tobytes() == one.half_spectrum().tobytes()
 
 
 class TestHalfSpectrumStates:
@@ -565,8 +595,8 @@ class TestHalfSpectrumStates:
         return grid, velocity_from_stack(grid, hermitian_symmetrize(stack_coefficients(u)))
 
     @staticmethod
-    def deviation(traj):
-        return max(hermitian_deviation(stack_coefficients(s)) for s in traj.states)
+    def deviation(states):
+        return max(hermitian_deviation(stack_coefficients(s)) for s in states)
 
     # state 0 is rebuilt from the half spectrum, so it equals u0 value for
     # value; a zero's sign in the upper kz planes is not stored
@@ -575,19 +605,18 @@ class TestHalfSpectrumStates:
         traj, report = picard_solve(u0, navier_stokes_coeffs(),
                                     SolverConfig(t_final=0.01, n_times=6, tol=1e-8))
         assert report.iterates > 2
-        assert self.deviation(traj) == 0.0
+        assert self.deviation(traj.states) == 0.0
         assert np.array_equal(stack_coefficients(traj.states[0]), stack_coefficients(u0))
 
-    @pytest.mark.parametrize("keep", ["all", "final"])
-    def test_etd_states_are_exactly_hermitian(self, keep):
+    def test_etd_states_are_exactly_hermitian(self):
         grid, u0 = self.real_vortex()
-        traj = etd_integrate(u0, navier_stokes_coeffs(), 0.004, 0.001, keep=keep)
-        assert self.deviation(traj) == 0.0
-        assert np.array_equal(stack_coefficients(traj.states[0]), stack_coefficients(u0))
+        states = etd_chain(u0, navier_stokes_coeffs(), np.linspace(0.0, 0.004, 5), 0.001)
+        assert self.deviation(states) == 0.0
 
     def test_duhamel_b_is_exactly_hermitian(self):
         grid, u0 = self.real_vortex()
-        traj = etd_integrate(u0, navier_stokes_coeffs(), 0.004, 0.001)
+        times = np.linspace(0.0, 0.004, 5)
+        traj = Trajectory(times, [u0] + etd_chain(u0, navier_stokes_coeffs(), times, 0.001))
         b = duhamel_B(navier_stokes_coeffs(), traj, traj, 0.0025)
         assert hermitian_deviation(stack_coefficients(b)) == 0.0
         assert b.l2_coefficient_norm() > 0.0
@@ -666,11 +695,10 @@ class TestPicardVsEtd:
                            gamma=1.0, max_iter=14)
         picard_traj, report = picard_solve(u0, coeffs, cfg)
         assert report.converged
-        etd_traj = etd_integrate(u0, coeffs, T, T / 80)
+        etd_states = [u0] + etd_chain(u0, coeffs, picard_traj.times, T / 80)
         for i, t in enumerate(picard_traj.times):
-            j = etd_traj.index_at_time(float(t))
             a = stack_coefficients(picard_traj.states[i])
-            b = stack_coefficients(etd_traj.states[j])
+            b = stack_coefficients(etd_states[i])
             if float(t) == 0.0:
                 assert rel_l2(a, b) == 0.0
             else:
