@@ -19,6 +19,7 @@ from .runner import (
     exit_code_for,
     override_seed,
     run_scenario,
+    usable_cpus,
 )
 from .spectral import set_fft_workers
 
@@ -36,7 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="override data.seed from the config")
     p.add_argument("--threads", type=int, default=None,
-                   help="FFT worker threads (default 1)")
+                   help="FFT worker threads, at most the CPUs this process may "
+                        "use (default 1); with solver.etd_check and two or more "
+                        "such CPUs the ETD oracle also runs on a thread of its "
+                        "own beside the solve")
     p.add_argument("--out", default=None,
                    help="output directory (beats output.directory)")
 
@@ -46,7 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="trajectory directory or its manifest.json")
     p.add_argument("config", type=Path,
                    help="config supplying the diagnostics parameters")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="FFT worker threads, at most the CPUs this process may "
+                        "use (default 1)")
     p.add_argument("--out", default=None,
                    help="where to write report files (default: trajectory dir)")
 
@@ -163,6 +169,11 @@ def _cmd_selftest(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command in ("solve", "diagnose") and args.threads is not None:
+        usable = usable_cpus()
+        if args.threads > usable:
+            print(f"error: --threads {args.threads} exceeds the {usable} CPU(s) "
+                  f"this process may use", file=sys.stderr)
+            return EXIT_CONFIG
         try:
             set_fft_workers(args.threads)
         except ValueError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,6 +63,9 @@ class QCoefficients:
 
     alpha: np.ndarray = field(repr=False)
     _pair_weights: dict = field(default_factory=dict, repr=False, compare=False)
+    # the runner's march and ETD oracle share this cache from two threads
+    _pair_weights_lock: threading.Lock = field(default_factory=threading.Lock,
+                                               repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.alpha, dtype=np.float64)
@@ -81,19 +85,20 @@ class QCoefficients:
         (off-diagonal weight W[j, a, b] + W[j, b, a]), else over _ALL_PAIRS.
         """
         key = (grid, same)
-        cached = self._pair_weights.get(key)
-        if cached is None:
-            kept = grid.half_dealias_modes[1]
-            W = 0.5 * (_multiplier_at(grid, self.alpha, kept)
-                       - _multiplier_at(grid, self.alpha, grid.negated_modes[kept]))
-            cached = np.stack([
-                np.stack([W[j, a, b] + W[j, b, a] if same and a != b else W[j, a, b]
-                          for a, b in (_SAME_PAIRS if same else _ALL_PAIRS)])
-                for j in range(3)])
-            cached.setflags(write=False)
-            if len(self._pair_weights) >= 4:
-                self._pair_weights.pop(next(iter(self._pair_weights)))
-            self._pair_weights[key] = cached
+        with self._pair_weights_lock:
+            cached = self._pair_weights.get(key)
+            if cached is None:
+                kept = grid.half_dealias_modes[1]
+                W = 0.5 * (_multiplier_at(grid, self.alpha, kept)
+                           - _multiplier_at(grid, self.alpha, grid.negated_modes[kept]))
+                cached = np.stack([
+                    np.stack([W[j, a, b] + W[j, b, a] if same and a != b else W[j, a, b]
+                              for a, b in (_SAME_PAIRS if same else _ALL_PAIRS)])
+                    for j in range(3)])
+                cached.setflags(write=False)
+                if len(self._pair_weights) >= 4:
+                    self._pair_weights.pop(next(iter(self._pair_weights)))
+                self._pair_weights[key] = cached
         return cached
 
 

@@ -4,6 +4,14 @@ The output directory appears atomically (everything is written into a
 same-parent temp directory that is renamed into place), including on the
 failure paths that leave partial evidence behind (non-convergence, an
 inconclusive radius fit, an internal error).
+
+With solver.etd_check the ETD oracle needs only the initial data, so when the
+process may use two or more CPUs it runs on a second thread beside the
+Picard march (scipy.fft and numpy's array loops release the GIL) and is
+joined after it. The outcome is decided as if the two ran one after the
+other: a failed march exits 3 whatever the oracle did (the oracle is stopped
+at its next step), and only then does an oracle failure count. No oracle
+thread outlives run_scenario.
 """
 from __future__ import annotations
 
@@ -11,6 +19,7 @@ import math
 import os
 import shutil
 import tempfile
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -158,6 +167,57 @@ def _write_run_json(path: Path, cfg: ScenarioConfig, picard: PicardReport,
     gio.write_text(path, gio.dump_json(doc))
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _OracleThread:
+    """etd_integrate(u0, coeffs, t_final, dt) on a daemon thread.
+
+    The thread looks etd_integrate up in this module's globals when it
+    starts, so a rebinding of runner.etd_integrate is what runs. With one
+    usable CPU the two threads would only take turns on it, at a measured
+    cost of a few percent; then no thread is started and result() makes
+    the call itself, after the march, as a sequential run would.
+    """
+
+    def __init__(self, u0: VelocityField, coeffs: QCoefficients, t_final: float,
+                 dt: float):
+        self._stop = threading.Event()
+        self._field: VelocityField | None = None
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._run,
+                                         args=(u0, coeffs, t_final, dt),
+                                         name="gnsflow-etd-oracle", daemon=True)
+        if usable_cpus() >= 2:
+            self._thread.start()
+
+    def _run(self, u0, coeffs, t_final, dt) -> None:
+        try:
+            self._field = etd_integrate(u0, coeffs, t_final, dt, stop=self._stop)
+        except BaseException as exc:  # re-raised in the caller's thread by result()
+            self._error = exc
+
+    def result(self) -> VelocityField:
+        """Wait for the oracle; its field, or the exception it raised."""
+        if self._thread.ident is None:
+            self._thread.run()  # not started: run the oracle in this thread
+        else:
+            self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._field
+
+    def stop(self) -> None:
+        """Make the oracle stop before its next step and wait for it."""
+        self._stop.set()
+        if self._thread.ident is not None:
+            self._thread.join()
+
+
 def _publish(tmp: Path, out: Path) -> None:
     if out.exists():
         out.rmdir()  # only an empty placeholder is replaceable
@@ -172,7 +232,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None,
     (config, norms, Picard evidence) are still published for the
     non-convergence and inconclusive-fit failures. Any other exception
     publishes what was written plus error.json and propagates; an interrupt
-    (KeyboardInterrupt, SystemExit) removes the partial directory.
+    (KeyboardInterrupt, SystemExit) stops and joins the ETD oracle's thread,
+    then removes the partial directory.
     """
     out = resolve_output_dir(cfg, None if out_dir is None else str(out_dir))
     if out.exists() and any(out.iterdir()):
@@ -210,34 +271,42 @@ def _run_into(tmp: Path, out: Path, cfg: ScenarioConfig, coeffs,
               u0) -> RunArtifacts:
     gio.write_text(tmp / "config.txt", cfg.canonical_text())
 
-    traj, picard = picard_solve(u0, coeffs, cfg.solver_config())
-    if not picard.converged:
-        updates = iter(picard.deltas)
-        gio.write_csv(tmp / "deltas.csv", ("interval", "iteration", "delta"),
-                      [(i, k, next(updates))
-                       for i, count in enumerate(picard.interval_iterates)
-                       for k in range(1, count + 1)])
-        _write_run_json(tmp / "run.json", cfg, picard, None,
-                        "diverged" if picard.diverged else "not_converged")
-        word = "diverged" if picard.diverged else "did not converge"
-        raise ScenarioError(
-            f"fixed-point iteration {word} on interval "
-            f"{len(picard.interval_iterates) - 1} after "
-            f"{picard.interval_iterates[-1]} iterations "
-            f"(last delta {picard.deltas[-1] if picard.deltas else math.nan:.3e}, "
-            f"tol {picard.tol:.1e}); see {out / 'deltas.csv'}",
-            EXIT_NO_CONVERGENCE)
+    oracle = (_OracleThread(u0, coeffs, cfg.solver_t_final, cfg.solver_dt)
+              if cfg.solver_etd_check else None)
+    try:
+        traj, picard = picard_solve(u0, coeffs, cfg.solver_config())
+        if not picard.converged:
+            updates = iter(picard.deltas)
+            gio.write_csv(tmp / "deltas.csv", ("interval", "iteration", "delta"),
+                          [(i, k, next(updates))
+                           for i, count in enumerate(picard.interval_iterates)
+                           for k in range(1, count + 1)])
+            _write_run_json(tmp / "run.json", cfg, picard, None,
+                            "diverged" if picard.diverged else "not_converged")
+            word = "diverged" if picard.diverged else "did not converge"
+            raise ScenarioError(
+                f"fixed-point iteration {word} on interval "
+                f"{len(picard.interval_iterates) - 1} after "
+                f"{picard.interval_iterates[-1]} iterations "
+                f"(last delta {picard.deltas[-1] if picard.deltas else math.nan:.3e}, "
+                f"tol {picard.tol:.1e}); see {out / 'deltas.csv'}",
+                EXIT_NO_CONVERGENCE)
+        reference = None
+        if oracle is not None:
+            try:
+                reference = oracle.result()
+            except BlowupError as exc:
+                _write_run_json(tmp / "run.json", cfg, picard, math.inf,
+                                "oracle_disagreement")
+                raise ScenarioError(
+                    f"reference integrator blew up while the fixed-point solve "
+                    f"converged: {exc}", EXIT_ORACLE_DISAGREEMENT)
+    finally:
+        if oracle is not None:
+            oracle.stop()
 
     etd_rel_error: float | None = None
-    if cfg.solver_etd_check:
-        try:
-            reference = etd_integrate(u0, coeffs, cfg.solver_t_final, cfg.solver_dt)
-        except BlowupError as exc:
-            _write_run_json(tmp / "run.json", cfg, picard, math.inf,
-                            "oracle_disagreement")
-            raise ScenarioError(
-                f"reference integrator blew up while the fixed-point solve "
-                f"converged: {exc}", EXIT_ORACLE_DISAGREEMENT)
+    if reference is not None:
         diff = VelocityField.from_half(
             traj.grid, traj.half_state(-1) - reference.half_spectrum()).l2_coefficient_norm()
         scale = reference.l2_coefficient_norm()

@@ -15,7 +15,9 @@ semigroup, which yields the per-time mild residual as a by-product of the
 march; mild_residual recomputes it independently.
 
 etd_integrate is the independent oracle: an integrating-factor RK4 run that
-returns the field at its final time only.
+returns the field at its final time only. It needs only the initial data,
+so the runner can run it on a second thread beside picard_solve and stop it
+through its stop event once the march has failed.
 
 The march, mild_residual and the ETD steps hold states as the half spectrum
 (3, n, n, n//2+1) of the real fields. Q is evaluated from physical values
@@ -33,6 +35,7 @@ B_i there only. States are rebuilt on demand as transient half stacks
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -70,6 +73,10 @@ class BlowupError(RuntimeError):
         super().__init__(message)
         self.time = time
         self.magnitude = magnitude
+
+
+class _EtdStopped(Exception):
+    """etd_integrate found its stop event set; its result is not wanted."""
 
 
 @dataclass(frozen=True)
@@ -557,7 +564,7 @@ def mild_residual(traj: Trajectory, u0: VelocityField, coeffs: QCoefficients,
 
 
 def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
-                  dt: float) -> VelocityField:
+                  dt: float, *, stop: threading.Event | None = None) -> VelocityField:
     """Fourth-order integrating-factor Runge-Kutta reference integrator: the
     field at t_final.
 
@@ -566,6 +573,10 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
     grow beyond BLOWUP_FACTOR times the initial scale. A caller that needs
     intermediate states chains calls, one per interval: the steps are the
     same, so the states are bit for bit those of one long call.
+
+    stop is a cancellation hook for a caller running this on another
+    thread: it is checked before every step, and once it is set the call
+    ends with a private exception instead of a field.
     """
     if not (t_final > 0.0 and math.isfinite(t_final)):
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
@@ -585,6 +596,8 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
     N = partial(_q_of_halves, coeffs, grid)
 
     for step in range(n_steps):
+        if stop is not None and stop.is_set():
+            raise _EtdStopped(f"stopped before step {step} of {n_steps}")
         k1 = N(c)
         k2 = N(E * (c + (0.5 * dt) * k1))
         k3 = N(E * c + (0.5 * dt) * k2)

@@ -2,17 +2,19 @@ import errno
 import hashlib
 import json
 import math
+import os
 import shutil
+import threading
 
 import numpy as np
 import pytest
 
 import helpers
-from gnsflow import cli, runner, spectral
+from gnsflow import cli, runner, solver, spectral
 from gnsflow import io as gio
 from gnsflow.config import ConfigError, parse_config_text
 from gnsflow.diagnostics import InconclusiveFitError
-from gnsflow.operators import leray_project_stack, stack_coefficients
+from gnsflow.operators import VelocityField, leray_project_stack, stack_coefficients
 from gnsflow.runner import (
     EXIT_CONFIG,
     EXIT_FAILURE,
@@ -449,8 +451,21 @@ class TestCliCommands:
         rc = cli.main(["solve", str(cfg_path), "--threads", "0"])
         assert rc == EXIT_CONFIG
 
-    def test_threads_flag_applied(self, tmp_path, capsys):
+    def test_threads_flag_above_usable_cpus(self, tmp_path, capsys, monkeypatch):
+        from gnsflow.spectral import get_fft_workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cfg_path = write_cfg(tmp_path, BASE_CFG)
+        for command in (["solve", str(cfg_path)],
+                        ["diagnose", str(tmp_path / "trajectory"), str(cfg_path)]):
+            rc = cli.main(command + ["--threads", "2"])
+            assert rc == EXIT_CONFIG
+            assert "exceeds the 1 CPU(s)" in capsys.readouterr().err
+        assert get_fft_workers() == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [cfg_path.name]
+
+    def test_threads_flag_applied(self, tmp_path, capsys, monkeypatch):
         from gnsflow.spectral import get_fft_workers, set_fft_workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg_path = write_cfg(tmp_path, BASE_CFG)
         try:
             rc = cli.main(["solve", str(cfg_path), "--threads", "2",
@@ -593,6 +608,10 @@ def _disk_full(*args, **kwargs):
     raise OSError(errno.ENOSPC, "No space left on device")
 
 
+def _etd_fails(*args, **kwargs):
+    raise RuntimeError("reference integrator bug")
+
+
 @pytest.mark.parametrize("text, patch, code, files, evidence", [
     pytest.param(DIVERGING_CFG, None, EXIT_NO_CONVERGENCE,
                  ["config.txt", "deltas.csv", "run.json"],
@@ -606,6 +625,17 @@ def _disk_full(*args, **kwargs):
                   ("run.json", "etd_rel_error"): "inf",
                   ("run.json", "picard", "converged"): True},
                  id="etd_blows_up_after_converged_solve"),
+    pytest.param(DIVERGING_CFG + "solver.etd_check = true\n",
+                 (runner, "etd_integrate", _etd_blows_up), EXIT_NO_CONVERGENCE,
+                 ["config.txt", "deltas.csv", "run.json"],
+                 {("run.json", "status"): "diverged",
+                  ("run.json", "etd_rel_error"): None},
+                 id="etd_blows_up_at_once_then_picard_diverges"),
+    pytest.param(BASE_CFG + "solver.etd_check = true\nsolver.dt = 0.001\n",
+                 (runner, "etd_integrate", _etd_fails), EXIT_FAILURE,
+                 ["config.txt", "error.json"],
+                 {("error.json", "error"): "RuntimeError: reference integrator bug"},
+                 id="etd_fails_after_converged_solve"),
     pytest.param(BASE_CFG, (gio, "write_trajectory", _disk_full), EXIT_FAILURE,
                  ["config.txt", "error.json", "norms.csv"],
                  {("error.json", "error"): "OSError: [Errno 28] No space left on device"},
@@ -628,3 +658,110 @@ def test_failure_classes_through_the_runner(tmp_path, capsys, monkeypatch, text,
             doc = doc[key]
         assert doc == want
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run", cfg_path.name]
+
+
+ORACLE_THREAD = "gnsflow-etd-oracle"
+
+
+def _oracle_threads():
+    return [t for t in threading.enumerate() if t.name == ORACLE_THREAD]
+
+
+class _CountingStop:
+    """Stands in for the runner's stop event and counts the oracle's checks,
+    one per step."""
+
+    def __init__(self, event):
+        self.event = event
+        self.checks = 0
+
+    def is_set(self):
+        self.checks += 1
+        return self.event.is_set()
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def oracle_spy(monkeypatch):
+    """Rebinds runner.etd_integrate to the real oracle run on a 1e-9 scaled
+    copy of u0 (which never blows up), recording its stop checks, its
+    exception and that it started."""
+    seen = {"started": threading.Event()}
+    real = solver.etd_integrate
+
+    def spy(u0, coeffs, t_final, dt, *, stop):
+        seen["stop"] = _CountingStop(stop)
+        seen["steps"] = int(round(t_final / dt))
+        seen["started"].set()
+        tame = VelocityField.from_half(u0.grid, 1e-9 * u0.half_spectrum())
+        try:
+            return real(tame, coeffs, t_final, dt, stop=seen["stop"])
+        except BaseException as exc:
+            seen["error"] = exc
+            raise
+
+    monkeypatch.setattr(runner, "etd_integrate", spy)
+    return seen
+
+
+def test_diverging_march_stops_the_oracle(tmp_path, capsys, two_cpus, oracle_spy):
+    cfg_path = write_cfg(tmp_path, DIVERGING_CFG + "solver.etd_check = true\n")
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(cfg_path), "--out", str(out)]) == EXIT_NO_CONVERGENCE
+    assert sorted(p.name for p in out.iterdir()) == ["config.txt", "deltas.csv", "run.json"]
+    assert json.loads((out / "run.json").read_text())["status"] == "diverged"
+    assert isinstance(oracle_spy["error"], solver._EtdStopped)
+    assert oracle_spy["stop"].checks < oracle_spy["steps"]
+    assert _oracle_threads() == []
+
+
+def test_interrupt_stops_the_oracle_and_removes_the_partial_dir(tmp_path, two_cpus,
+                                                                oracle_spy, monkeypatch):
+    def interrupted_march(*args, **kwargs):
+        assert oracle_spy["started"].wait(timeout=30)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner, "picard_solve", interrupted_march)
+    cfg = parse_config_text(BASE_CFG + "solver.etd_check = true\nsolver.dt = 1e-5\n")
+    with pytest.raises(KeyboardInterrupt):
+        run_scenario(cfg, out_dir=tmp_path / "run")
+    assert list(tmp_path.iterdir()) == []
+    assert _oracle_threads() == []
+    assert isinstance(oracle_spy["error"], solver._EtdStopped)
+    assert oracle_spy["stop"].checks < oracle_spy["steps"]
+
+
+@pytest.mark.parametrize("cpus, beside", [({0, 1}, True), ({0}, False)])
+def test_oracle_runs_beside_the_march_only_with_two_cpus(tmp_path, monkeypatch, cpus,
+                                                         beside):
+    """With one usable CPU the oracle runs after the march in the caller's
+    thread; either way run.json, etd_rel_error included, is the same."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    calls = []
+    march, oracle = runner.picard_solve, runner.etd_integrate
+
+    def traced_march(*args, **kwargs):
+        result = march(*args, **kwargs)
+        calls.append("march done")
+        return result
+
+    def traced_oracle(*args, **kwargs):
+        calls.append(("oracle", threading.current_thread() is threading.main_thread()))
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "picard_solve", traced_march)
+    monkeypatch.setattr(runner, "etd_integrate", traced_oracle)
+    cfg = parse_config_text(BASE_CFG + "solver.etd_check = true\nsolver.dt = 0.001\n")
+    art = run_scenario(cfg, out_dir=tmp_path / "run")
+    assert ("oracle", not beside) in calls
+    if not beside:
+        assert calls == ["march done", ("oracle", True)]
+    assert _oracle_threads() == []
+    monkeypatch.undo()
+    reference = run_scenario(cfg, out_dir=tmp_path / "unpatched")
+    assert art.etd_rel_error == reference.etd_rel_error
+    assert art.run_json.read_bytes() == reference.run_json.read_bytes()

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -254,6 +256,48 @@ class TestApplyQ:
         w2 = a.pair_weights(g2, True)
         assert w2 is not w1
         np.testing.assert_allclose(w2, 2 * math.pi * w1, rtol=1e-12)
+
+    def test_pair_weights_cache_shared_by_threads(self, rng):
+        # the runner's march and ETD oracle share one QCoefficients from two
+        # threads. A cold entry is built once, whoever asks first; then 6
+        # grids (12 keys) against 4 entries force concurrent evictions.
+        alpha = rng.standard_normal((3,) * 6)
+        keys = [(build_grid(n, period=period), same) for n in (4, 6)
+                for period in (1.0, 2.0, 3.0) for same in (True, False)]
+        want = [QCoefficients(alpha).pair_weights(*key) for key in keys]
+        n_threads, rounds = 4, 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(3):
+                shared = QCoefficients(alpha)
+                cold, warm = threading.Barrier(n_threads), threading.Barrier(n_threads)
+                first, got, errors = {}, {}, []
+
+                def work(t):
+                    try:
+                        cold.wait(timeout=30)
+                        first[t] = shared.pair_weights(*keys[0])
+                        warm.wait(timeout=30)
+                        got[t] = [shared.pair_weights(*keys[(t + i) % len(keys)])
+                                  for i in range(rounds * len(keys))]
+                    except BaseException as exc:
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=work, args=(t,))
+                           for t in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert all(first[t] is first[0] for t in range(n_threads))
+                for t in range(n_threads):
+                    for i, w in enumerate(got[t]):
+                        assert np.array_equal(w, want[(t + i) % len(keys)])
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("period", [2 * math.pi, 3.7])
     def test_multiplier_matches_oracle(self, rng, period):

@@ -75,3 +75,19 @@ def test_q_spans_count_the_picard_q_evaluations(tmp_path):
     picard = json.loads((tmp_path / "run" / "run.json").read_text())["picard"]
     q_spans = sum(1 for name, *_ in tracer.spans if name == "operators.q")
     assert q_spans == cfg.solver_quad_order * sum(picard["interval_iterates"])
+
+
+def test_hooks_see_the_oracle_beside_the_march(tmp_path):
+    # the oracle runs on its own thread through runner.etd_integrate; its
+    # 4 Q evaluations per step are spans too, counted exactly across threads
+    tracing = load_tracing()
+    cfg = parse_config_text(TINY_CFG + "solver.etd_check = true\nsolver.dt = 1e-3\n")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        runner.run_scenario(cfg, out_dir=tmp_path / "run")
+    picard = json.loads((tmp_path / "run" / "run.json").read_text())["picard"]
+    names = [name for name, *_ in tracer.spans]
+    assert "solver.etd" in names
+    steps = round(cfg.solver_t_final / cfg.solver_dt)
+    assert names.count("operators.q") == (cfg.solver_quad_order
+                                          * sum(picard["interval_iterates"]) + 4 * steps)
