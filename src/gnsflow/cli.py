@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -19,9 +20,15 @@ from .runner import (
     exit_code_for,
     override_seed,
     run_scenario,
-    usable_cpus,
 )
 from .spectral import set_fft_workers
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,9 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override data.seed from the config")
     p.add_argument("--threads", type=int, default=None,
                    help="FFT worker threads, at most the CPUs this process may "
-                        "use (default 1); with solver.etd_check and two or more "
-                        "such CPUs the ETD oracle also runs on a thread of its "
-                        "own beside the solve")
+                        "use (default 1); with solver.etd_check the ETD oracle "
+                        "also runs on a thread of its own beside the solve")
     p.add_argument("--out", default=None,
                    help="output directory (beats output.directory)")
 

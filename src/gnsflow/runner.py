@@ -5,10 +5,9 @@ same-parent temp directory that is renamed into place), including on the
 failure paths that leave partial evidence behind (non-convergence, an
 inconclusive radius fit, an internal error).
 
-With solver.etd_check the ETD oracle needs only the initial data, so when the
-process may use two or more CPUs it runs on a second thread beside the
-Picard march (scipy.fft and numpy's array loops release the GIL) and is
-joined after it. The outcome is decided as if the two ran one after the
+With solver.etd_check the ETD oracle needs only the initial data, so it runs
+on a second thread beside the Picard march (scipy.fft and numpy's array
+loops release the GIL) and is joined after it. The outcome is decided as if the two ran one after the
 other: a failed march exits 3 whatever the oracle did (the oracle is stopped
 at its next step), and only then does an oracle failure count. No oracle
 thread outlives run_scenario.
@@ -167,21 +166,11 @@ def _write_run_json(path: Path, cfg: ScenarioConfig, picard: PicardReport,
     gio.write_text(path, gio.dump_json(doc))
 
 
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 class _OracleThread:
     """etd_integrate(u0, coeffs, t_final, dt) on a daemon thread.
 
     The thread looks etd_integrate up in this module's globals when it
-    starts, so a rebinding of runner.etd_integrate is what runs. With one
-    usable CPU the two threads would only take turns on it, at a measured
-    cost of a few percent; then no thread is started and result() makes
-    the call itself, after the march, as a sequential run would.
+    starts, so a rebinding of runner.etd_integrate is what runs.
     """
 
     def __init__(self, u0: VelocityField, coeffs: QCoefficients, t_final: float,
@@ -192,8 +181,7 @@ class _OracleThread:
         self._thread = threading.Thread(target=self._run,
                                          args=(u0, coeffs, t_final, dt),
                                          name="gnsflow-etd-oracle", daemon=True)
-        if usable_cpus() >= 2:
-            self._thread.start()
+        self._thread.start()
 
     def _run(self, u0, coeffs, t_final, dt) -> None:
         try:
@@ -203,10 +191,7 @@ class _OracleThread:
 
     def result(self) -> VelocityField:
         """Wait for the oracle; its field, or the exception it raised."""
-        if self._thread.ident is None:
-            self._thread.run()  # not started: run the oracle in this thread
-        else:
-            self._thread.join()
+        self._thread.join()
         if self._error is not None:
             raise self._error
         return self._field
@@ -214,8 +199,7 @@ class _OracleThread:
     def stop(self) -> None:
         """Make the oracle stop before its next step and wait for it."""
         self._stop.set()
-        if self._thread.ident is not None:
-            self._thread.join()
+        self._thread.join()
 
 
 def _publish(tmp: Path, out: Path) -> None:

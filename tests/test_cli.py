@@ -681,11 +681,6 @@ class _CountingStop:
 
 
 @pytest.fixture
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-@pytest.fixture
 def oracle_spy(monkeypatch):
     """Rebinds runner.etd_integrate to the real oracle run on a 1e-9 scaled
     copy of u0 (which never blows up), recording its stop checks, its
@@ -708,7 +703,7 @@ def oracle_spy(monkeypatch):
     return seen
 
 
-def test_diverging_march_stops_the_oracle(tmp_path, capsys, two_cpus, oracle_spy):
+def test_diverging_march_stops_the_oracle(tmp_path, capsys, oracle_spy):
     cfg_path = write_cfg(tmp_path, DIVERGING_CFG + "solver.etd_check = true\n")
     out = tmp_path / "run"
     assert cli.main(["solve", str(cfg_path), "--out", str(out)]) == EXIT_NO_CONVERGENCE
@@ -719,8 +714,8 @@ def test_diverging_march_stops_the_oracle(tmp_path, capsys, two_cpus, oracle_spy
     assert _oracle_threads() == []
 
 
-def test_interrupt_stops_the_oracle_and_removes_the_partial_dir(tmp_path, two_cpus,
-                                                                oracle_spy, monkeypatch):
+def test_interrupt_stops_the_oracle_and_removes_the_partial_dir(tmp_path, oracle_spy,
+                                                                monkeypatch):
     def interrupted_march(*args, **kwargs):
         assert oracle_spy["started"].wait(timeout=30)
         raise KeyboardInterrupt
@@ -733,35 +728,3 @@ def test_interrupt_stops_the_oracle_and_removes_the_partial_dir(tmp_path, two_cp
     assert _oracle_threads() == []
     assert isinstance(oracle_spy["error"], solver._EtdStopped)
     assert oracle_spy["stop"].checks < oracle_spy["steps"]
-
-
-@pytest.mark.parametrize("cpus, beside", [({0, 1}, True), ({0}, False)])
-def test_oracle_runs_beside_the_march_only_with_two_cpus(tmp_path, monkeypatch, cpus,
-                                                         beside):
-    """With one usable CPU the oracle runs after the march in the caller's
-    thread; either way run.json, etd_rel_error included, is the same."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    calls = []
-    march, oracle = runner.picard_solve, runner.etd_integrate
-
-    def traced_march(*args, **kwargs):
-        result = march(*args, **kwargs)
-        calls.append("march done")
-        return result
-
-    def traced_oracle(*args, **kwargs):
-        calls.append(("oracle", threading.current_thread() is threading.main_thread()))
-        return oracle(*args, **kwargs)
-
-    monkeypatch.setattr(runner, "picard_solve", traced_march)
-    monkeypatch.setattr(runner, "etd_integrate", traced_oracle)
-    cfg = parse_config_text(BASE_CFG + "solver.etd_check = true\nsolver.dt = 0.001\n")
-    art = run_scenario(cfg, out_dir=tmp_path / "run")
-    assert ("oracle", not beside) in calls
-    if not beside:
-        assert calls == ["march done", ("oracle", True)]
-    assert _oracle_threads() == []
-    monkeypatch.undo()
-    reference = run_scenario(cfg, out_dir=tmp_path / "unpatched")
-    assert art.etd_rel_error == reference.etd_rel_error
-    assert art.run_json.read_bytes() == reference.run_json.read_bytes()
