@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .initial_data import DATA_KINDS
-from .solver import SolverConfig
+from .solver import SolverConfig, _etd_steps
 from .spectral import Grid, build_grid
 
 
@@ -316,6 +316,11 @@ def _validate(v: dict) -> list[str]:
         if v["diagnostics_fit_hi"] > k_max:
             p.append(f"diagnostics.fit_hi: {v['diagnostics_fit_hi']} exceeds the "
                      f"grid's largest wavenumber {k_max:.6g}")
+        # the radius fit reduces over shells of the half spectrum's modes
+        modes = v["grid_n"] ** 2 * (v["grid_n"] // 2 + 1)
+        if v["diagnostics_n_shells"] > modes:
+            p.append(f"diagnostics.n_shells: {v['diagnostics_n_shells']} exceeds the "
+                     f"{modes} modes of the grid's half spectrum")
     if not (v["diagnostics_fit_hi"] > v["diagnostics_fit_lo"]):
         p.append("diagnostics.fit_hi: must exceed diagnostics.fit_lo, got "
                  f"[{v['diagnostics_fit_lo']}, {v['diagnostics_fit_hi']}]")
@@ -329,11 +334,11 @@ def _validate(v: dict) -> list[str]:
             p.append(f"data.mode: components must satisfy |m| <= {limit} "
                      f"(below the Nyquist index), got {triple}")
 
-    if v["solver_etd_check"] and v["solver_t_final"] > 0.0 and v["solver_dt"] > 0.0:
-        ratio = v["solver_t_final"] / v["solver_dt"]
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            p.append("solver.dt: must divide solver.t_final when "
-                     f"solver.etd_check is on (t_final/dt = {ratio!r})")
+    t_final, dt = v["solver_t_final"], v["solver_dt"]
+    step_ok = not any(s.startswith(("solver.t_final:", "solver.dt:")) for s in p)
+    if v["solver_etd_check"] and step_ok and _etd_steps(t_final, dt) is None:
+        p.append("solver.dt: must divide solver.t_final when "
+                 f"solver.etd_check is on (t_final/dt = {t_final / dt!r})")
 
     times = v["diagnostics_sample_times"]
     if isinstance(times, tuple):

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .operators import QCoefficients, VelocityField
-from .solver import Trajectory, _duhamel_lattice, _lattice_quadrature
+from .solver import Trajectory, _check_same_lattice, _duhamel_lattice, _lattice_quadrature
 from .spectral import (
     EXP_GUARD,
     irfftn,
@@ -246,21 +246,23 @@ def envelope_norm(u: VelocityField, t: float, params: NormParams,
         factor=np.exp(2.0 * (drift * to_half(grid.k_norm) - sink - peak)))
 
 
+def _last_index_within(traj: Trajectory, T: float) -> int:
+    """Index of the last lattice time <= T within the snap tolerance, so a sup
+    over lattice t in (0, T] runs over indices 1 to it; ValueError when the
+    trajectory stops short of T."""
+    tol = traj.time_tolerance()
+    if traj.horizon < T - tol:
+        raise ValueError(
+            f"trajectory horizon {traj.horizon} is shorter than the norm horizon {T}")
+    return int(np.searchsorted(traj.times, T + tol, side="right")) - 1
+
+
 def _trajectory_sup_envelope(traj: Trajectory, params: NormParams,
                              cutoff: float) -> float:
-    tol = traj.time_tolerance()
-    if traj.horizon < params.t_horizon - tol:
-        raise ValueError(
-            f"trajectory horizon {traj.horizon} is shorter than the norm "
-            f"horizon {params.t_horizon}")
     best = 0.0
-    for tau, state in zip(traj.times, traj.states):
-        t = float(tau)
-        if t > params.t_horizon + tol:
-            break
-        if t == 0.0:
-            continue
-        best = max(best, envelope_norm(state, t, params, cutoff))
+    for i in range(1, _last_index_within(traj, params.t_horizon) + 1):
+        best = max(best, envelope_norm(traj.states[i], float(traj.times[i]), params,
+                                       cutoff))
         if best == math.inf:
             break
     return best
@@ -503,27 +505,25 @@ def bilinear_tail_bound_sides(coeffs: QCoefficients, f: Trajectory, g: Trajector
 
     LHS: sup over lattice t in (0, T] of the envelope norm (tail cutoff
     0.1 * n1) of the Duhamel integral of Q(f, g). RHS: the structural bound
-    assembled from L^infty_T H^gamma norms, their high parts (cutoff
-    0.01 * n1), and the X norms of f and g; returned without any fitted
-    constant.
+    assembled from L^infty_T H^gamma norms over lattice t in [0, T], their
+    high parts (cutoff 0.01 * n1), and the X norms of f and g; returned
+    without any fitted constant. f and g must share one grid and lattice.
     """
     gamma, delta, T, lam, eta0 = (params.gamma, params.delta, params.t_horizon,
                                   params.lam, params.eta0)
     if lam <= 0.0:
         raise ValueError("the bilinear bound needs lam > 0")
+    _check_same_lattice(f, g)
     grid = f.grid
-    tol = f.time_tolerance()
-    count = len(f.times)
+    count = _last_index_within(f, T) + 1
 
     lhs = 0.0
-    b_iter = _duhamel_lattice(coeffs, grid, f.times,
+    b_iter = _duhamel_lattice(coeffs, grid, f.times[:count],
                               (f.half_state(i) for i in range(count)), quad_order,
                               (g.half_state(i) for i in range(count)))
-    for t, b in zip(f.times, b_iter):
-        t = float(t)
-        if t == 0.0 or t > T + tol:
-            continue
-        lhs = max(lhs, envelope_norm(VelocityField.from_half(grid, b), t, params,
+    next(b_iter)  # B(0) = 0
+    for t, b in zip(f.times[1:count], b_iter):
+        lhs = max(lhs, envelope_norm(VelocityField.from_half(grid, b), float(t), params,
                                      0.1 * n1))
 
     def sup_h_gamma(traj, cutoff=0.0):
@@ -566,7 +566,7 @@ def smoothing_kernel_bound_sides(F: Trajectory, params: NormParams, n0: float,
     if lam <= 0.0:
         raise ValueError("the kernel bound needs lam > 0")
     grid = F.grid
-    tol = F.time_tolerance()
+    last = _last_index_within(F, T)
     k_sq = to_half(grid.k_sq)
     k_norm = to_half(grid.k_norm)
     if region == "low":
@@ -578,10 +578,8 @@ def smoothing_kernel_bound_sides(F: Trajectory, params: NormParams, n0: float,
         return (F.half_state(j),)
 
     lhs = 0.0
-    for t in F.times:
+    for t in F.times[1:last + 1]:
         t = float(t)
-        if t == 0.0 or t > T + tol:
-            continue
         if region == "low":
             def kernel(s):
                 return math.exp(n0**2 * s)
@@ -595,10 +593,8 @@ def smoothing_kernel_bound_sides(F: Trajectory, params: NormParams, n0: float,
 
     p = 3.0 / (2.0 * (1.0 - delta))
     sup_forcing = 0.0
-    for t, state in zip(F.times, F.states):
-        t = float(t)
-        if t == 0.0 or t > T + tol:
-            continue
-        sup_forcing = max(sup_forcing, t**delta * lebesgue_norm(state, p))
+    for i in range(1, last + 1):
+        sup_forcing = max(sup_forcing,
+                          float(F.times[i])**delta * lebesgue_norm(F.states[i], p))
     rhs = lam**-delta * math.exp(n0**2 * T) * sup_forcing
     return lhs, rhs

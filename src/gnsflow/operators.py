@@ -173,10 +173,10 @@ def navier_stokes_coeffs() -> QCoefficients:
 class VelocityField:
     """A real velocity field, held by its (3, n, n, n//2+1) half spectrum.
 
-    velocity_from_stack builds one from a full (3, n, n, n) stack of outside
-    data and holds it to the real-field contract, spectral.hermitian_half,
-    there and only there; from_half wraps a half the program made.
-    stack_coefficients is the one way back to the full lattice.
+    velocity_from_stack builds one from a full (3, n, n, n) stack, such as
+    outside data or initial_data's fields, and holds it to the real-field
+    contract, spectral.hermitian_half; from_half wraps a half spectrum
+    unchecked. stack_coefficients is the one way back to the full lattice.
     """
 
     @classmethod

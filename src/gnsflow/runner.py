@@ -6,11 +6,17 @@ failure paths that leave partial evidence behind (non-convergence, an
 inconclusive radius fit, an internal error).
 
 With solver.etd_check the ETD oracle needs only the initial data, so it runs
-on a second thread beside the Picard march (scipy.fft and numpy's array
-loops release the GIL) and is joined after it. The outcome is decided as if the two ran one after the
-other: a failed march exits 3 whatever the oracle did (the oracle is stopped
-at its next step), and only then does an oracle failure count. No oracle
-thread outlives run_scenario.
+as a future on a one-worker thread pool beside the Picard march (scipy.fft
+and numpy's array loops release the GIL). It is submitted through this
+module's global etd_integrate, so a rebinding of runner.etd_integrate is what
+runs. The outcome is decided as if the two ran one after the other: a failed
+march exits 3 whatever the oracle did, and only then does an oracle failure
+count. A running call cannot be cancelled through its future, so the oracle
+checks a stop event before every step; run_scenario always sets it and shuts
+the pool down, which joins the worker, so no oracle thread outlives it (the
+pool starts no thread without the check). The worker is not a daemon: if a
+second interrupt lands during that join, concurrent.futures' exit hook joins
+a worker that stops at its next step.
 """
 from __future__ import annotations
 
@@ -19,6 +25,7 @@ import os
 import shutil
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -166,42 +173,6 @@ def _write_run_json(path: Path, cfg: ScenarioConfig, picard: PicardReport,
     gio.write_text(path, gio.dump_json(doc))
 
 
-class _OracleThread:
-    """etd_integrate(u0, coeffs, t_final, dt) on a daemon thread.
-
-    The thread looks etd_integrate up in this module's globals when it
-    starts, so a rebinding of runner.etd_integrate is what runs.
-    """
-
-    def __init__(self, u0: VelocityField, coeffs: QCoefficients, t_final: float,
-                 dt: float):
-        self._stop = threading.Event()
-        self._field: VelocityField | None = None
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._run,
-                                         args=(u0, coeffs, t_final, dt),
-                                         name="gnsflow-etd-oracle", daemon=True)
-        self._thread.start()
-
-    def _run(self, u0, coeffs, t_final, dt) -> None:
-        try:
-            self._field = etd_integrate(u0, coeffs, t_final, dt, stop=self._stop)
-        except BaseException as exc:  # re-raised in the caller's thread by result()
-            self._error = exc
-
-    def result(self) -> VelocityField:
-        """Wait for the oracle; its field, or the exception it raised."""
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._field
-
-    def stop(self) -> None:
-        """Make the oracle stop before its next step and wait for it."""
-        self._stop.set()
-        self._thread.join()
-
-
 def _publish(tmp: Path, out: Path) -> None:
     if out.exists():
         out.rmdir()  # only an empty placeholder is replaceable
@@ -255,7 +226,10 @@ def _run_into(tmp: Path, out: Path, cfg: ScenarioConfig, coeffs,
               u0) -> RunArtifacts:
     gio.write_text(tmp / "config.txt", cfg.canonical_text())
 
-    oracle = (_OracleThread(u0, coeffs, cfg.solver_t_final, cfg.solver_dt)
+    stop = threading.Event()
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gnsflow-etd-oracle")
+    oracle = (pool.submit(etd_integrate, u0, coeffs, cfg.solver_t_final, cfg.solver_dt,
+                          stop=stop)
               if cfg.solver_etd_check else None)
     try:
         traj, picard = picard_solve(u0, coeffs, cfg.solver_config())
@@ -286,8 +260,8 @@ def _run_into(tmp: Path, out: Path, cfg: ScenarioConfig, coeffs,
                     f"reference integrator blew up while the fixed-point solve "
                     f"converged: {exc}", EXIT_ORACLE_DISAGREEMENT)
     finally:
-        if oracle is not None:
-            oracle.stop()
+        stop.set()
+        pool.shutdown(wait=True)
 
     etd_rel_error: float | None = None
     if reference is not None:

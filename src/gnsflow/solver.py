@@ -478,10 +478,9 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
         return weighted_l2_stack(grid, stack, gamma, homogeneous=False)
 
     guard = DIVERGENCE_FACTOR * (1.0 + norm(u0_half))
-    # heat factors by exact time offset (h and t_{i+1} - s): a linspace
-    # lattice repeats them only up to rounding, so a 101-point lattice at
-    # T = 0.01 has 26 distinct offsets at quad_order 2 and 35 at 3
-    heat = lru_cache(maxsize=32)(partial(heat_factor, grid, half=True))
+    # an interval asks for h and its quad_order node offsets t_{i+1} - s in
+    # every round; across intervals they repeat only up to rounding
+    heat = lru_cache(maxsize=config.quad_order + 1)(partial(heat_factor, grid, half=True))
     integrand = partial(apply_Q_stack, coeffs, grid)
     band = band_modes(grid, "kept")
     increments = np.empty((len(times), 3, band.size), dtype=np.complex128)
@@ -563,6 +562,19 @@ def mild_residual(traj: Trajectory, u0: VelocityField, coeffs: QCoefficients,
     return out
 
 
+def _etd_steps(t_final: float, dt: float) -> int | None:
+    """The number of dt steps that make up t_final, or None unless dt divides
+    t_final with relative slack 1e-9: the one rule for etd_integrate and the
+    scenario config."""
+    ratio = t_final / dt
+    if not math.isfinite(ratio):
+        return None
+    n_steps = round(ratio)
+    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * t_final:
+        return None
+    return n_steps
+
+
 def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
                   dt: float, *, stop: threading.Event | None = None) -> VelocityField:
     """Fourth-order integrating-factor Runge-Kutta reference integrator: the
@@ -582,8 +594,8 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    n_steps = int(round(t_final / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * t_final:
+    n_steps = _etd_steps(t_final, dt)
+    if n_steps is None:
         raise ValueError(f"t_final {t_final} is not an integer multiple of dt {dt}")
 
     grid = u0.grid

@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,15 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from gnsflow import spectral
+
+
+@pytest.fixture(autouse=True)
+def no_oracle_thread_left():
+    """Fails any test that leaves an ETD oracle worker thread alive."""
+    yield
+    leaked = [t.name for t in threading.enumerate()
+              if t.name.startswith("gnsflow-etd-oracle")]
+    assert not leaked, f"oracle threads left alive: {leaked}"
 
 
 @pytest.fixture

@@ -664,7 +664,7 @@ ORACLE_THREAD = "gnsflow-etd-oracle"
 
 
 def _oracle_threads():
-    return [t for t in threading.enumerate() if t.name == ORACLE_THREAD]
+    return [t for t in threading.enumerate() if t.name.startswith(ORACLE_THREAD)]
 
 
 class _CountingStop:
@@ -701,6 +701,22 @@ def oracle_spy(monkeypatch):
 
     monkeypatch.setattr(runner, "etd_integrate", spy)
     return seen
+
+
+@pytest.mark.parametrize("etd_check, workers", [("false", 0), ("true", 1)])
+def test_oracle_thread_only_with_the_etd_check(tmp_path, monkeypatch, etd_check, workers):
+    seen = []
+    real = runner.picard_solve
+
+    def recording_march(*args, **kwargs):
+        seen.append(len(_oracle_threads()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "picard_solve", recording_march)
+    cfg = parse_config_text(BASE_CFG + f"solver.etd_check = {etd_check}\n"
+                            "solver.dt = 0.001\n")
+    run_scenario(cfg, out_dir=tmp_path / "run")
+    assert seen == [workers]
 
 
 def test_diverging_march_stops_the_oracle(tmp_path, capsys, oracle_spy):

@@ -1,18 +1,21 @@
 import math
 import re
+import threading
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gnsflow import runner
+from gnsflow import runner, solver
 from gnsflow.config import (
     ConfigError,
     ScenarioConfig,
     parse_config,
     parse_config_text,
 )
+from gnsflow.operators import VelocityField, navier_stokes_coeffs
+from gnsflow.spectral import build_grid
 
 MINIMAL = """
 # subcritical demo
@@ -192,6 +195,39 @@ class TestErrorCollection:
         cfg = parse_config_text(
             "solver.etd_check = true\nsolver.t_final = 0.01\nsolver.dt = 0.0001\n")
         assert cfg.solver_etd_check
+
+    @pytest.mark.parametrize("t_final, dt", [
+        (0.01, 1e-4 * (1.0 + 0.5e-9)), (0.01, 1e-4 * (1.0 - 0.5e-9)),
+        (0.01, 1e-4 * (1.0 + 2e-9)), (0.01, 1e-4 * (1.0 - 2e-9)),
+        (0.01, 0.02), (0.3, 0.5), (1e300, 1e-300)])
+    def test_etd_divisibility_is_the_integrators_rule(self, t_final, dt):
+        try:
+            parse_config_text(f"solver.etd_check = true\nsolver.t_final = {t_final!r}\n"
+                              f"solver.dt = {dt!r}\n")
+            config_ok = True
+        except ConfigError as exc:
+            config_ok = not any("must divide" in p for p in exc.problems)
+        grid = build_grid(4)
+        u0 = VelocityField.from_half(grid, np.zeros((3,) + grid.half_shape, dtype=complex))
+        stop = threading.Event()
+        stop.set()  # an accepted pair ends before its first step
+        with pytest.raises((solver._EtdStopped, ValueError)) as exc:
+            solver.etd_integrate(u0, navier_stokes_coeffs(), t_final, dt, stop=stop)
+        assert config_ok == isinstance(exc.value, solver._EtdStopped)
+
+    def test_etd_divisibility_skips_a_bad_t_final(self):
+        problems = self.assert_problems(
+            "solver.etd_check = true\nsolver.t_final = inf\n", "solver.t_final")
+        assert not any("must divide" in p for p in problems)
+
+    def test_n_shells_bounded_by_the_half_spectrum(self):
+        modes = 8 * 8 * 5
+        cfg = parse_config_text(f"grid.n = 8\ndiagnostics.n_shells = {modes}\n")
+        assert cfg.diagnostics_n_shells == modes
+        for n_shells in (modes + 1, 10**13):
+            self.assert_problems(f"grid.n = 8\ndiagnostics.n_shells = {n_shells}\n",
+                                 f"diagnostics.n_shells: {n_shells} exceeds the "
+                                 f"{modes} modes")
 
 
 @pytest.mark.usefixtures("small_linspace")

@@ -724,6 +724,37 @@ class TestBoundSides:
         assert math.isfinite(lhs) and lhs >= 0.0
         assert math.isfinite(rhs) and rhs > 0.0
 
+    def test_bilinear_sides_ignore_states_after_the_horizon(self, rng):
+        # lattice to 2T; the sup norms are L^infty_T, so states after T must not count
+        grid = build_grid(16)
+        times = np.linspace(0.0, 0.02, 9)
+        params = NormParams(gamma=1.0, delta=0.1, t_horizon=0.01, lam=4.0)
+        f = self.band_trajectory(grid, rng, 5.0, times)
+        g = self.band_trajectory(grid, rng, 5.0, times)
+
+        def grown_after_horizon(traj):
+            return Trajectory(times, tuple(
+                operators.VelocityField.from_half(grid, (10.0 if i > 4 else 1.0)
+                                                  * traj.half_state(i))
+                for i in range(len(times))))
+
+        coeffs = navier_stokes_coeffs()
+        want = bilinear_tail_bound_sides(coeffs, f, g, params, n1=40.0)
+        got = bilinear_tail_bound_sides(coeffs, grown_after_horizon(f),
+                                        grown_after_horizon(g), params, n1=40.0)
+        assert got == want
+
+    def test_bilinear_rejects_trajectories_on_other_lattices(self, rng):
+        grid = build_grid(8)
+        params = NormParams(gamma=1.0, delta=0.1, t_horizon=0.01, lam=4.0)
+        f = self.band_trajectory(grid, rng, 3.0, np.linspace(0.0, 0.01, 3))
+        g = self.band_trajectory(grid, rng, 3.0, np.array([0.0, 0.002, 0.01]))
+        with pytest.raises(ValueError, match="one time lattice"):
+            bilinear_tail_bound_sides(navier_stokes_coeffs(), f, g, params, n1=1.0)
+        other = self.band_trajectory(build_grid(16), rng, 3.0, f.times)
+        with pytest.raises(ValueError, match="one grid"):
+            bilinear_tail_bound_sides(navier_stokes_coeffs(), f, other, params, n1=1.0)
+
     def test_bilinear_rejects_zero_lam(self, rng):
         grid = build_grid(8)
         times = np.linspace(0.0, 0.01, 3)
@@ -763,6 +794,14 @@ class TestBoundSides:
         params = NormParams(gamma=1.0, delta=0.2, t_horizon=0.01, lam=4.0)
         lhs, _ = smoothing_kernel_bound_sides(traj, params, 2.0, "high")
         assert lhs == 0.0  # |k| = 1 < 2 n0 = 4: excluded entirely
+
+    def test_kernel_rejects_horizon_shorter_than_params(self, rng):
+        grid = build_grid(8)
+        traj = self.band_trajectory(grid, rng, 3.0, np.linspace(0.0, 0.005, 3))
+        params = NormParams(gamma=1.0, delta=0.1, t_horizon=0.01, lam=4.0)
+        for region in ("low", "high"):
+            with pytest.raises(ValueError, match="shorter than the norm horizon"):
+                smoothing_kernel_bound_sides(traj, params, 2.0, region)
 
     def test_kernel_region_validation(self, rng):
         grid = build_grid(8)
