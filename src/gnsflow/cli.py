@@ -117,11 +117,12 @@ def _cmd_report(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .diagnostics import eta_J
-    from .operators import (QCoefficients, apply_Q, heat_factor,
+    from .operators import (QCoefficients, VelocityField, apply_Q, heat_factor,
                             leray_project_stack, navier_stokes_coeffs,
                             stack_coefficients, velocity_from_stack)
     from .solver import SolverConfig, picard_solve
-    from .spectral import build_grid, forward_transform, hermitian_deviation, inverse_transform
+    from .spectral import (build_grid, forward_transform, hermitian_deviation,
+                           inverse_transform, rfftn, to_full)
 
     failures = 0
 
@@ -139,27 +140,26 @@ def _cmd_selftest(args) -> int:
 
     t = 0.37
     hf = heat_factor(grid, t)
-    check("heat factor", float(np.max(np.abs(
-        hf - np.exp(-t * np.asarray(grid.k_sq))))) <= 1e-13)
+    check("heat factor", float(np.max(np.abs(hf - np.exp(-t * grid.k_sq)))) <= 1e-13)
 
-    stack = np.stack([forward_transform(grid, rng.standard_normal(grid.shape))
-                      for _ in range(3)])
-    stack *= np.asarray(grid.dealias_mask)
-    u = velocity_from_stack(grid, leray_project_stack(grid, stack))
+    stack = np.zeros((3, hf.size), dtype=complex)
+    kept = grid.half_dealias_modes[0]
+    stack[:, kept] = rfftn(rng.standard_normal((3,) + grid.shape)).reshape(3, -1)[:, kept]
+    stack = leray_project_stack(grid, stack.reshape((3,) + grid.half_shape))
+    u = velocity_from_stack(grid, to_full(grid, stack))
     q = apply_Q(navier_stokes_coeffs(), u, u)
     check("nonlinearity divergence-free", q.divergence_deviation() <= 1e-10)
     check("nonlinearity hermitian", hermitian_deviation(stack_coefficients(q)) == 0.0)
 
     g8 = build_grid(8)
     coeffs = QCoefficients(np.zeros((3,) * 6))
-    base = np.zeros((3,) + g8.shape, dtype=complex)
+    base = np.zeros((3,) + g8.half_shape, dtype=complex)
     base[0, 0, 2, 0] = 0.5
     base[0, 0, -2 % 8, 0] = 0.5
-    u0 = velocity_from_stack(g8, base)
+    u0 = VelocityField.from_half(g8, base)
     traj, rep = picard_solve(u0, coeffs, SolverConfig(t_final=0.01, n_times=5))
-    ksq = np.asarray(g8.k_sq)
-    want = base * np.exp(-0.01 * ksq)
-    got = stack_coefficients(traj.states[-1])
+    want = base * np.exp(-0.01 * g8.k_sq)
+    got = traj.states[-1].half_spectrum()
     check("zero coefficients give the heat flow",
           rep.converged and float(np.max(np.abs(got - want))) <= 1e-14)
 

@@ -20,7 +20,6 @@ from .spectral import (
     EXP_GUARD,
     irfftn,
     shell_reduce_max,
-    to_half,
     weighted_l2_stack,
     weighted_tail_sums,
 )
@@ -86,10 +85,6 @@ class NormParams:
         if not (self.eta0 > 0.0):
             raise ValueError(f"eta0 must be positive, got {self.eta0}")
 
-    @property
-    def is_subcritical(self) -> bool:
-        return self.gamma > 0.5 + 2.0 * self.delta
-
 
 def sobolev_norm(u: VelocityField, s: float, homogeneous: bool) -> float:
     """Lattice-weighted Sobolev norm of a velocity field.
@@ -114,7 +109,7 @@ def gevrey_norm(u: VelocityField, r: float, s: float) -> float:
     shift = r * grid.k_max
     return math.exp(shift) * weighted_l2_stack(
         grid, u.half_spectrum(), s, True,
-        factor=np.exp(2.0 * (r * to_half(grid.k_norm) - shift)))
+        factor=np.exp(2.0 * (r * grid.k_norm - shift)))
 
 
 def _build_tail_table(traj: Trajectory, gamma: float) -> np.ndarray:
@@ -243,7 +238,7 @@ def envelope_norm(u: VelocityField, t: float, params: NormParams,
     peak = max(peak_expo, 0.0)
     return t ** (0.5 * delta) * math.exp(peak) * weighted_l2_stack(
         grid, u.half_spectrum(), delta + 0.5, True, cutoff=cutoff,
-        factor=np.exp(2.0 * (drift * to_half(grid.k_norm) - sink - peak)))
+        factor=np.exp(2.0 * (drift * grid.k_norm - sink - peak)))
 
 
 def _last_index_within(traj: Trajectory, T: float) -> int:
@@ -567,12 +562,10 @@ def smoothing_kernel_bound_sides(F: Trajectory, params: NormParams, n0: float,
         raise ValueError("the kernel bound needs lam > 0")
     grid = F.grid
     last = _last_index_within(F, T)
-    k_sq = to_half(grid.k_sq)
-    k_norm = to_half(grid.k_norm)
     if region == "low":
-        mask = k_norm <= 2.0 * n0
+        mask = grid.k_norm <= 2.0 * n0
     else:
-        mask = k_norm >= 2.0 * n0
+        mask = grid.k_norm >= 2.0 * n0
 
     def state_at(j):
         return (F.half_state(j),)
@@ -585,7 +578,7 @@ def smoothing_kernel_bound_sides(F: Trajectory, params: NormParams, n0: float,
                 return math.exp(n0**2 * s)
         else:
             def kernel(s, _t=t):
-                return np.exp(-(_t - s) * k_sq / 10.0)
+                return np.exp(-(_t - s) * grid.k_sq / 10.0)
         integral = _lattice_quadrature(F.times, state_at, eta0 * t, t, quad_order,
                                        kernel, lambda f: f)
         lhs = max(lhs, t ** (0.5 * delta) * weighted_l2_stack(

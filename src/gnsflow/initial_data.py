@@ -1,19 +1,22 @@
 """Divergence-free initial velocity fields on the periodic lattice.
 
-Every generator returns a field that is simultaneously Hermitian-symmetric,
+Every generator builds the (3, n, n, n//2+1) half spectrum of its field
+directly, and returns a field that is simultaneously Hermitian-symmetric,
 divergence-free, mean-free and zero on the Nyquist planes (the last is what
 lets the first two coexist under odd-in-k multipliers; see
-operators.leray_project_stack).
+operators.leray_project_stack). The full lattice appears only as the random
+kind's noise draw, one component at a time.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import VelocityField, leray_project_stack, velocity_from_stack
-from .spectral import Grid, hermitian_symmetrize
+from .operators import VelocityField, leray_project_stack
+from .spectral import Grid, negated_half, to_half
 
 DATA_KINDS = ("taylor_green", "single_mode", "random_sobolev_tail",
               "compact_spectrum")
@@ -35,20 +38,24 @@ class DataParams:
             raise ValueError(f"amplitude must be >= 0 and finite, got {self.amplitude}")
 
 
-def _nyquist_free(grid: Grid) -> np.ndarray:
-    half = grid.n_per_axis // 2
-    ax = np.abs(np.asarray(grid.alias_integers))
-    keep1d = ax != half
-    return (keep1d[:, None, None] & keep1d[None, :, None] & keep1d[None, None, :])
-
-
-def _finish(grid: Grid, stack: np.ndarray) -> VelocityField:
-    """Shared tail: kill Nyquist, symmetrize, project, remove the mean."""
-    stack = stack * _nyquist_free(grid)
-    stack = np.stack([hermitian_symmetrize(stack[j]) for j in range(3)])
+def _finish(grid: Grid, pairs: Iterator[tuple[np.ndarray, np.ndarray]]) -> VelocityField:
+    """Shared tail on the half spectrum. pairs gives, per component, its
+    coefficients at the half modes k and at their mirrors -k, as arrays
+    this may overwrite. Kill Nyquist, symmetrize (c(k) + conj c(-k)) / 2,
+    project, remove the mean."""
+    keep = np.abs(grid.alias_integers) != grid.n_per_axis // 2
+    nyquist_free = keep[:, None, None] & keep[None, :, None] & keep[:grid.half_shape[-1]]
+    stack = np.empty((3,) + grid.half_shape, dtype=np.complex128)
+    for j in range(3):
+        at_k, at_minus_k = next(pairs)
+        at_k *= nyquist_free
+        at_minus_k *= nyquist_free
+        at_k += np.conj(at_minus_k, out=at_minus_k)
+        np.multiply(0.5, at_k, out=stack[j])
+        del at_k, at_minus_k  # free this component before pairs builds the next
     stack = leray_project_stack(grid, stack)
     stack[:, 0, 0, 0] = 0.0
-    return velocity_from_stack(grid, stack)
+    return VelocityField.from_half(grid, stack)
 
 
 def taylor_green(grid: Grid, params: DataParams) -> VelocityField:
@@ -59,13 +66,13 @@ def taylor_green(grid: Grid, params: DataParams) -> VelocityField:
     """
     n = grid.n_per_axis
     a = 0.25j * params.amplitude
-    stack = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    stack = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
     for sx, ix in ((1, 1), (-1, n - 1)):
         for sy, iy in ((1, 1), (-1, n - 1)):
             # sin X cos Y and -cos X sin Y expanded over e^{i(sx X + sy Y)}
             stack[0, ix, iy, 0] = -a * sx
             stack[1, ix, iy, 0] = a * sy
-    return velocity_from_stack(grid, stack)
+    return VelocityField.from_half(grid, stack)
 
 
 def single_mode(grid: Grid, params: DataParams) -> VelocityField:
@@ -83,41 +90,51 @@ def single_mode(grid: Grid, params: DataParams) -> VelocityField:
     if np.linalg.norm(e) == 0.0:  # k along z: any horizontal direction works
         e = np.array([1.0, 0.0, 0.0])
     e /= np.linalg.norm(e)
-    stack = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    plus = tuple(c % n for c in m)
-    minus = tuple(-c % n for c in m)
-    for j in range(3):
-        stack[(j,) + plus] = 0.5 * params.amplitude * e[j]
-        stack[(j,) + minus] = 0.5 * params.amplitude * e[j]
-    return velocity_from_stack(grid, stack)
+    stack = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
+    for index in (tuple(c % n for c in m), tuple(-c % n for c in m)):
+        if index[2] <= n // 2:  # the mode is in the half spectrum
+            for j in range(3):
+                stack[(j,) + index] = 0.5 * params.amplitude * e[j]
+    return VelocityField.from_half(grid, stack)
 
 
 def random_sobolev_tail(grid: Grid, params: DataParams, seed: int) -> VelocityField:
     """Keyed gaussian modes shaped by A |k|^{-spectral_exponent} on a band.
 
     The Philox generator is counter-based, so the full-lattice draw depends
-    only on the seed (bit-reproducible across runs and platforms).
+    only on the seed (bit-reproducible across runs and platforms). Its
+    stream holds every component's real parts, then every imaginary part;
+    each component's draw is read at the half modes and their mirrors -k,
+    then freed.
     """
     _check_band(grid, params.band_lo, params.band_hi, "band_hi")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    shape = (3,) + grid.shape
-    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    knorm = np.asarray(grid.k_norm)
+    knorm = grid.k_norm
     band = (knorm >= params.band_lo) & (knorm <= params.band_hi)
     with np.errstate(divide="ignore"):
         profile = np.where(band, params.amplitude
                            * np.where(knorm > 0.0, knorm, 1.0) ** -params.spectral_exponent,
                            0.0)
-    return _finish(grid, noise * profile)
+
+    def draw() -> tuple[np.ndarray, np.ndarray]:
+        values = rng.standard_normal(grid.shape)
+        return np.array(to_half(values)), negated_half(values)
+
+    def noise():
+        real = [draw() for _ in range(3)]
+        while real:
+            yield tuple((re + 1j * im) * profile for re, im in zip(real.pop(0), draw()))
+
+    return _finish(grid, noise())
 
 
 def compact_spectrum(grid: Grid, params: DataParams) -> VelocityField:
     """Flat coefficient amplitude A on band_lo <= |k| <= k_cut, deterministic."""
     _check_band(grid, params.band_lo, params.k_cut, "k_cut")
-    knorm = np.asarray(grid.k_norm)
-    band = (knorm >= params.band_lo) & (knorm <= params.k_cut)
-    stack = np.where(band, params.amplitude + 0.0j, 0.0j)
-    return _finish(grid, np.stack([stack, stack, stack]))
+    band = (grid.k_norm >= params.band_lo) & (grid.k_norm <= params.k_cut)
+    values = np.where(band, params.amplitude + 0.0j, 0.0j)
+    # even in k: the mirror -k of each mode holds the same value
+    return _finish(grid, ((values.copy(), values.copy()) for _ in range(3)))
 
 
 def _check_band(grid: Grid, lo: float, hi: float, hi_name: str) -> None:

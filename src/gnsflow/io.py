@@ -377,10 +377,3 @@ def bound_report_to_dict(report: BoundReport) -> dict:
 
 def write_bound_report_json(path: Path, report: BoundReport) -> None:
     write_text(Path(path), dump_json(bound_report_to_dict(report)))
-
-
-def manifest_comparison_key(manifest: dict) -> dict:
-    """Manifest with the wall-clock entry removed (for determinism checks)."""
-    out = dict(manifest)
-    out.pop("wall_clock_utc", None)
-    return out

@@ -26,9 +26,9 @@ from .spectral import (  # noqa: F401
     hermitian_half,
     ifftn,
     irfftn,
+    negated_axis,
     rfftn,
     to_full,
-    to_half,
 )
 
 __all__ = [
@@ -80,17 +80,19 @@ class QCoefficients:
 
         W = (M(k) - M(-k)) / 2 on the kept half-spectrum modes (the last axis
         follows grid.half_dealias_modes), with M(-k) read at the storage
-        index of -k: M is odd in k, so W = M except on Nyquist planes, whose
-        alias -n/2 is its own negative. Pairs run over _SAME_PAIRS when same
-        (off-diagonal weight W[j, a, b] + W[j, b, a]), else over _ALL_PAIRS.
+        index (-i) % n of -k on each axis: M is odd in k, so W = M except on
+        Nyquist planes, whose alias -n/2 is its own negative. Pairs run over
+        _SAME_PAIRS when same (off-diagonal weight W[j, a, b] + W[j, b, a]),
+        else over _ALL_PAIRS.
         """
         key = (grid, same)
         with self._pair_weights_lock:
             cached = self._pair_weights.get(key)
             if cached is None:
-                kept = grid.half_dealias_modes[1]
+                kept = np.unravel_index(grid.half_dealias_modes[0], grid.half_shape)
+                neg = negated_axis(grid.n_per_axis)
                 W = 0.5 * (_multiplier_at(grid, self.alpha, kept)
-                           - _multiplier_at(grid, self.alpha, grid.negated_modes[kept]))
+                           - _multiplier_at(grid, self.alpha, tuple(neg[i] for i in kept)))
                 cached = np.stack([
                     np.stack([W[j, a, b] + W[j, b, a] if same and a != b else W[j, a, b]
                               for a, b in (_SAME_PAIRS if same else _ALL_PAIRS)])
@@ -102,14 +104,17 @@ class QCoefficients:
         return cached
 
 
-def _multiplier_at(grid: Grid, alpha: np.ndarray, flat_index: np.ndarray) -> np.ndarray:
+def _multiplier_at(grid: Grid, alpha: np.ndarray,
+                   index: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """Combined Fourier multiplier M[j, k, l](xi) = sum_m xi_m q^{j,m}_{k,l}(xi),
-    symbol and divergence in one, at the full-lattice modes flat_index (C
-    order), shaped (3, 3, 3, len); M(0) = 0."""
-    i, j, l = np.unravel_index(flat_index, grid.shape)
+    symbol and divergence in one, at the full-lattice modes whose storage
+    indices per axis are index, shaped (3, 3, 3, len); M(0) = 0. 1/|k|^2 is
+    Grid.inv_k_sq's arithmetic, on the components of each mode."""
     k = grid.wavenumbers
-    comps = (k[i], k[j], k[l])
-    inv_ksq = grid.inv_k_sq.reshape(-1)[flat_index]
+    comps = tuple(k[i] for i in index)
+    k_sq = comps[0]**2 + comps[1]**2 + comps[2]**2
+    with np.errstate(divide="ignore"):
+        inv_ksq = np.where(k_sq > 0.0, 1.0 / k_sq, 0.0)
     monomials: dict[tuple[int, int, int], np.ndarray] = {}
 
     def monomial(m: int, n: int, p: int) -> np.ndarray:
@@ -120,7 +125,7 @@ def _multiplier_at(grid: Grid, alpha: np.ndarray, flat_index: np.ndarray) -> np.
             monomials[key] = arr
         return arr
 
-    M = np.zeros((3, 3, 3, len(flat_index)))
+    M = np.zeros((3, 3, 3, k_sq.size))
     for j in range(3):
         for a in range(3):
             for b in range(3):
@@ -181,12 +186,14 @@ class VelocityField:
 
     @classmethod
     def from_half(cls, grid: Grid, half: np.ndarray) -> "VelocityField":
-        """The real field of a (3, n, n, n//2+1) half spectrum, without copying it."""
+        """The real field of a (3, n, n, n//2+1) half spectrum, without copying
+        a C-order array; any other order is copied to C order, which the
+        solver's writes through flat views need."""
         if half.shape != (3,) + grid.half_shape:
             raise ValueError(f"half stack shape {half.shape} does not match grid")
         field_ = cls.__new__(cls)
         field_._grid = grid
-        field_._half = half
+        field_._half = np.ascontiguousarray(half)
         return field_
 
     @property
@@ -208,8 +215,8 @@ class VelocityField:
         grid = self.grid
         kx, ky, kz = grid.k_components
         half = self._half
-        div = kx * half[0] + ky * half[1] + kz[..., :half.shape[-1]] * half[2]
-        knorm = to_half(grid.k_norm)
+        div = kx * half[0] + ky * half[1] + kz * half[2]
+        knorm = grid.k_norm
         with np.errstate(invalid="ignore", divide="ignore"):
             scaled = np.where(knorm > 0.0, np.abs(div) / knorm, 0.0)
         norm = self.l2_coefficient_norm()
@@ -245,7 +252,7 @@ def apply_Q_stack(coeffs: QCoefficients, grid: Grid, u_phys: np.ndarray,
     Hermitian.
     """
     same = v_phys is None or v_phys is u_phys
-    modes, _, plane, partner = grid.half_dealias_modes
+    modes, plane, partner = grid.half_dealias_modes
     weights = coeffs.pair_weights(grid, same)
     pairs = _SAME_PAIRS if same else _ALL_PAIRS
 
@@ -281,7 +288,8 @@ def apply_Q(coeffs: QCoefficients, u: VelocityField, v: VelocityField) -> Veloci
 
 
 def leray_project_stack(grid: Grid, stack: np.ndarray) -> np.ndarray:
-    """c_j - k_j (k . c) / |k|^2 on a (3, n, n, n) stack; k = 0 untouched.
+    """c_j - k_j (k . c) / |k|^2 on a (3, n, n, n//2+1) half-spectrum stack,
+    as a new array; k = 0 untouched.
 
     Odd-in-k multiplier: on the self-paired Nyquist planes (axis index
     n // 2) conjugate symmetry is not preserved, so callers keep their
@@ -299,20 +307,20 @@ def leray_project_stack(grid: Grid, stack: np.ndarray) -> np.ndarray:
 def leray_project(u: VelocityField) -> VelocityField:
     """Project onto divergence-free fields (idempotent, self-adjoint); the
     result, built by velocity_from_stack, must be real (no Nyquist content)."""
-    return velocity_from_stack(u.grid, leray_project_stack(u.grid, stack_coefficients(u)))
+    grid = u.grid
+    return velocity_from_stack(grid, to_full(grid, leray_project_stack(grid, u.half_spectrum())))
 
 
-def heat_factor(grid: Grid, t: float, half: bool = False) -> np.ndarray:
-    """exp(-t |k|^2) on the full lattice, or on the half spectrum when half."""
+def heat_factor(grid: Grid, t: float) -> np.ndarray:
+    """exp(-t |k|^2) on the half spectrum (half_shape)."""
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"heat semigroup time must be finite and >= 0, got {t}")
-    return np.exp(-t * (to_half(grid.k_sq) if half else grid.k_sq))
+    return np.exp(-t * grid.k_sq)
 
 
 def heat_semigroup(u: VelocityField, t: float) -> VelocityField:
     """Multiply each mode by exp(-t |k|^2) (unit viscosity)."""
-    return VelocityField.from_half(u.grid, heat_factor(u.grid, t, half=True)
-                                   * u.half_spectrum())
+    return VelocityField.from_half(u.grid, heat_factor(u.grid, t) * u.half_spectrum())
 
 
 def write_q_coefficients(path: str | Path, coeffs: QCoefficients) -> None:

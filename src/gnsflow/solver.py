@@ -217,7 +217,7 @@ class Trajectory:
         grid = self.grid
         index = _stack_index(grid, self.band_kind)
         if self._flows:
-            out = heat_factor(grid, float(self.times[i]), half=True) * self.u0
+            out = heat_factor(grid, float(self.times[i])) * self.u0
             out.reshape(-1)[index] += self.increments[i].reshape(-1)
         else:
             out = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
@@ -353,7 +353,7 @@ def duhamel_B(coeffs: QCoefficients, u: Trajectory, v: Trajectory, t_eval: float
         def state_at(j):
             return (u.half_state(j), v.half_state(j))
     acc = _lattice_quadrature(u.times, state_at, 0.0, t_eval, quad_order,
-                              lambda s: heat_factor(grid, t_eval - s, half=True),
+                              lambda s: heat_factor(grid, t_eval - s),
                               partial(_q_of_halves, coeffs, grid))
     return VelocityField.from_half(grid, acc)
 
@@ -377,9 +377,9 @@ def _duhamel_lattice(coeffs: QCoefficients, grid: Grid, times: np.ndarray,
     for i in range(len(times) - 1):
         t_lo, t_hi = float(times[i]), float(times[i + 1])
         ends.append(tuple(next(w) for w in walks))
-        acc = heat_factor(grid, t_hi - t_lo, half=True) * acc + _lattice_quadrature(
+        acc = heat_factor(grid, t_hi - t_lo) * acc + _lattice_quadrature(
             times[i:i + 2], ends.__getitem__, t_lo, t_hi, quad_order,
-            lambda s: heat_factor(grid, t_hi - s, half=True), integrand)
+            lambda s: heat_factor(grid, t_hi - s), integrand)
         ends.pop(0)
         yield acc
 
@@ -428,7 +428,7 @@ def _increment(grid: Grid, t: float, u0: np.ndarray, state: np.ndarray) -> np.nd
     """take(state - e^{tL} u0, kept band): a half state's increment over the
     heat flow, shaped (3, len(band))."""
     index = _stack_index(grid, "kept")
-    flow = heat_factor(grid, t, half=True) * u0
+    flow = heat_factor(grid, t) * u0
     inc = state.reshape(-1).take(index)
     inc -= flow.reshape(-1).take(index)
     return inc.reshape(3, -1)
@@ -480,7 +480,7 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
     guard = DIVERGENCE_FACTOR * (1.0 + norm(u0_half))
     # an interval asks for h and its quad_order node offsets t_{i+1} - s in
     # every round; across intervals they repeat only up to rounding
-    heat = lru_cache(maxsize=config.quad_order + 1)(partial(heat_factor, grid, half=True))
+    heat = lru_cache(maxsize=config.quad_order + 1)(partial(heat_factor, grid))
     integrand = partial(apply_Q_stack, coeffs, grid)
     band = band_modes(grid, "kept")
     increments = np.empty((len(times), 3, band.size), dtype=np.complex128)
@@ -556,7 +556,7 @@ def mild_residual(traj: Trajectory, u0: VelocityField, coeffs: QCoefficients,
     b_iter = _duhamel_lattice(coeffs, grid, traj.times,
                               (traj.half_state(i) for i in range(count)), quad_order)
     for i, b in enumerate(b_iter):
-        heat = heat_factor(grid, float(traj.times[i]), half=True)
+        heat = heat_factor(grid, float(traj.times[i]))
         defect = traj.half_state(i) - u0_half * heat - b
         out[i] = weighted_l2_stack(grid, defect, gamma, homogeneous=False)
     return out
@@ -600,10 +600,9 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
 
     grid = u0.grid
     c = _finite_half(u0)
-    E = heat_factor(grid, 0.5 * dt, half=True)
+    E = heat_factor(grid, 0.5 * dt)
     E2 = E * E
     scale0 = 1.0 + float(np.max(np.abs(c)))
-    times = np.linspace(0.0, t_final, n_steps + 1)
 
     N = partial(_q_of_halves, coeffs, grid)
 
@@ -617,7 +616,9 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
         c = E2 * c + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
         peak = float(np.max(np.abs(c)))
         if not math.isfinite(peak) or peak > BLOWUP_FACTOR * scale0:
-            t_here = float(times[step + 1])
+            # np.linspace(0, t_final, n_steps + 1)[step + 1], bit for bit
+            t_here = float(t_final if step + 1 == n_steps
+                           else (step + 1) * (t_final / n_steps))
             raise BlowupError(
                 f"integrator blew up at t = {t_here:.6g}: max coefficient "
                 f"{peak:.3e} vs initial scale {scale0:.3e}", t_here, peak)

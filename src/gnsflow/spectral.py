@@ -8,11 +8,11 @@ integer aliases m in [-n/2, n/2).
 
 A real field's coefficients satisfy c(-k) = conj c(k), so the half spectrum
 ``coeffs[..., :n//2+1]`` (the ``rfftn`` layout) determines them. Every field
-the package computes on is such a half spectrum, and the reductions
-(``weighted_l2_stack``, ``weighted_tail_sums``, ``shell_reduce_max``) take
-that layout only. The full lattice is used only at the edges: by the array
-transforms ``forward_transform`` and ``inverse_transform``, and by
-``to_half`` and ``to_full``, which convert between the two layouts.
+the package computes on is such a half spectrum, and so are the ``Grid``
+tables and the reductions' inputs. The full lattice is used only at the
+edges: by ``forward_transform``, ``inverse_transform``, ``hermitian_half``,
+``hermitian_deviation``, ``to_half`` and ``to_full``, which find each -k
+axis by axis (``negated_axis``, ``negated_half``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "weighted_tail_sums",
     "hermitian_deviation",
     "hermitian_half",
-    "hermitian_symmetrize",
     "set_fft_workers",
     "get_fft_workers",
 ]
@@ -103,7 +102,8 @@ class Grid:
     """Cubic periodic lattice: n_per_axis points per axis, side length period.
 
     dealias_fraction is the kept fraction of the one-sided mode range per axis
-    (2/3 rule by default).
+    (2/3 rule by default). The tables k_sq, k_norm and inv_k_sq are
+    half_shape arrays; the mode -k has the value of k, bit for bit.
     """
 
     n_per_axis: int
@@ -130,11 +130,6 @@ class Grid:
         """Shape of the half spectrum: kz indices 0..n/2 only."""
         n = self.n_per_axis
         return (n, n, n // 2 + 1)
-
-    @property
-    def negated_modes(self) -> np.ndarray:
-        """Flat C-order index of the mode -k for every mode k (read-only)."""
-        return _negated_index(self.n_per_axis)
 
     @property
     def spacing(self) -> float:
@@ -168,9 +163,11 @@ class Grid:
 
     @cached_property
     def k_components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcastable (n,1,1), (1,n,1), (1,1,n) wavenumber component arrays."""
-        kx, ky, kz = np.meshgrid(self.wavenumbers, self.wavenumbers, self.wavenumbers,
-                                 indexing="ij", sparse=True)
+        """Broadcastable (n,1,1), (1,n,1), (1,1,n//2+1) wavenumber component
+        arrays of the half spectrum."""
+        k = self.wavenumbers
+        kx, ky, kz = np.meshgrid(k, k, k[:self.n_per_axis // 2 + 1], indexing="ij",
+                                 sparse=True)
         for a in (kx, ky, kz):
             a.setflags(write=False)
         return kx, ky, kz
@@ -198,7 +195,7 @@ class Grid:
         with k_norm >= levels[m]. Every |k| of the lattice is that of a
         half-spectrum mode (|-k| = |k|), so the levels are the full lattice's.
         """
-        levels, mode_level = np.unique(to_half(self.k_norm), return_inverse=True)
+        levels, mode_level = np.unique(self.k_norm, return_inverse=True)
         mode_level = mode_level.ravel()
         for arr in (levels, mode_level):
             arr.setflags(write=False)
@@ -210,29 +207,21 @@ class Grid:
         return float(np.sqrt(3.0) * self.spacing * (self.n_per_axis // 2))
 
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean keep-mask: |alias| <= dealias_fraction * n/2 per axis."""
-        cut = self.dealias_fraction * (self.n_per_axis / 2.0)
-        keep1d = np.abs(self.alias_integers) <= cut
-        mask = keep1d[:, None, None] & keep1d[None, :, None] & keep1d[None, None, :]
-        mask.setflags(write=False)
-        return mask
-
-    @cached_property
-    def half_dealias_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def half_dealias_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Kept modes of the half spectrum, and how to pair up its self-paired planes.
 
+        A mode is kept when |alias| <= dealias_fraction * n/2 on every axis.
         Returns the kept modes as flat C-order indices into half_shape, the
-        full-lattice flat index of each, the list positions of the kept
-        modes on the kz = 0 and kz = n/2 planes (each plane holds both k
-        and -k), and the list position of each of their -k.
+        list positions of the kept modes on the kz = 0 and kz = n/2 planes
+        (each plane holds both k and -k), and the list position of each of
+        their -k.
         """
-        modes = np.flatnonzero(self.dealias_mask[..., :self.n_per_axis // 2 + 1])
-        full = np.ravel_multi_index(np.unravel_index(modes, self.half_shape), self.shape)
+        h = self.n_per_axis // 2 + 1
+        keep = np.abs(self.alias_integers) <= self.dealias_fraction * (self.n_per_axis / 2.0)
+        modes = np.flatnonzero(keep[:, None, None] & keep[None, :, None] & keep[:h])
         plane, partner = plane_pairs(self, modes)
-        for arr in (modes, full):
-            arr.setflags(write=False)
-        return modes, full, plane, partner
+        modes.setflags(write=False)
+        return modes, plane, partner
 
     @cached_property
     def inv_k_sq(self) -> np.ndarray:
@@ -250,35 +239,39 @@ def build_grid(n_per_axis: int, period: float = 2.0 * math.pi,
                 dealias_fraction=float(dealias_fraction))
 
 
+def negated_axis(n: int) -> np.ndarray:
+    """For each storage index i of an axis (alias m), the index (-i) % n of -m."""
+    return (-np.arange(n)) % n
+
+
 def plane_pairs(grid: Grid, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only list positions, in sorted flat half_shape indices modes, of
     the modes on the kz = 0 and kz = n/2 planes (each holds both k and -k)
     and of each of their -k, which modes must hold."""
     n = grid.n_per_axis
+    neg = negated_axis(n)
     i, j, l = np.unravel_index(modes, grid.half_shape)
-    plane = np.flatnonzero((l == 0) | (l == n // 2))
-    full = np.ravel_multi_index((i[plane], j[plane], l[plane]), grid.shape)
-    negated = np.unravel_index(grid.negated_modes[full], grid.shape)
-    partner = np.searchsorted(modes, np.ravel_multi_index(negated, grid.half_shape))
+    plane = np.flatnonzero((l == 0) | (l == n // 2))  # l is its own negative there
+    negated = np.ravel_multi_index((neg[i[plane]], neg[j[plane]], l[plane]), grid.half_shape)
+    partner = np.searchsorted(modes, negated)
     for arr in (plane, partner):
         arr.setflags(write=False)
     return plane, partner
 
 
-@lru_cache(maxsize=8)
-def _negated_index(n: int) -> np.ndarray:
-    """Read-only flat C-order index of -k for every mode of an n^3 lattice."""
-    neg = (-np.arange(n)) % n
-    index = ((neg[:, None, None] * n + neg[None, :, None]) * n + neg[None, None, :]).ravel()
-    index.setflags(write=False)
-    return index
+def negated_half(values: np.ndarray) -> np.ndarray:
+    """values(-k) at every mode k of the half spectrum of full (..., n, n, n)
+    values, as a new C-order array."""
+    n = values.shape[-1]
+    neg = negated_axis(n)
+    index = (neg[:, None, None] * n + neg[None, :, None]) * n + neg[:n // 2 + 1]
+    return values.reshape(values.shape[:-3] + (-1,)).take(index, axis=-1)
 
 
 def _half_mirror(coeffs: np.ndarray) -> np.ndarray:
-    """conj c(-k) at every mode k of the half spectrum, as a new array."""
-    n = coeffs.shape[-1]
-    negated = _negated_index(n).reshape((n, n, n))[..., :n // 2 + 1]
-    mirror = coeffs.reshape(coeffs.shape[:-3] + (-1,)).take(negated, axis=-1)
+    """conj c(-k) at every mode k of the half spectrum of full (..., n, n, n)
+    coefficients, as a new C-order array."""
+    mirror = negated_half(coeffs)
     return np.conjugate(mirror, out=mirror)
 
 
@@ -311,17 +304,11 @@ def _real_field(values: np.ndarray, mirror: np.ndarray) -> np.ndarray:
 
 
 def hermitian_half(coeffs: np.ndarray) -> np.ndarray:
-    """The real-field contract: the half of hermitian_symmetrize(coeffs) as a
-    new complex128 array, bit for bit for exactly Hermitian coeffs, and
+    """The real-field contract on full (..., n, n, n) coefficients: the half
+    spectrum of (c(k) + conj c(-k)) / 2 as a new complex128 array, bit for
+    bit the half of coeffs when they are exactly Hermitian, and
     CorruptedFieldError beyond HERMITIAN_REJECT_TOL."""
     return np.array(_real_field(to_half(coeffs), _half_mirror(coeffs)), dtype=np.complex128)
-
-
-def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian-symmetric subspace (real physical fields)."""
-    flat = coeffs.reshape(coeffs.shape[:-3] + (-1,))
-    negated = flat.take(_negated_index(coeffs.shape[-1]), axis=-1).reshape(coeffs.shape)
-    return 0.5 * (coeffs + np.conj(negated))
 
 
 def to_half(stack: np.ndarray) -> np.ndarray:
@@ -338,11 +325,10 @@ def to_full(grid: Grid, half: np.ndarray) -> np.ndarray:
     holds.
     """
     h = grid.n_per_axis // 2 + 1
-    lead = half.shape[:-3]
-    full = np.empty(lead + grid.shape, dtype=np.complex128)
+    neg = negated_axis(grid.n_per_axis)
+    full = np.empty(half.shape[:-3] + grid.shape, dtype=np.complex128)
     full[..., :h] = half
-    mirror = grid.negated_modes.reshape(grid.shape)[..., h:]
-    np.conj(full.reshape(lead + (-1,))[..., mirror], out=full[..., h:])
+    np.conj(half[..., neg[:, None, None], neg[None, :, None], neg[h:]], out=full[..., h:])
     return full
 
 
@@ -415,7 +401,7 @@ def shell_reduce_max(grid: Grid, magnitudes: np.ndarray, n_shells: int) -> Shell
     edges = np.linspace(0.0, kmax, n_shells + 1)
     width = kmax / n_shells
 
-    knorm = to_half(grid.k_norm).ravel()
+    knorm = grid.k_norm.ravel()
     mag = magnitudes.ravel()
     idx = np.minimum((knorm / width).astype(np.int64), n_shells - 1)
 
@@ -441,7 +427,7 @@ def _half_weight_table(grid: Grid, s: float, homogeneous: bool) -> np.ndarray:
     w = |k| when homogeneous, sqrt(1 + |k|^2) otherwise; the homogeneous
     k = 0 entry is 1 for s = 0, else 0.
     """
-    k_sq = to_half(grid.k_sq)
+    k_sq = grid.k_sq
     if homogeneous:
         with np.errstate(divide="ignore", invalid="ignore"):
             table = np.where(k_sq > 0.0, k_sq**s, 0.0 if s != 0.0 else 1.0)
@@ -457,7 +443,7 @@ def _half_weight_table(grid: Grid, s: float, homogeneous: bool) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _cutoff_mask(grid: Grid, cutoff: float) -> np.ndarray:
     """Read-only k_norm >= cutoff mask on the half spectrum."""
-    mask = to_half(grid.k_norm) >= cutoff
+    mask = grid.k_norm >= cutoff
     mask.setflags(write=False)
     return mask
 

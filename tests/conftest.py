@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gnsflow import spectral
+from gnsflow import operators, spectral
 
 
 @pytest.fixture(autouse=True)
@@ -52,3 +52,9 @@ def random_hermitian_coeffs(grid: spectral.Grid, rng: np.random.Generator,
     """Random Hermitian-symmetric coefficients (via a real physical field)."""
     phys = rng.standard_normal(grid.shape) * scale
     return spectral.fftn(phys)
+
+
+def leray_full(grid: spectral.Grid, stack: np.ndarray) -> np.ndarray:
+    """operators.leray_project_stack of a full (3, n, n, n) stack, taken on
+    its half spectrum and mirrored back to the full lattice."""
+    return spectral.to_full(grid, operators.leray_project_stack(grid, spectral.to_half(stack)))

@@ -27,6 +27,17 @@ def oracle_k_vectors(n: int, period: float):
     return np.meshgrid(k1, k1, k1, indexing="ij")
 
 
+def oracle_k_sq(n: int, period: float) -> np.ndarray:
+    """|k|^2 on the whole (n, n, n) lattice."""
+    kx, ky, kz = oracle_k_vectors(n, period)
+    return kx**2 + ky**2 + kz**2
+
+
+def oracle_k_norm(n: int, period: float) -> np.ndarray:
+    """|k| on the whole (n, n, n) lattice."""
+    return np.sqrt(oracle_k_sq(n, period))
+
+
 def oracle_forward(values: np.ndarray) -> np.ndarray:
     """fftn / n^3, the package coefficient convention, via np.fft directly."""
     n = values.shape[0]
@@ -49,6 +60,11 @@ def oracle_negated(coeffs: np.ndarray) -> np.ndarray:
     n = coeffs.shape[-1]
     idx = (-np.arange(n)) % n
     return coeffs[..., idx, :, :][..., :, idx, :][..., :, :, idx]
+
+
+def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
+    """(c(k) + conj c(-k)) / 2: the projection onto real fields' coefficients."""
+    return 0.5 * (coeffs + np.conj(oracle_negated(coeffs)))
 
 
 def oracle_hermitian_deviation(coeffs: np.ndarray) -> float:
@@ -109,6 +125,13 @@ def write_raw_field(path: Path, grid, stack: np.ndarray) -> Path:
                          grid.period, grid.dealias_fraction)
     Path(path).write_bytes(header + np.asarray(stack, dtype="<c16").tobytes(order="C"))
     return Path(path)
+
+
+def manifest_comparison_key(manifest: dict) -> dict:
+    """Manifest with the wall-clock entry removed (for determinism checks)."""
+    out = dict(manifest)
+    out.pop("wall_clock_utc", None)
+    return out
 
 
 def repoint_digest(directory: Path, name: str) -> None:

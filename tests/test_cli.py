@@ -14,7 +14,7 @@ from gnsflow import cli, runner, solver, spectral
 from gnsflow import io as gio
 from gnsflow.config import ConfigError, parse_config_text
 from gnsflow.diagnostics import InconclusiveFitError
-from gnsflow.operators import VelocityField, leray_project_stack, stack_coefficients
+from gnsflow.operators import VelocityField, stack_coefficients
 from gnsflow.runner import (
     EXIT_CONFIG,
     EXIT_FAILURE,
@@ -150,7 +150,7 @@ class TestRunScenario:
             assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes()
         ma = json.loads(a.trajectory_manifest.read_text())
         mb = json.loads(b.trajectory_manifest.read_text())
-        assert gio.manifest_comparison_key(ma) == gio.manifest_comparison_key(mb)
+        assert helpers.manifest_comparison_key(ma) == helpers.manifest_comparison_key(mb)
         for entry in ma["files"]:
             fa = (a.out_dir / "trajectory" / entry["name"]).read_bytes()
             fb = (b.out_dir / "trajectory" / entry["name"]).read_bytes()
@@ -365,7 +365,7 @@ class TestCliCommands:
         noise = np.stack([spectral.fftn(np.random.default_rng(1).standard_normal(grid.shape))
                           for _ in range(3)])
         helpers.write_raw_field(trajectory / gio.U0_FILE, grid,
-                                leray_project_stack(grid, noise))
+                                helpers.oracle_leray(noise, grid.n_per_axis, grid.period))
         helpers.repoint_digest(trajectory, gio.U0_FILE)
         rc = cli.main(["diagnose", str(trajectory), str(cfg_path),
                        "--out", str(tmp_path / "diag")])

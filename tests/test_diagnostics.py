@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from conftest import random_hermitian_coeffs
+from conftest import leray_full, random_hermitian_coeffs
 from gnsflow import diagnostics, operators
 from gnsflow.diagnostics import (
     BoundReport,
@@ -31,7 +31,7 @@ from gnsflow.diagnostics import (
 from gnsflow.initial_data import DataParams, make_initial_data
 from gnsflow.operators import navier_stokes_coeffs, stack_coefficients, velocity_from_stack
 from gnsflow.solver import SolverConfig, Trajectory, picard_solve
-from gnsflow.spectral import build_grid, hermitian_symmetrize
+from gnsflow.spectral import build_grid
 
 
 def single_pair_velocity(grid, mode, amplitude, component=0):
@@ -46,7 +46,7 @@ def single_pair_velocity(grid, mode, amplitude, component=0):
 def heat_trajectory(u0, times):
     grid = u0.grid
     base = stack_coefficients(u0)
-    ksq = np.asarray(grid.k_sq)
+    ksq = helpers.oracle_k_sq(grid.n_per_axis, grid.period)
     states = tuple(velocity_from_stack(grid, base * np.exp(-float(t) * ksq))
                    for t in times)
     return Trajectory(np.asarray(times, dtype=float), states)
@@ -55,8 +55,8 @@ def heat_trajectory(u0, times):
 def random_div_free(grid, rng, scale=1.0):
     stack = np.stack([random_hermitian_coeffs(grid, rng, scale) for _ in range(3)])
     # Leray only preserves conjugate symmetry on Nyquist-free input
-    stack *= np.asarray(grid.dealias_mask)
-    stack = operators.leray_project_stack(grid, stack)
+    stack *= helpers.oracle_dealias_mask(grid.n_per_axis, grid.dealias_fraction)
+    stack = leray_full(grid, stack)
     stack[:, 0, 0, 0] = 0.0
     return velocity_from_stack(grid, stack)
 
@@ -156,12 +156,6 @@ class TestNormParams:
             NormParams(gamma=1.0, delta=0.1, t_horizon=0.01, lam=-1.0)
         with pytest.raises(ValueError):
             NormParams(gamma=1.0, delta=0.1, t_horizon=0.01, lam=4.0, eta0=0.0)
-
-    def test_subcritical_gate(self):
-        ok = NormParams(gamma=1.0, delta=0.1, t_horizon=0.01, lam=4.0)
-        assert ok.is_subcritical
-        edge = NormParams(gamma=0.6, delta=0.1, t_horizon=0.01, lam=4.0)
-        assert not edge.is_subcritical
 
 
 class TestSobolevGevrey:
@@ -447,7 +441,7 @@ class TestLebesgueNorm:
 
 class TestEstimateRadius:
     def exp_profile_velocity(self, grid, rate, prefactor_power=0.0):
-        knorm = np.asarray(grid.k_norm)
+        knorm = helpers.oracle_k_norm(grid.n_per_axis, grid.period)
         profile = np.exp(-rate * knorm) * (1.0 + knorm) ** (-prefactor_power)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
         stack[0] = profile
@@ -476,7 +470,7 @@ class TestEstimateRadius:
         grid = build_grid(16)
         t = 0.05
         stack = np.zeros((3,) + grid.shape, dtype=complex)
-        stack[0] = np.exp(-t * np.asarray(grid.k_sq))
+        stack[0] = np.exp(-t * helpers.oracle_k_sq(grid.n_per_axis, grid.period))
         u = velocity_from_stack(grid, stack)
         radii = []
         for lo, hi in [(2.0, 4.5), (4.0, 6.5), (6.0, 8.5)]:
@@ -488,7 +482,7 @@ class TestEstimateRadius:
     def test_all_floored_window_caps(self):
         grid = build_grid(16)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
-        mask = np.asarray(grid.k_norm) <= 2.0
+        mask = helpers.oracle_k_norm(grid.n_per_axis, grid.period) <= 2.0
         stack[0][mask] = 1.0
         u = velocity_from_stack(grid, stack)
         est = estimate_radius(u, 8.0, 12.0)
@@ -506,7 +500,7 @@ class TestEstimateRadius:
 
     def test_growing_spectrum_is_inconclusive(self):
         grid = build_grid(16)
-        knorm = np.asarray(grid.k_norm)
+        knorm = helpers.oracle_k_norm(grid.n_per_axis, grid.period)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
         stack[0] = 1e-6 * np.exp(0.2 * knorm)
         u = velocity_from_stack(grid, stack)
@@ -523,7 +517,7 @@ class TestEstimateRadius:
         full = stack_coefficients(u)
         mag = np.maximum(np.maximum(np.abs(full[0]), np.abs(full[1])), np.abs(full[2]))
         mag = mag.ravel()
-        knorm = np.asarray(u.grid.k_norm).ravel()
+        knorm = helpers.oracle_k_norm(u.grid.n_per_axis, u.grid.period).ravel()
         shell = np.minimum((knorm / (u.grid.k_max / n_shells)).astype(np.int64),
                            n_shells - 1)
         values = np.zeros(n_shells)
@@ -559,7 +553,7 @@ class TestEstimateRadius:
     def test_noise_spectrum_is_inconclusive(self, rng):
         grid = build_grid(16)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
-        stack[0] = hermitian_symmetrize(0.5 + rng.uniform(0.0, 1.0, grid.shape))
+        stack[0] = helpers.hermitian_symmetrize(0.5 + rng.uniform(0.0, 1.0, grid.shape))
         u = velocity_from_stack(grid, stack)
         with pytest.raises(InconclusiveFitError) as exc:
             estimate_radius(u, 2.0, 12.0)
@@ -576,7 +570,7 @@ class TestEstimateRadius:
     def test_component_maximum_drives_shells(self):
         # radius reflects the slowest-decaying component
         grid = build_grid(16)
-        knorm = np.asarray(grid.k_norm)
+        knorm = helpers.oracle_k_norm(grid.n_per_axis, grid.period)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
         stack[0] = np.exp(-1.0 * knorm)
         stack[1] = np.exp(-0.25 * knorm)
@@ -587,7 +581,7 @@ class TestEstimateRadius:
 
 class TestBoundReport:
     def white_band_heat_traj(self, grid, k_lo, k_hi, times):
-        knorm = np.asarray(grid.k_norm)
+        knorm = helpers.oracle_k_norm(grid.n_per_axis, grid.period)
         band = (knorm >= k_lo) & (knorm <= k_hi)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
         stack[0][band] = 1.0
@@ -630,7 +624,7 @@ class TestBoundReport:
         grid = build_grid(16)
         times = np.linspace(0.0, 0.04, 5)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
-        stack[0] = np.exp(-0.4 * np.asarray(grid.k_norm))
+        stack[0] = np.exp(-0.4 * helpers.oracle_k_norm(grid.n_per_axis, grid.period))
         traj = heat_trajectory(velocity_from_stack(grid, stack), times)
         rep = bound_report(traj, 1.0, "subcritical", 2.0, 10.0,
                            [0.01 + 1e-12], n_shells=48)
@@ -642,7 +636,7 @@ class TestBoundReport:
         grid = build_grid(16)
         times = np.linspace(0.0, 0.01, 11)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
-        stack[0] = 1e-3 * np.exp(-0.5 * np.asarray(grid.k_norm))
+        stack[0] = 1e-3 * np.exp(-0.5 * helpers.oracle_k_norm(grid.n_per_axis, grid.period))
         traj = heat_trajectory(velocity_from_stack(grid, stack), times)
         rep = bound_report(traj, 0.5, "critical", 2.0, 10.0, [0.002, 0.01], 48)
         assert np.all(np.isnan(rep.beta_values))
@@ -657,7 +651,7 @@ class TestBoundReport:
         grid = build_grid(16)
         times = np.linspace(0.0, 0.01, 11)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
-        stack[0] = 50.0 * np.exp(-0.5 * np.asarray(grid.k_norm))
+        stack[0] = 50.0 * np.exp(-0.5 * helpers.oracle_k_norm(grid.n_per_axis, grid.period))
         traj = heat_trajectory(velocity_from_stack(grid, stack), times)
         rep = bound_report(traj, 0.5, "critical", 2.0, 10.0, [0.01], 48)
         assert rep.zeta_flagged[0]
@@ -669,7 +663,7 @@ class TestBoundReport:
         grid = build_grid(16)  # k_max ~ 13.86
         times = np.array([0.0, 1e-5, 1.0])
         stack = np.zeros((3,) + grid.shape, dtype=complex)
-        stack[0] = np.exp(-0.5 * np.asarray(grid.k_norm))
+        stack[0] = np.exp(-0.5 * helpers.oracle_k_norm(grid.n_per_axis, grid.period))
         traj = heat_trajectory(velocity_from_stack(grid, stack), times)
         # t = 1e-5: zeta cutoff t^{-1/4} ~ 17.8 > k_max -> empty tail, zeta = 0
         rep = bound_report(traj, 0.5, "critical", 2.0, 10.0, [1e-5], 48)
@@ -682,7 +676,7 @@ class TestBoundReport:
         grid = build_grid(16)
         times = np.linspace(0.0, 0.01, 3)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
-        stack[0] = np.exp(-0.5 * np.asarray(grid.k_norm))
+        stack[0] = np.exp(-0.5 * helpers.oracle_k_norm(grid.n_per_axis, grid.period))
         traj = heat_trajectory(velocity_from_stack(grid, stack), times)
         with pytest.raises(ValueError):
             bound_report(traj, 0.5, "subcritical", 2.0, 10.0, [0.01])
@@ -698,19 +692,36 @@ class TestBoundReport:
         times = np.linspace(0.0, 0.01, 3)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
         # flat noisy spectrum of a real field
-        stack[0] = hermitian_symmetrize(0.5 + rng.uniform(0.0, 1.0, grid.shape))
+        stack[0] = helpers.hermitian_symmetrize(0.5 + rng.uniform(0.0, 1.0, grid.shape))
         traj = Trajectory(times, tuple(velocity_from_stack(grid, stack.copy())
                                        for _ in times))
         with pytest.raises(InconclusiveFitError):
             bound_report(traj, 1.0, "subcritical", 2.0, 12.0, [0.01])
 
 
+class TestGridTables:
+    def test_no_full_lattice_array_cached_on_grid_after_solve_and_report(self):
+        grid = build_grid(16)
+        u0 = make_initial_data("random_sobolev_tail", grid,
+                               DataParams(amplitude=0.01, band_lo=1.0, band_hi=6.0), seed=5)
+        traj, report = picard_solve(u0, navier_stokes_coeffs(),
+                                    SolverConfig(t_final=0.02, n_times=9))
+        assert report.converged
+        rep = bound_report(traj, 1.0, "subcritical", 1.5, 5.5, [0.01, 0.02], 48)
+        assert rep.n_rows == 2
+        cached = [a for value in vars(grid).values()
+                  for a in (value if isinstance(value, tuple) else (value,))
+                  if isinstance(a, np.ndarray)]
+        assert len(cached) >= 8  # the tables, wavenumbers and dealias modes are built
+        assert max(a.size for a in cached) < 16**3
+
+
 class TestBoundSides:
     def band_trajectory(self, grid, rng, k_hi, times, scale=1.0):
-        knorm = np.asarray(grid.k_norm)
+        knorm = helpers.oracle_k_norm(grid.n_per_axis, grid.period)
         stack = np.stack([random_hermitian_coeffs(grid, rng, scale) for _ in range(3)])
         stack *= (knorm > 0.0) & (knorm <= k_hi)
-        stack = operators.leray_project_stack(grid, stack)
+        stack = leray_full(grid, stack)
         return heat_trajectory(velocity_from_stack(grid, stack), times)
 
     def test_bilinear_sides_finite_and_positive(self, rng):

@@ -1,8 +1,11 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import helpers
 from gnsflow.initial_data import (
     DataParams,
     compact_spectrum,
@@ -155,7 +158,7 @@ class TestRandomSobolevTail:
         p = DataParams(band_lo=2.0, band_hi=5.0)
         u = random_sobolev_tail(grid, p, seed=3)
         stack = stack_coefficients(u)
-        knorm = np.asarray(grid.k_norm)
+        knorm = helpers.oracle_k_norm(16, grid.period)
         outside = (knorm < 2.0) | (knorm > 5.0)
         assert np.abs(stack[:, outside]).max() == 0.0
 
@@ -168,7 +171,7 @@ class TestRandomSobolevTail:
         b = random_sobolev_tail(grid, DataParams(spectral_exponent=4.0, **base),
                                 seed=11)
         sa, sb = stack_coefficients(a), stack_coefficients(b)
-        knorm = np.asarray(grid.k_norm)
+        knorm = helpers.oracle_k_norm(16, grid.period)
         sel = (np.abs(sa) > 1e-12) & (knorm[None] > 0)
         ratio = np.abs(sb[sel] / sa[sel])
         np.testing.assert_allclose(ratio, knorm[None].repeat(3, 0)[sel] ** -2.0,
@@ -192,7 +195,7 @@ class TestCompactSpectrum:
         grid = build_grid(16)
         u = compact_spectrum(grid, DataParams(band_lo=2.0, k_cut=5.0))
         stack = stack_coefficients(u)
-        knorm = np.asarray(grid.k_norm)
+        knorm = helpers.oracle_k_norm(16, grid.period)
         outside = (knorm < 2.0) | (knorm > 5.0)
         assert np.abs(stack[:, outside]).max() == 0.0
         inside = (knorm >= 2.0) & (knorm <= 5.0)
@@ -202,3 +205,53 @@ class TestCompactSpectrum:
         grid = build_grid(8)
         with pytest.raises(ValueError, match="largest"):
             compact_spectrum(grid, DataParams(band_lo=1.0, k_cut=7.5))
+
+
+# sha256 of make_initial_data(...).half_spectrum().tobytes(), recorded from
+# the full-lattice construction these generators replaced: any bit change in
+# the half-spectrum build, a zero's sign included, shows here
+PINNED_HALF_SPECTRA = {
+    (16, "taylor_green", 0):
+        "b0dc67b7bdfacd8259331ebd9a0f7438bf0d748aea9ed67efe6e70c670df7c33",
+    (16, "single_mode", 0):
+        "a7f5584711c7cfe02fd8e09fa5e414d804d447999fa6a096e9db8a0a323dc233",
+    (16, "compact_spectrum", 0):
+        "e7f76fdbd8a853ae48c074bea1c3c58b74f33efb727f37bde7d0c98b37fa3bdc",
+    (16, "random_sobolev_tail", 2024):
+        "30852fc6f1e8e5aefa789376dbf3a0d9eb9c56757d1d3921b15889494e2dc165",
+    (16, "random_sobolev_tail", 90210):
+        "b2e1d46d5bc6e2cdf0b9a247b5ef7a4460a6c3a5d23527b30eb7b9871e393ce7",
+    (32, "taylor_green", 0):
+        "9bb0ebc385faef6c1ba6161f0399100af04685e465e6a1390c492fb88d379126",
+    (32, "single_mode", 0):
+        "29b104c16878af7bada84ee1ac21725ad5e604f3663d1019df8cb12513836416",
+    (32, "compact_spectrum", 0):
+        "1cb34a02a48864895fd527c15e88c72dcd43703136370809f631410db5ccd7b7",
+    (32, "random_sobolev_tail", 2024):
+        "2afd481931c3a3d84b3ed867fc53a57d0272d3e2b7fce38acbd055512dcc4d3e",
+    (32, "random_sobolev_tail", 90210):
+        "01ca71d0b5d745a37d5c38bec174f66fd52d051a4fb896a7a617be18b2208eb5",
+}
+PINNED_PARAMS = {"single_mode": DataParams(mode=(2, -1, -3))}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("n, kind, seed", sorted(PINNED_HALF_SPECTRA))
+    def test_half_spectrum_bytes(self, n, kind, seed):
+        u = make_initial_data(kind, build_grid(n), PINNED_PARAMS.get(kind, DataParams()), seed)
+        digest = hashlib.sha256(u.half_spectrum().tobytes()).hexdigest()
+        assert digest == PINNED_HALF_SPECTRA[(n, kind, seed)]
+
+
+class TestMemory:
+    def test_random_data_peak_is_within_four_half_stacks(self):
+        # warm: the grid's tables are built by the first call
+        grid = build_grid(32)
+        make_initial_data("random_sobolev_tail", grid, DataParams(), seed=2024)
+        tracemalloc.start()
+        try:
+            u = make_initial_data("random_sobolev_tail", grid, DataParams(), seed=2024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * u.half_spectrum().nbytes

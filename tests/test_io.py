@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
-from conftest import random_hermitian_coeffs
+from conftest import leray_full, random_hermitian_coeffs
 from gnsflow import io as gio
 from gnsflow import operators
 from gnsflow.diagnostics import bound_report
@@ -19,14 +19,14 @@ from gnsflow.spectral import CorruptedFieldError, build_grid, hermitian_deviatio
 
 def make_field(grid, rng):
     stack = np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)])
-    stack *= np.asarray(grid.dealias_mask)
-    return velocity_from_stack(grid, operators.leray_project_stack(grid, stack))
+    stack *= helpers.oracle_dealias_mask(grid.n_per_axis, grid.dealias_fraction)
+    return velocity_from_stack(grid, leray_full(grid, stack))
 
 
 def heat_traj(u0, times):
     grid = u0.grid
     base = stack_coefficients(u0)
-    ksq = np.asarray(grid.k_sq)
+    ksq = helpers.oracle_k_sq(grid.n_per_axis, grid.period)
     return Trajectory(np.asarray(times, dtype=float),
                       tuple(velocity_from_stack(grid, base * np.exp(-float(t) * ksq))
                             for t in times))
@@ -247,7 +247,7 @@ class TestTrajectoryRoundTrip:
         gio.write_trajectory(tmp_path / "run", traj)
         stack = np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)])
         helpers.write_raw_field(tmp_path / "run" / gio.U0_FILE, grid,
-                                operators.leray_project_stack(grid, stack))
+                                helpers.oracle_leray(stack, 8, grid.period))
         helpers.repoint_digest(tmp_path / "run", gio.U0_FILE)
         with pytest.raises(CorruptedFieldError):
             gio.read_trajectory(tmp_path / "run")
@@ -310,8 +310,8 @@ class TestTrajectoryRoundTrip:
         traj = heat_traj(make_field(grid, rng), [0.0, 0.005, 0.01])
         p1 = gio.write_trajectory(tmp_path / "r1", traj, config_sha256="s")
         p2 = gio.write_trajectory(tmp_path / "r2", traj, config_sha256="s")
-        m1 = gio.manifest_comparison_key(json.loads(p1.read_text()))
-        m2 = gio.manifest_comparison_key(json.loads(p2.read_text()))
+        m1 = helpers.manifest_comparison_key(json.loads(p1.read_text()))
+        m2 = helpers.manifest_comparison_key(json.loads(p2.read_text()))
         assert m1 == m2
         assert "wall_clock_utc" not in m1
         for name in (gio.U0_FILE, gio.INCREMENTS_FILE):
@@ -342,7 +342,7 @@ def small_report():
     grid = build_grid(16)
     times = np.linspace(0.0, 0.04, 5)
     stack = np.zeros((3,) + grid.shape, dtype=complex)
-    stack[0] = np.exp(-0.4 * np.asarray(grid.k_norm))
+    stack[0] = np.exp(-0.4 * helpers.oracle_k_norm(grid.n_per_axis, grid.period))
     traj = heat_traj(velocity_from_stack(grid, stack), times)
     return bound_report(traj, 1.0, "subcritical", 2.0, 10.0, [0.01, 0.04],
                         n_shells=48)
@@ -383,7 +383,7 @@ class TestBoundReportFiles:
         grid = build_grid(16)
         times = np.linspace(0.0, 0.01, 3)
         stack = np.zeros((3,) + grid.shape, dtype=complex)
-        stack[0] = 50.0 * np.exp(-0.5 * np.asarray(grid.k_norm))
+        stack[0] = 50.0 * np.exp(-0.5 * helpers.oracle_k_norm(grid.n_per_axis, grid.period))
         traj = heat_traj(velocity_from_stack(grid, stack), times)
         rep = bound_report(traj, 0.5, "critical", 2.0, 10.0, [0.01], 48)
         path = tmp_path / "report.json"

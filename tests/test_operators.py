@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from conftest import random_hermitian_coeffs
+from conftest import leray_full, random_hermitian_coeffs
 from gnsflow import operators, spectral
 from gnsflow.operators import (
     QCoefficients,
@@ -35,8 +35,8 @@ def make_velocity(grid, rng, divergence_free=True, scale=1.0):
     # Leray only preserves conjugate symmetry on Nyquist-free input, so the
     # projection of a real field is a real field only without Nyquist content
     if divergence_free:
-        stack *= np.asarray(grid.dealias_mask)
-        stack = operators.leray_project_stack(grid, stack)
+        stack *= helpers.oracle_dealias_mask(grid.n_per_axis, grid.dealias_fraction)
+        stack = leray_full(grid, stack)
     else:
         stack *= nyquist_free(grid)
     return velocity_from_stack(grid, stack)
@@ -303,7 +303,8 @@ class TestApplyQ:
     def test_multiplier_matches_oracle(self, rng, period):
         grid = build_grid(8, period=period)
         alpha = rng.standard_normal((3,) * 6)
-        got = operators._multiplier_at(grid, alpha, np.arange(8**3))
+        got = operators._multiplier_at(grid, alpha, np.unravel_index(np.arange(8**3),
+                                                                     grid.shape))
         want = helpers.oracle_multiplier(alpha, 8, period).reshape(got.shape)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -326,12 +327,13 @@ class TestApplyQ:
         a = QCoefficients(rng.standard_normal((3,) * 6))
 
         def real_stack():
-            return np.stack([spectral.hermitian_symmetrize(
+            return np.stack([helpers.hermitian_symmetrize(
                 spectral.fftn(rng.standard_normal(grid.shape))) for _ in range(3)])
 
         u = real_stack()
         v = real_stack() if distinct else None
-        M = operators._multiplier_at(grid, a.alpha, np.arange(math.prod(grid.shape)))
+        M = operators._multiplier_at(grid, a.alpha, np.unravel_index(
+            np.arange(math.prod(grid.shape)), grid.shape))
         M = M.reshape((3, 3, 3) + grid.shape)
         u_phys = spectral.ifftn(u).real
         v_phys = u_phys if v is None else spectral.ifftn(v).real
@@ -340,12 +342,12 @@ class TestApplyQ:
         want = np.zeros((3,) + grid.shape, dtype=np.complex128)
         for p, q in pairs:
             prod_hat = spectral.fftn(u_phys[p] * v_phys[q])
-            prod_hat *= grid.dealias_mask
+            prod_hat *= helpers.oracle_dealias_mask(8, fraction)
             for j in range(3):
                 w = M[j, p, q] if distinct or p == q else M[j, p, q] + M[j, q, p]
                 want[j] += w * prod_hat
         want *= 1j
-        want = np.stack([spectral.hermitian_symmetrize(want[j]) for j in range(3)])
+        want = np.stack([helpers.hermitian_symmetrize(want[j]) for j in range(3)])
         got = spectral.to_full(grid, operators.apply_Q_stack(
             a, grid, u_phys, None if v is None else v_phys))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -356,9 +358,9 @@ class TestApplyQ:
         grid = build_grid(8, dealias_fraction=fraction)
         a = QCoefficients(rng.standard_normal((3,) * 6))
         w = a.pair_weights(grid, False)
-        kept = grid.half_dealias_modes[1]
+        kept = np.unravel_index(grid.half_dealias_modes[0], grid.half_shape)
         M = operators._multiplier_at(grid, a.alpha, kept).reshape((3, 9, -1))
-        alias = np.array(np.unravel_index(kept, grid.shape))
+        alias = np.array(kept)
         off_nyquist = np.all(alias != grid.n_per_axis // 2, axis=0)
         np.testing.assert_array_equal(w[..., off_nyquist], M[..., off_nyquist])
         assert fraction < 1.0 or not np.all(off_nyquist)
@@ -401,16 +403,16 @@ class TestLeray:
     def test_matches_independent_oracle(self, rng):
         grid = build_grid(8, period=3.0)
         stack = np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)])
-        got = operators.leray_project_stack(grid, stack)
-        want = helpers.oracle_leray(stack, 8, 3.0)
+        got = operators.leray_project_stack(grid, spectral.to_half(stack))
+        want = spectral.to_half(helpers.oracle_leray(stack, 8, 3.0))
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
     def test_preserves_hermitian_symmetry_below_nyquist(self, rng):
         # odd-in-k multipliers are only symmetry-safe on Nyquist-free input
         grid = build_grid(16)
         stack = np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)])
-        stack *= np.asarray(grid.dealias_mask)
-        out = operators.leray_project_stack(grid, stack)
+        stack *= helpers.oracle_dealias_mask(16)
+        out = leray_full(grid, stack)
         dev = max(spectral.hermitian_deviation(out[j]) for j in range(3))
         assert dev <= 1e-13
 
@@ -425,7 +427,7 @@ class TestLeray:
         grid = build_grid(8)
         stack = np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)])
         stack[:, 0, 0, 0] = [1.0, 2.0, 3.0]
-        out = operators.leray_project_stack(grid, stack)
+        out = operators.leray_project_stack(grid, spectral.to_half(stack))
         np.testing.assert_array_equal(out[:, 0, 0, 0], [1.0, 2.0, 3.0])
 
 

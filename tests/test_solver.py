@@ -1,10 +1,12 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import helpers
-from conftest import random_hermitian_coeffs
+from conftest import leray_full, random_hermitian_coeffs
 from gnsflow import operators, solver
 from gnsflow.initial_data import DataParams, make_initial_data
 from gnsflow.io import read_field
@@ -32,7 +34,6 @@ from gnsflow.spectral import (
     CorruptedFieldError,
     build_grid,
     hermitian_deviation,
-    hermitian_symmetrize,
     to_half,
     weighted_l2_stack,
 )
@@ -48,8 +49,8 @@ def vortex_velocity(n=16, period=2 * math.pi, amplitude=1.0):
 def divergence_free_velocity(grid, rng, scale=1.0):
     stack = np.stack([random_hermitian_coeffs(grid, rng, scale) for _ in range(3)])
     # Leray only preserves conjugate symmetry on Nyquist-free input
-    stack *= np.asarray(grid.dealias_mask)
-    stack = operators.leray_project_stack(grid, stack)
+    stack *= helpers.oracle_dealias_mask(grid.n_per_axis, grid.dealias_fraction)
+    stack = leray_full(grid, stack)
     stack[:, 0, 0, 0] = 0.0
     return velocity_from_stack(grid, stack)
 
@@ -132,7 +133,7 @@ class TestDuhamelB:
         got = stack_coefficients(duhamel_B(coeffs, traj, traj, t_eval, quad_order=2))
 
         q_hat = stack_coefficients(apply_Q(coeffs, u, u))
-        ksq = np.asarray(grid.k_sq)
+        ksq = helpers.oracle_k_sq(grid.n_per_axis, grid.period)
         with np.errstate(divide="ignore", invalid="ignore"):
             kernel = np.where(ksq > 0, -np.expm1(-t_eval * ksq) / np.where(ksq > 0, ksq, 1.0),
                               t_eval)
@@ -149,7 +150,7 @@ class TestDuhamelB:
         t_eval = 0.25
         traj = constant_trajectory(u, np.linspace(0.0, t_eval, 9))
         q_hat = stack_coefficients(apply_Q(coeffs, u, u))
-        ksq = np.asarray(grid.k_sq)
+        ksq = helpers.oracle_k_sq(grid.n_per_axis, grid.period)
         with np.errstate(divide="ignore", invalid="ignore"):
             kernel = np.where(ksq > 0, -np.expm1(-t_eval * ksq) / np.where(ksq > 0, ksq, 1.0),
                               t_eval)
@@ -173,7 +174,7 @@ class TestDuhamelB:
         t_eval = 0.137
         got = stack_coefficients(duhamel_B(coeffs, traj, traj, t_eval, quad_order=4))
         q_hat = stack_coefficients(apply_Q(coeffs, u, u))
-        ksq = np.asarray(grid.k_sq)
+        ksq = helpers.oracle_k_sq(grid.n_per_axis, grid.period)
         with np.errstate(divide="ignore", invalid="ignore"):
             kernel = np.where(ksq > 0, -np.expm1(-t_eval * ksq) / np.where(ksq > 0, ksq, 1.0),
                               t_eval)
@@ -235,7 +236,8 @@ class TestPicard:
         assert report.converged
         assert all(history[-1] == 0.0 for history in per_interval(report))
         for t, state in zip(traj.times, traj.states):
-            want = stack_coefficients(u0) * np.exp(-float(t) * np.asarray(grid.k_sq))
+            want = stack_coefficients(u0) * np.exp(
+                -float(t) * helpers.oracle_k_sq(grid.n_per_axis, grid.period))
             got = stack_coefficients(state)
             assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
@@ -456,7 +458,7 @@ class TestKeptModeStates:
                     zip(times[1:], etd_chain(u0, navier_stokes_coeffs(), times, 0.001))]
         for t, state in seen:
             scale = float(np.max(np.abs(state)))
-            flow = heat_factor(grid, t, half=True) * u0_half
+            flow = heat_factor(grid, t) * u0_half
             off = (state - flow).reshape(3, -1)[:, ~kept]
             assert np.max(np.abs(off)) <= 1e-15 * scale
 
@@ -546,7 +548,8 @@ class TestEtdIntegrate:
         times = np.linspace(0.0, 0.02, 5)
         states = etd_chain(u0, QCoefficients(np.zeros((3,) * 6)), times, 0.005)
         for t, state in zip(times[1:], states):
-            want = stack_coefficients(u0) * np.exp(-float(t) * np.asarray(grid.k_sq))
+            want = stack_coefficients(u0) * np.exp(
+                -float(t) * helpers.oracle_k_sq(grid.n_per_axis, grid.period))
             got = stack_coefficients(state)
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
@@ -572,6 +575,40 @@ class TestEtdIntegrate:
         assert exc.value.time > 0.0
         assert exc.value.magnitude > 0.0
 
+    @pytest.mark.parametrize("t_final, n_steps, step", [
+        (0.3, 7, 2), (0.3, 7, 6), (1e-3, 9, 4), (0.7, 3, 1), (0.01, 1000, 536)])
+    def test_blowup_reports_the_linspace_time(self, monkeypatch, t_final, n_steps, step):
+        # the step's fourth stage turns the state non-finite; the time named is
+        # np.linspace(0, t_final, n_steps + 1)[step + 1], bit for bit
+        grid = build_grid(4)
+        u0 = VelocityField.from_half(grid, np.zeros((3,) + grid.half_shape, complex))
+        calls = []
+
+        def blowing_up(coeffs, grid, *halves):
+            calls.append(None)
+            out = np.zeros((3,) + grid.half_shape, complex)
+            return out + np.inf if len(calls) == 4 * (step + 1) else out
+
+        monkeypatch.setattr(solver, "_q_of_halves", blowing_up)
+        with pytest.raises(BlowupError) as exc:
+            etd_integrate(u0, QCoefficients(np.zeros((3,) * 6)), t_final, t_final / n_steps)
+        assert len(calls) == 4 * (step + 1)
+        assert exc.value.time == float(np.linspace(0.0, t_final, n_steps + 1)[step + 1])
+
+    def test_call_stopped_before_step_zero_allocates_no_time_array(self, rng):
+        # 10^7 steps: nothing is built per step before the stop event is read
+        u0 = divergence_free_velocity(build_grid(8), rng)
+        stop = threading.Event()
+        stop.set()
+        tracemalloc.start()
+        try:
+            with pytest.raises(solver._EtdStopped, match="before step 0 of 10000000"):
+                etd_integrate(u0, navier_stokes_coeffs(), 0.01, 1e-9, stop=stop)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_chained_calls_equal_one_call_bitwise(self):
         grid = build_grid(16)
         u0 = make_initial_data("random_sobolev_tail", grid,
@@ -592,7 +629,7 @@ class TestHalfSpectrumStates:
     @staticmethod
     def real_vortex(n=12):
         grid, u = vortex_velocity(n=n, amplitude=1.0)
-        return grid, velocity_from_stack(grid, hermitian_symmetrize(stack_coefficients(u)))
+        return grid, velocity_from_stack(grid, helpers.hermitian_symmetrize(stack_coefficients(u)))
 
     @staticmethod
     def deviation(states):
@@ -622,6 +659,17 @@ class TestHalfSpectrumStates:
         assert b.l2_coefficient_norm() > 0.0
 
 
+    def test_a_fortran_order_half_solves_like_a_c_order_one(self):
+        # the trajectory writes each state's increments through a flat view
+        grid, u0 = self.real_vortex(n=8)
+        other = VelocityField.from_half(grid, np.asfortranarray(u0.half_spectrum()))
+        cfg = SolverConfig(t_final=0.01, n_times=5, tol=1e-8)
+        want, _ = picard_solve(u0, navier_stokes_coeffs(), cfg)
+        got, _ = picard_solve(other, navier_stokes_coeffs(), cfg)
+        assert np.any(want.increments[-1])
+        assert got.half_state(4).tobytes() == want.half_state(4).tobytes()
+
+
 class TestRealFieldContract:
     """A field is held to being real once, where it is built from data the
     program did not make: data Hermitian within HERMITIAN_REJECT_TOL is
@@ -633,7 +681,7 @@ class TestRealFieldContract:
         # the projector's odd multiplier breaks conjugate symmetry on the
         # Nyquist planes, which unmasked noise populates
         stack = np.stack([random_hermitian_coeffs(grid, rng) for _ in range(3)])
-        stack = operators.leray_project_stack(grid, stack)
+        stack = helpers.oracle_leray(stack, grid.n_per_axis, grid.period)
         assert hermitian_deviation(stack) > HERMITIAN_REJECT_TOL
         return stack
 
@@ -677,7 +725,7 @@ class TestRealFieldContract:
         stack = stack_coefficients(divergence_free_velocity(grid, rng))
         stack[0, 1, 2, 3] += 1e-12  # no matching change at -k
         u = velocity_from_stack(grid, stack)
-        want = to_half(hermitian_symmetrize(stack))
+        want = to_half(helpers.hermitian_symmetrize(stack))
         assert np.array_equal(u.half_spectrum(), want)
         assert np.array_equal(Trajectory(np.array([0.0]), (u,)).half_state(0), want)
         traj, report = picard_solve(u, QCoefficients(np.zeros((3,) * 6)),
