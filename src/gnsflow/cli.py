@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +174,14 @@ def _cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+class Terminated(KeyboardInterrupt):
+    """SIGTERM, raised in the main thread so that it takes the interrupt path."""
+
+
+def _raise_terminated(signum, frame):
+    raise Terminated
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command in ("solve", "diagnose") and args.threads is not None:
@@ -187,13 +197,25 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
     handler = {"solve": _cmd_solve, "diagnose": _cmd_diagnose,
                "report": _cmd_report, "selftest": _cmd_selftest}[args.command]
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if on_main_thread:
+        previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         return handler(args)
+    except KeyboardInterrupt as exc:
+        # SIGINT or SIGTERM: run_scenario has joined the oracle and removed
+        # its partial directory on the way out
+        signum = signal.SIGTERM if isinstance(exc, Terminated) else signal.SIGINT
+        print(f"error: interrupted ({signum.name})", file=sys.stderr)
+        return 128 + signum
     except Exception as exc:
         code = exit_code_for(exc)
         detail = f"{type(exc).__name__}: {exc}" if code == EXIT_FAILURE else exc
         print(f"error: {detail}", file=sys.stderr)
         return code
+    finally:
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

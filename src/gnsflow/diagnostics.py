@@ -15,7 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from .operators import QCoefficients, VelocityField
-from .solver import Trajectory, _check_same_lattice, _duhamel_lattice, _lattice_quadrature
+from .solver import (
+    Trajectory,
+    _check_same_lattice,
+    _duhamel_lattice,
+    _lattice_quadrature,
+    lattice_index,
+    time_tolerance,
+)
 from .spectral import (
     EXP_GUARD,
     irfftn,
@@ -28,6 +35,7 @@ __all__ = [
     "NormParams",
     "RadiusEstimate",
     "BoundReport",
+    "BoundAccumulator",
     "InconclusiveFitError",
     "sobolev_norm",
     "gevrey_norm",
@@ -112,13 +120,32 @@ def gevrey_norm(u: VelocityField, r: float, s: float) -> float:
         factor=np.exp(2.0 * (r * grid.k_norm - shift)))
 
 
+def _tail_norms(grid, half: np.ndarray, gamma: float) -> np.ndarray:
+    """A state's homogeneous-H^gamma tail norms, one per cutoff levels[m]
+    (levels of grid.k_norm_levels)."""
+    return np.sqrt(weighted_tail_sums(grid, half, gamma, True))
+
+
+def _tail_column(grid, cutoff: float) -> int | None:
+    """The tail-table column of a cutoff, None past the last level."""
+    levels, _ = grid.k_norm_levels
+    # first level >= cutoff: the modes kept are those of a k_norm >= cutoff mask
+    col = int(np.searchsorted(levels, cutoff, side="left"))
+    return None if col == levels.size else col
+
+
+def _row_within(times: np.ndarray, t: float) -> int:
+    """Index of the last lattice time <= t within the snap tolerance."""
+    tol = time_tolerance(float(times[-1]))
+    return int(np.searchsorted(times, t + tol, side="right")) - 1
+
+
 def _build_tail_table(traj: Trajectory, gamma: float) -> np.ndarray:
     """Row i, column m: max over tau <= times[i] of the homogeneous-H^gamma
-    tail norm with cutoff levels[m] (levels of grid.k_norm_levels)."""
-    grid = traj.grid
-    tails = np.array([weighted_tail_sums(grid, traj.half_state(i), gamma, True)
+    tail norm with cutoff levels[m]."""
+    table = np.array([_tail_norms(traj.grid, traj.half_state(i), gamma)
                       for i in range(len(traj.times))])
-    table = np.maximum.accumulate(np.sqrt(tails), axis=0)
+    np.maximum.accumulate(table, axis=0, out=table)
     table.setflags(write=False)
     return table
 
@@ -133,13 +160,10 @@ def _tail_running_max(traj: Trajectory, cutoff: float, gamma: float, t: float) -
     table = traj.tail_tables.get(key)
     if table is None:
         table = traj.tail_tables[key] = _build_tail_table(traj, key)
-    levels, _ = traj.grid.k_norm_levels
-    # first level >= cutoff: the modes kept are those of a k_norm >= cutoff mask
-    col = int(np.searchsorted(levels, cutoff, side="left"))
-    if col == levels.size:
+    col = _tail_column(traj.grid, cutoff)
+    if col is None:
         return 0.0
-    row = int(np.searchsorted(traj.times, t + tol, side="right")) - 1
-    return float(table[row, col])
+    return float(table[_row_within(traj.times, t), col])
 
 
 def eta_J(traj: Trajectory, J: float, gamma: float, t: float) -> float:
@@ -249,7 +273,7 @@ def _last_index_within(traj: Trajectory, T: float) -> int:
     if traj.horizon < T - tol:
         raise ValueError(
             f"trajectory horizon {traj.horizon} is shorter than the norm horizon {T}")
-    return int(np.searchsorted(traj.times, T + tol, side="right")) - 1
+    return _row_within(traj.times, T)
 
 
 def _trajectory_sup_envelope(traj: Trajectory, params: NormParams,
@@ -418,6 +442,136 @@ class BoundReport:
         return len(self.times)
 
 
+class BoundAccumulator:
+    """bound_report in one pass over the states of a time lattice.
+
+    add(i, half) takes state i's half stack, in lattice order from i = 0. It
+    folds the state's tail norms into their running maximum (the rows of
+    eta_J's table), reads off each sample's eta or zeta at the row that
+    lookup would use, and fits the radius (estimate_radius) at each snapped
+    sample index. Nothing of a state is kept once add returns. finish()
+    assembles the BoundReport; a sample's ValueError (a time off the
+    lattice, an inconclusive fit) is held until then and raised in
+    requested-time order, as bound_report raises it.
+    """
+
+    def __init__(self, grid, times, gamma: float, mode: str, fit_lo: float,
+                 fit_hi: float, sample_times: Sequence[float], n_shells: int = 32):
+        if mode not in ("subcritical", "critical"):
+            raise ValueError(f"mode must be 'subcritical' or 'critical', got {mode!r}")
+        if mode == "subcritical" and not gamma > 0.5:
+            raise ValueError(f"subcritical mode requires gamma > 1/2, got {gamma}")
+        if mode == "critical" and abs(gamma - 0.5) > 1e-12:
+            raise ValueError(f"critical mode requires gamma = 1/2, got {gamma}")
+        requested = np.asarray(list(sample_times), dtype=np.float64)
+        if requested.size == 0:
+            raise ValueError("sample_times must be non-empty")
+        times = np.asarray(times, dtype=np.float64)
+        self.grid = grid
+        self.gamma = float(gamma)
+        self.mode = mode
+        self.fit = (fit_lo, fit_hi, n_shells)
+        self.requested = requested
+        self.n_times = len(times)
+        # per requested time: (snapped index, t, J) or the ValueError to raise
+        self._samples: list = []
+        self._tail_reads: dict[int, list[tuple[int, int | None]]] = {}
+        self._eta: dict[int, float] = {}
+        self._fits: dict[int, RadiusEstimate | ValueError] = {}
+        for s, t_req in enumerate(requested):
+            try:
+                idx = lattice_index(times, float(t_req))
+                t = float(times[idx])
+                if t <= 0.0:
+                    raise ValueError("sample times must be positive")
+            except ValueError as exc:
+                self._samples.append(exc)
+                continue
+            J = t**-0.5 if mode == "subcritical" else t**-0.25
+            self._samples.append((idx, t, J))
+            self._fits[idx] = None
+            col = _tail_column(grid, 0.01 * J if mode == "subcritical" else J)
+            self._tail_reads.setdefault(_row_within(times, t), []).append((s, col))
+        self._running = None
+        self._added = 0
+
+    def add(self, i: int, half: np.ndarray) -> None:
+        """Fold in state i, the next state of the lattice."""
+        if i != self._added:
+            raise ValueError(f"state {i} added after {self._added} states")
+        tails = _tail_norms(self.grid, half, self.gamma)
+        if self._running is None:
+            self._running = tails
+        else:
+            np.maximum(self._running, tails, out=self._running)
+        for s, col in self._tail_reads.get(i, ()):
+            self._eta[s] = 0.0 if col is None else float(self._running[col])
+        if i in self._fits:
+            try:
+                self._fits[i] = estimate_radius(VelocityField.from_half(self.grid, half),
+                                                *self.fit)
+            except ValueError as exc:
+                self._fits[i] = exc
+        self._added += 1
+
+    def finish(self) -> BoundReport:
+        """The report over every state of the lattice; raises a held sample
+        error, the first in requested order."""
+        if self._added != self.n_times:
+            raise ValueError(f"{self._added} of {self.n_times} states added")
+        grid, gamma, mode = self.grid, self.gamma, self.mode
+        m = self.requested.size
+        snapped = np.empty(m)
+        eta_vals = np.empty(m)
+        beta_vals = np.full(m, math.nan)
+        lam_vals = np.empty(m)
+        predictor = np.empty(m)
+        measured = np.empty(m)
+        ratio = np.empty(m)
+        capped = np.zeros(m, dtype=bool)
+        r2 = np.full(m, math.nan)
+        tail_empty = np.zeros(m, dtype=bool)
+        zeta_flagged = np.zeros(m, dtype=bool)
+        k_t = np.full(m, math.nan)
+
+        for i, sample in enumerate(self._samples):
+            if isinstance(sample, ValueError):
+                raise sample
+            idx, t, J = sample
+            snapped[i] = t
+            eta_vals[i] = self._eta[i]
+            if mode == "subcritical":
+                effective_cutoff = 0.01 * J
+                beta_vals[i] = beta(t, gamma, eta_vals[i])
+                lam_vals[i] = lambda_subcritical(t, gamma, beta_vals[i])
+                k_t[i] = 3.0 * beta_vals[i] / (2.0 * gamma - 1.0)
+            else:
+                effective_cutoff = J
+                zeta_flagged[i] = eta_vals[i] >= 1.0
+                lam_vals[i] = lambda_critical(t, eta_vals[i])
+            tail_empty[i] = effective_cutoff > grid.k_max
+            predictor[i] = lam_vals[i] * math.sqrt(t)
+            est = self._fits[idx]
+            if isinstance(est, ValueError):
+                raise est
+            measured[i] = est.radius
+            capped[i] = est.capped
+            r2[i] = est.r2
+            if est.capped or predictor[i] == 0.0:
+                ratio[i] = math.inf
+            else:
+                ratio[i] = measured[i] / predictor[i]
+
+        fit_lo, fit_hi, n_shells = self.fit
+        return BoundReport(
+            mode=mode, gamma=float(gamma), fit_lo=float(fit_lo), fit_hi=float(fit_hi),
+            n_shells=int(n_shells), requested_times=self.requested, times=snapped,
+            eta_or_zeta=eta_vals, beta_values=beta_vals, lambda_values=lam_vals,
+            predictor=predictor, measured_radius=measured, ratio=ratio,
+            capped=capped, r2=r2, tail_empty=tail_empty, zeta_flagged=zeta_flagged,
+            k_t=k_t, grid_n=grid.n_per_axis, grid_period=grid.period)
+
+
 def bound_report(traj: Trajectory, gamma: float, mode: str, fit_lo: float,
                  fit_hi: float, sample_times: Sequence[float],
                  n_shells: int = 32) -> BoundReport:
@@ -427,70 +581,13 @@ def bound_report(traj: Trajectory, gamma: float, mode: str, fit_lo: float,
     (requires gamma > 1/2). mode "critical": J = t^{-1/4}, zeta ->
     lambda_critical (requires gamma = 1/2). Sample times snap to the nearest
     lattice time; the snapped value is used and echoed. Radius fits propagate
-    InconclusiveFitError.
+    InconclusiveFitError. Every state goes through a BoundAccumulator once.
     """
-    if mode not in ("subcritical", "critical"):
-        raise ValueError(f"mode must be 'subcritical' or 'critical', got {mode!r}")
-    if mode == "subcritical" and not gamma > 0.5:
-        raise ValueError(f"subcritical mode requires gamma > 1/2, got {gamma}")
-    if mode == "critical" and abs(gamma - 0.5) > 1e-12:
-        raise ValueError(f"critical mode requires gamma = 1/2, got {gamma}")
-    requested = np.asarray(list(sample_times), dtype=np.float64)
-    if requested.size == 0:
-        raise ValueError("sample_times must be non-empty")
-
-    grid = traj.grid
-    m = requested.size
-    snapped = np.empty(m)
-    eta_vals = np.empty(m)
-    beta_vals = np.full(m, math.nan)
-    lam_vals = np.empty(m)
-    predictor = np.empty(m)
-    measured = np.empty(m)
-    ratio = np.empty(m)
-    capped = np.zeros(m, dtype=bool)
-    r2 = np.full(m, math.nan)
-    tail_empty = np.zeros(m, dtype=bool)
-    zeta_flagged = np.zeros(m, dtype=bool)
-    k_t = np.full(m, math.nan)
-
-    for i, t_req in enumerate(requested):
-        idx = traj.index_at_time(float(t_req))
-        t = float(traj.times[idx])
-        if t <= 0.0:
-            raise ValueError("sample times must be positive")
-        snapped[i] = t
-        if mode == "subcritical":
-            J = t**-0.5
-            effective_cutoff = 0.01 * J
-            eta_vals[i] = eta_J(traj, J, gamma, t)
-            beta_vals[i] = beta(t, gamma, eta_vals[i])
-            lam_vals[i] = lambda_subcritical(t, gamma, beta_vals[i])
-            k_t[i] = 3.0 * beta_vals[i] / (2.0 * gamma - 1.0)
-        else:
-            J = t**-0.25
-            effective_cutoff = J
-            eta_vals[i] = zeta_J(traj, J, gamma, t)
-            zeta_flagged[i] = eta_vals[i] >= 1.0
-            lam_vals[i] = lambda_critical(t, eta_vals[i])
-        tail_empty[i] = effective_cutoff > grid.k_max
-        predictor[i] = lam_vals[i] * math.sqrt(t)
-        est = estimate_radius(traj.states[idx], fit_lo, fit_hi, n_shells)
-        measured[i] = est.radius
-        capped[i] = est.capped
-        r2[i] = est.r2
-        if est.capped or predictor[i] == 0.0:
-            ratio[i] = math.inf
-        else:
-            ratio[i] = measured[i] / predictor[i]
-
-    return BoundReport(
-        mode=mode, gamma=float(gamma), fit_lo=float(fit_lo), fit_hi=float(fit_hi),
-        n_shells=int(n_shells), requested_times=requested, times=snapped,
-        eta_or_zeta=eta_vals, beta_values=beta_vals, lambda_values=lam_vals,
-        predictor=predictor, measured_radius=measured, ratio=ratio,
-        capped=capped, r2=r2, tail_empty=tail_empty, zeta_flagged=zeta_flagged,
-        k_t=k_t, grid_n=grid.n_per_axis, grid_period=grid.period)
+    report = BoundAccumulator(traj.grid, traj.times, gamma, mode, fit_lo, fit_hi,
+                              sample_times, n_shells)
+    for i in range(len(traj.times)):
+        report.add(i, traj.half_state(i))
+    return report.finish()
 
 
 def bilinear_tail_bound_sides(coeffs: QCoefficients, f: Trajectory, g: Trajectory,

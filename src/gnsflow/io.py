@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -190,41 +191,118 @@ def _sha256_file(path: Path, expected: str) -> bytes:
     return data
 
 
-def write_trajectory(directory: Path, traj: Trajectory,
+class TrajectoryWriter:
+    """A trajectory written as it is produced.
+
+    The increments file's header goes first, then each appended
+    (3, len(band)) row of a state's increments, in time order, into a temp
+    file in directory; the bytes are hashed as they are written.
+    write_trajectory finishes it: the file is published under its name by
+    os.replace, next to u0.gsf and the manifest. Used as a context manager
+    the writer removes its temp file, and the directory if it made it,
+    unless write_trajectory finished.
+    """
+
+    def __init__(self, directory: Path, grid: Grid, times, u0: np.ndarray,
+                 band: str = "kept") -> None:
+        self.directory = Path(directory)
+        self.grid = grid
+        self.times = np.array(times, dtype=np.float64)
+        self.u0 = u0
+        self.band_kind = band
+        self._shape = (3, band_modes(grid, band).size)
+        self._made_dir = not self.directory.exists()
+        self.directory.mkdir(parents=True, exist_ok=True)
+        fd, self._tmp = tempfile.mkstemp(dir=self.directory, prefix=INCREMENTS_FILE + ".",
+                                         suffix=".tmp")
+        self._fh = os.fdopen(fd, "wb")
+        self._digest = hashlib.sha256()
+        self._rows = 0
+        self._finished = False
+        self._write(_INCREMENTS_HEADER.pack(INCREMENTS_MAGIC, INCREMENTS_VERSION,
+                                            grid.n_per_axis, len(self.times),
+                                            self._shape[1]))
+
+    def _write(self, chunk) -> None:
+        self._fh.write(chunk)
+        self._digest.update(chunk)
+
+    def append(self, row: np.ndarray) -> None:
+        """Write the next state's increments, a (3, len(band)) array."""
+        if self._rows == len(self.times):
+            raise ValueError(f"all {len(self.times)} states are written")
+        if row.shape != self._shape:
+            raise ValueError(f"increment row shape {row.shape} != {self._shape}")
+        self._write(np.ascontiguousarray(row, dtype="<c16"))
+        self._rows += 1
+
+    def _publish_increments(self) -> str:
+        """Close the increments file and give it its name; its sha256."""
+        if self._rows != len(self.times):
+            raise ValueError(f"{self._rows} of {len(self.times)} states written")
+        self._fh.close()
+        os.replace(self._tmp, self.directory / INCREMENTS_FILE)
+        return self._digest.hexdigest()
+
+    def __enter__(self) -> "TrajectoryWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._finished:
+            return
+        try:
+            self._fh.close()  # flushes, so it can fail on a full disk too
+        finally:
+            if self._made_dir:
+                shutil.rmtree(self.directory, ignore_errors=True)
+            elif os.path.exists(self._tmp):
+                os.unlink(self._tmp)
+
+
+def write_trajectory(directory: Path, traj: Trajectory | TrajectoryWriter,
                      config_sha256: str | None = None) -> Path:
     """Write u0.gsf, increments.gsi and manifest.json; returns the manifest path.
 
     The trajectory is stored as it is held: u0 as a field snapshot and the
     increments on the band, T * 3 * len(band) little-endian complex128
-    values after a 20-byte header. manifest.json carries everything needed
-    to reload and to compare runs; wall_clock_utc is the single
-    non-deterministic entry.
+    values after a 20-byte header. traj is a Trajectory, or a
+    TrajectoryWriter into directory that holds every state's row, which
+    this finishes. manifest.json carries everything needed to reload and to
+    compare runs; wall_clock_utc is the single non-deterministic entry.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    grid = traj.grid
-    u0_digest = write_field(directory / U0_FILE, VelocityField.from_half(grid, traj.u0),
+    if isinstance(traj, TrajectoryWriter):
+        return _finish_trajectory(directory, traj, config_sha256)
+    with TrajectoryWriter(directory, traj.grid, traj.times, traj.u0,
+                          traj.band_kind) as writer:
+        for row in traj.increments:
+            writer.append(row)
+        return _finish_trajectory(directory, writer, config_sha256)
+
+
+def _finish_trajectory(directory: Path, writer: TrajectoryWriter,
+                       config_sha256: str | None) -> Path:
+    if writer.directory != directory:
+        raise ValueError(f"the writer writes into {writer.directory}, not {directory}")
+    grid = writer.grid
+    increments_digest = writer._publish_increments()
+    u0_digest = write_field(directory / U0_FILE, VelocityField.from_half(grid, writer.u0),
                             sidecar=False)
-    header = _INCREMENTS_HEADER.pack(INCREMENTS_MAGIC, INCREMENTS_VERSION,
-                                     grid.n_per_axis, len(traj.times), traj.band.size)
-    payload = np.ascontiguousarray(traj.increments, dtype="<c16")
-    _atomic_write_bytes(directory / INCREMENTS_FILE, header, payload)
-    digest = hashlib.sha256(header)
-    digest.update(payload)
     manifest = {
         "format": TRAJECTORY_FORMAT,
         "grid": {"n_per_axis": grid.n_per_axis, "period": grid.period,
                  "dealias_fraction": grid.dealias_fraction},
-        "times": [float(t) for t in traj.times],
-        "band": traj.band_kind,
+        "times": [float(t) for t in writer.times],
+        "band": writer.band_kind,
         "files": [{"name": U0_FILE, "sha256": u0_digest},
-                  {"name": INCREMENTS_FILE, "sha256": digest.hexdigest()}],
+                  {"name": INCREMENTS_FILE, "sha256": increments_digest}],
         "config_sha256": config_sha256,
         "versions": _versions(),
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
     }
     manifest_path = directory / "manifest.json"
     write_text(manifest_path, dump_json(manifest))
+    writer._finished = True
     return manifest_path
 
 

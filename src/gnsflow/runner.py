@@ -3,7 +3,10 @@
 The output directory appears atomically (everything is written into a
 same-parent temp directory that is renamed into place), including on the
 failure paths that leave partial evidence behind (non-convergence, an
-inconclusive radius fit, an internal error).
+inconclusive radius fit, an internal error). The Picard march hands each
+accepted state to _StreamedStates, which writes it to the trajectory file
+and feeds the norm series and the bound report, so the solve holds no
+whole trajectory.
 
 With solver.etd_check the ETD oracle needs only the initial data, so it runs
 as a future on a one-worker thread pool beside the Picard march (scipy.fft
@@ -34,6 +37,7 @@ import numpy as np
 from . import io as gio
 from .config import ConfigError, ScenarioConfig
 from .diagnostics import (
+    BoundAccumulator,
     BoundReport,
     InconclusiveFitError,
     bound_report,
@@ -48,7 +52,7 @@ from .operators import (
     navier_stokes_coeffs,
     read_q_coefficients,
 )
-from .solver import BlowupError, PicardReport, Trajectory, etd_integrate, picard_solve
+from .solver import BlowupError, PicardReport, StateBuilder, etd_integrate, picard_solve
 from .spectral import CorruptedFieldError
 
 EXIT_OK = 0
@@ -139,15 +143,43 @@ def data_params(cfg: ScenarioConfig) -> DataParams:
                       spectral_exponent=cfg.data_spectral_exponent)
 
 
-def _write_norm_series(path: Path, traj: Trajectory, gamma: float,
-                       delta: float) -> None:
-    rows = []
-    for t, state in zip(traj.times, traj.states):
-        rows.append((float(t),
-                     sobolev_norm(state, gamma, homogeneous=False),
-                     sobolev_norm(state, 0.5 + delta, homogeneous=True),
-                     lebesgue_norm(state, 2.0)))
-    gio.write_csv(path, ("t", "h_gamma", "h_half_plus_delta", "l2"), rows)
+class _StreamedStates:
+    """The runner's consumer of the march, called once per accepted state.
+
+    It appends the state's increment row to the trajectory file, rebuilds
+    the state once from that row (the arithmetic of Trajectory.half_state,
+    never the march's own iterate), takes its norms.csv row, feeds it to the
+    bound report's accumulator and keeps the final state for the ETD
+    comparison.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, u0: VelocityField,
+                 writer: gio.TrajectoryWriter) -> None:
+        self.cfg = cfg
+        self.grid = u0.grid
+        self.writer = writer
+        self.build = StateBuilder(self.grid, u0.half_spectrum())
+        self.last = len(writer.times) - 1
+        self.report = BoundAccumulator(self.grid, writer.times, cfg.physics_gamma,
+                                       cfg.diagnostics_mode, cfg.diagnostics_fit_lo,
+                                       cfg.diagnostics_fit_hi,
+                                       cfg.diagnostics_sample_times,
+                                       cfg.diagnostics_n_shells)
+        self.norm_rows: list[tuple[float, float, float, float]] = []
+        self.final: np.ndarray | None = None
+
+    def __call__(self, i: int, t: float, row: np.ndarray) -> None:
+        self.writer.append(row)
+        half = self.build(t, row)
+        state = VelocityField.from_half(self.grid, half)
+        gamma, delta = self.cfg.physics_gamma, self.cfg.physics_delta
+        self.norm_rows.append((t,
+                               sobolev_norm(state, gamma, homogeneous=False),
+                               sobolev_norm(state, 0.5 + delta, homogeneous=True),
+                               lebesgue_norm(state, 2.0)))
+        self.report.add(i, half)
+        if i == self.last:
+            self.final = half
 
 
 def _write_run_json(path: Path, cfg: ScenarioConfig, picard: PicardReport,
@@ -183,12 +215,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None,
                  base_dir: Path | None = None) -> RunArtifacts:
     """Solve, cross-check, diagnose, and write the artifact directory.
 
-    Raises ScenarioError with the appropriate exit code; partial artifacts
-    (config, norms, Picard evidence) are still published for the
-    non-convergence and inconclusive-fit failures. Any other exception
-    publishes what was written plus error.json and propagates; an interrupt
-    (KeyboardInterrupt, SystemExit) stops and joins the ETD oracle's thread,
-    then removes the partial directory.
+    The march streams each accepted state into the trajectory file, the
+    norm series and the bound report, so no stage rebuilds a state after it.
+    Raises ScenarioError with the appropriate exit code, after publishing
+    the evidence of the failure: config.txt, deltas.csv and run.json on
+    non-convergence; config.txt and run.json on an oracle blow-up or
+    disagreement; config.txt, norms.csv, the trajectory, inconclusive.json
+    and run.json on an inconclusive radius fit. Any other exception
+    publishes what was written plus error.json and propagates; a trajectory
+    that was not finished is never published. An interrupt (any other
+    BaseException, such as KeyboardInterrupt) stops and joins the ETD
+    oracle's thread, then removes the partial directory.
     """
     out = resolve_output_dir(cfg, None if out_dir is None else str(out_dir))
     if out.exists() and any(out.iterdir()):
@@ -225,68 +262,19 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None,
 def _run_into(tmp: Path, out: Path, cfg: ScenarioConfig, coeffs,
               u0) -> RunArtifacts:
     gio.write_text(tmp / "config.txt", cfg.canonical_text())
-
-    stop = threading.Event()
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gnsflow-etd-oracle")
-    oracle = (pool.submit(etd_integrate, u0, coeffs, cfg.solver_t_final, cfg.solver_dt,
-                          stop=stop)
-              if cfg.solver_etd_check else None)
-    try:
-        traj, picard = picard_solve(u0, coeffs, cfg.solver_config())
-        if not picard.converged:
-            updates = iter(picard.deltas)
-            gio.write_csv(tmp / "deltas.csv", ("interval", "iteration", "delta"),
-                          [(i, k, next(updates))
-                           for i, count in enumerate(picard.interval_iterates)
-                           for k in range(1, count + 1)])
-            _write_run_json(tmp / "run.json", cfg, picard, None,
-                            "diverged" if picard.diverged else "not_converged")
-            word = "diverged" if picard.diverged else "did not converge"
-            raise ScenarioError(
-                f"fixed-point iteration {word} on interval "
-                f"{len(picard.interval_iterates) - 1} after "
-                f"{picard.interval_iterates[-1]} iterations "
-                f"(last delta {picard.deltas[-1] if picard.deltas else math.nan:.3e}, "
-                f"tol {picard.tol:.1e}); see {out / 'deltas.csv'}",
-                EXIT_NO_CONVERGENCE)
-        reference = None
-        if oracle is not None:
-            try:
-                reference = oracle.result()
-            except BlowupError as exc:
-                _write_run_json(tmp / "run.json", cfg, picard, math.inf,
-                                "oracle_disagreement")
-                raise ScenarioError(
-                    f"reference integrator blew up while the fixed-point solve "
-                    f"converged: {exc}", EXIT_ORACLE_DISAGREEMENT)
-    finally:
-        stop.set()
-        pool.shutdown(wait=True)
-
-    etd_rel_error: float | None = None
-    if reference is not None:
-        diff = VelocityField.from_half(
-            traj.grid, traj.half_state(-1) - reference.half_spectrum()).l2_coefficient_norm()
-        scale = reference.l2_coefficient_norm()
-        etd_rel_error = diff / scale if scale > 0.0 else diff
-        if etd_rel_error > cfg.solver_oracle_tol:
-            _write_run_json(tmp / "run.json", cfg, picard, etd_rel_error,
-                            "oracle_disagreement")
-            raise ScenarioError(
-                f"solution disagrees with the reference integrator: relative "
-                f"l2 difference {etd_rel_error:.3e} at t = {cfg.solver_t_final} "
-                f"exceeds {cfg.solver_oracle_tol:.1e}", EXIT_ORACLE_DISAGREEMENT)
-
-    _write_norm_series(tmp / "norms.csv", traj, cfg.physics_gamma,
-                       cfg.physics_delta)
-    manifest_path = gio.write_trajectory(tmp / "trajectory", traj,
-                                         config_sha256=cfg.sha256())
+    solver_cfg = cfg.solver_config()
+    # the writer's temp file and directory go unless write_trajectory finishes them
+    with gio.TrajectoryWriter(tmp / "trajectory", u0.grid, solver_cfg.times,
+                              u0.half_spectrum()) as writer:
+        states = _StreamedStates(cfg, u0, writer)
+        picard, etd_rel_error = _march_and_check(tmp, out, cfg, coeffs, u0, solver_cfg,
+                                                 states)
+        gio.write_csv(tmp / "norms.csv", ("t", "h_gamma", "h_half_plus_delta", "l2"),
+                      states.norm_rows)
+        gio.write_trajectory(tmp / "trajectory", writer, config_sha256=cfg.sha256())
 
     try:
-        report = bound_report(traj, cfg.physics_gamma, cfg.diagnostics_mode,
-                              cfg.diagnostics_fit_lo, cfg.diagnostics_fit_hi,
-                              cfg.diagnostics_sample_times,
-                              cfg.diagnostics_n_shells)
+        report = states.report.finish()
     except InconclusiveFitError as exc:
         evidence = {
             "error": str(exc),
@@ -322,6 +310,66 @@ def _run_into(tmp: Path, out: Path, cfg: ScenarioConfig, coeffs,
         report=report,
         etd_rel_error=etd_rel_error,
     )
+
+
+def _march_and_check(tmp: Path, out: Path, cfg: ScenarioConfig, coeffs, u0,
+                     solver_cfg, states: _StreamedStates
+                     ) -> tuple[PicardReport, float | None]:
+    """The march into states, with the ETD oracle beside it; the Picard
+    report and the oracle's relative l2 difference (None without the check).
+    Raises ScenarioError for non-convergence and for an oracle that blew up
+    or disagrees, after writing their evidence."""
+    stop = threading.Event()
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gnsflow-etd-oracle")
+    oracle = (pool.submit(etd_integrate, u0, coeffs, cfg.solver_t_final, cfg.solver_dt,
+                          stop=stop)
+              if cfg.solver_etd_check else None)
+    try:
+        _, picard = picard_solve(u0, coeffs, solver_cfg, states)
+        if not picard.converged:
+            updates = iter(picard.deltas)
+            gio.write_csv(tmp / "deltas.csv", ("interval", "iteration", "delta"),
+                          [(i, k, next(updates))
+                           for i, count in enumerate(picard.interval_iterates)
+                           for k in range(1, count + 1)])
+            _write_run_json(tmp / "run.json", cfg, picard, None,
+                            "diverged" if picard.diverged else "not_converged")
+            word = "diverged" if picard.diverged else "did not converge"
+            raise ScenarioError(
+                f"fixed-point iteration {word} on interval "
+                f"{len(picard.interval_iterates) - 1} after "
+                f"{picard.interval_iterates[-1]} iterations "
+                f"(last delta {picard.deltas[-1] if picard.deltas else math.nan:.3e}, "
+                f"tol {picard.tol:.1e}); see {out / 'deltas.csv'}",
+                EXIT_NO_CONVERGENCE)
+        reference = None
+        if oracle is not None:
+            try:
+                reference = oracle.result()
+            except BlowupError as exc:
+                _write_run_json(tmp / "run.json", cfg, picard, math.inf,
+                                "oracle_disagreement")
+                raise ScenarioError(
+                    f"reference integrator blew up while the fixed-point solve "
+                    f"converged: {exc}", EXIT_ORACLE_DISAGREEMENT)
+    finally:
+        stop.set()
+        pool.shutdown(wait=True)
+
+    if reference is None:
+        return picard, None
+    diff = VelocityField.from_half(
+        states.grid, states.final - reference.half_spectrum()).l2_coefficient_norm()
+    scale = reference.l2_coefficient_norm()
+    etd_rel_error = diff / scale if scale > 0.0 else diff
+    if etd_rel_error > cfg.solver_oracle_tol:
+        _write_run_json(tmp / "run.json", cfg, picard, etd_rel_error,
+                        "oracle_disagreement")
+        raise ScenarioError(
+            f"solution disagrees with the reference integrator: relative "
+            f"l2 difference {etd_rel_error:.3e} at t = {cfg.solver_t_final} "
+            f"exceeds {cfg.solver_oracle_tol:.1e}", EXIT_ORACLE_DISAGREEMENT)
+    return picard, etd_rel_error
 
 
 def diagnose_trajectory(manifest_path: Path, cfg: ScenarioConfig,

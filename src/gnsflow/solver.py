@@ -29,7 +29,9 @@ increments on a band of half-spectrum modes: state i is
 e^{t_i L} u0 + B_i, and the march's B_i lives on the 2/3-rule kept modes
 (Q's output is dealiased and the heat factors are diagonal), so it stores
 B_i there only. States are rebuilt on demand as transient half stacks
-(Trajectory.half_state) or full views (Trajectory.states).
+(StateBuilder, Trajectory.half_state) or full views (Trajectory.states).
+picard_solve hands each state's increment row to a consumer as it is
+accepted; without one it collects them into a Trajectory.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .spectral import Grid, irfftn, plane_pairs, weighted_l2_stack
 
 __all__ = [
     "SolverConfig",
+    "StateBuilder",
     "Trajectory",
     "PicardReport",
     "BlowupError",
@@ -151,6 +154,46 @@ def _stack_index(grid: Grid, kind: str) -> np.ndarray:
     return arr
 
 
+def time_tolerance(horizon: float) -> float:
+    """The snap tolerance of a time lattice ending at horizon."""
+    return 1e-9 * max(1.0, horizon)
+
+
+def lattice_index(times: np.ndarray, t: float) -> int:
+    """Index of the lattice time matching t within the snap tolerance."""
+    idx = int(np.argmin(np.abs(times - t)))
+    if abs(float(times[idx]) - t) > time_tolerance(float(times[-1])):
+        raise ValueError(
+            f"time {t!r} is not on the trajectory lattice "
+            f"(nearest lattice time: {float(times[idx])!r})")
+    return idx
+
+
+class StateBuilder:
+    """Rebuilds states from increment rows: e^{tL} u0 + scatter(band, row).
+
+    u0 is a half stack (3, n, n, n//2+1) and a row a (3, len(band)) array of
+    increments on band_modes(grid, band). With u0 = 0 the row is scattered
+    into zeros, so the state's half spectrum is the row bit for bit.
+    """
+
+    def __init__(self, grid: Grid, u0: np.ndarray, band: str = "kept") -> None:
+        self.grid = grid
+        self.u0 = u0
+        self._index = _stack_index(grid, band)
+        self._flows = bool(u0.any())
+
+    def __call__(self, t: float, row: np.ndarray) -> np.ndarray:
+        """The state at time t with increment row, as a new half stack."""
+        if self._flows:
+            out = heat_factor(self.grid, t) * self.u0
+            out.reshape(-1)[self._index] += row.reshape(-1)
+        else:
+            out = np.zeros((3,) + self.grid.half_shape, dtype=np.complex128)
+            out.reshape(-1)[self._index] = row.reshape(-1)
+        return out
+
+
 class Trajectory:
     """States on a strictly increasing time lattice starting at 0.
 
@@ -210,19 +253,11 @@ class Trajectory:
         self.band_kind = band
         self.band = modes
         self.increments = increments
-        self._flows = bool(u0.any())
+        self._build = StateBuilder(grid, u0, band)
 
     def half_state(self, i: int) -> np.ndarray:
         """State i as a new (3, n, n, n//2+1) half stack."""
-        grid = self.grid
-        index = _stack_index(grid, self.band_kind)
-        if self._flows:
-            out = heat_factor(grid, float(self.times[i])) * self.u0
-            out.reshape(-1)[index] += self.increments[i].reshape(-1)
-        else:
-            out = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
-            out.reshape(-1)[index] = self.increments[i].reshape(-1)
-        return out
+        return self._build(float(self.times[i]), self.increments[i])
 
     @property
     def states(self) -> "_States":
@@ -234,16 +269,11 @@ class Trajectory:
         return float(self.times[-1])
 
     def time_tolerance(self) -> float:
-        return 1e-9 * max(1.0, self.horizon)
+        return time_tolerance(self.horizon)
 
     def index_at_time(self, t: float) -> int:
         """Index of the lattice time matching t within the snap tolerance."""
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(float(self.times[idx]) - t) > self.time_tolerance():
-            raise ValueError(
-                f"time {t!r} is not on the trajectory lattice "
-                f"(nearest lattice time: {float(self.times[idx])!r})")
-        return idx
+        return lattice_index(self.times, t)
 
     @cached_property
     def tail_tables(self) -> dict[float, np.ndarray]:
@@ -367,10 +397,13 @@ def _duhamel_lattice(coeffs: QCoefficients, grid: Grid, times: np.ndarray,
     Semigroup recursion:
     B_{i+1} = e^{-h L} B_i + int_{t_i}^{t_{i+1}} e^{-(t_{i+1}-s)L} Q ds, which
     matches the direct integral exactly for the per-mode heat kernel.
-    v_states = None means v = u. Q's arguments are transformed at every node.
+    v_states = None means v = u. As in the march, each state is transformed
+    to physical values once and Q's arguments at the Gauss nodes are
+    interpolated there (irfftn is linear).
     """
-    integrand = partial(_q_of_halves, coeffs, grid)
-    walks = [iter(states)] if v_states is None else [iter(states), iter(v_states)]
+    integrand = partial(apply_Q_stack, coeffs, grid)
+    walks = [map(irfftn, states)] if v_states is None else [map(irfftn, states),
+                                                             map(irfftn, v_states)]
     acc = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
     yield acc
     ends = [tuple(next(w) for w in walks)]
@@ -434,6 +467,10 @@ def _increment(grid: Grid, t: float, u0: np.ndarray, state: np.ndarray) -> np.nd
     return inc.reshape(3, -1)
 
 
+def _store_row(increments: np.ndarray, i: int, t: float, row: np.ndarray) -> None:
+    increments[i] = row
+
+
 def _finite_half(u0: VelocityField) -> np.ndarray:
     """A copy of u0's half spectrum; ValueError if it is not finite (bad
     data, not a failure of the solver)."""
@@ -443,8 +480,9 @@ def _finite_half(u0: VelocityField) -> np.ndarray:
     return u0_half
 
 
-def picard_solve(u0: VelocityField, coeffs: QCoefficients,
-                 config: SolverConfig) -> tuple[Trajectory, PicardReport]:
+def picard_solve(u0: VelocityField, coeffs: QCoefficients, config: SolverConfig,
+                 consume: Callable[[int, float, np.ndarray], None] | None = None,
+                 ) -> tuple[Trajectory | None, PicardReport]:
     """Solve u = e^{tL} u0 + B(u, u) on the config lattice, one interval at a time.
 
     Interval i, h = t_{i+1} - t_i, starts from the heat flow e^{hL} u0
@@ -466,8 +504,13 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
     interval still above the stop threshold after max_iter updates leaves
     the result not converged. Either stops the march, and the trajectory
     then ends at that interval's last iterate.
-    The march holds the four latest states only; the trajectory keeps each
-    accepted w as its increment over e^{tL} u0 on the kept modes.
+
+    The march holds the four latest states only. Each accepted state (u0
+    first) is handed over as it is accepted: consume(i, t_i, row) gets its
+    increment over e^{t_i L} u0 on the kept modes, a new (3, len(band))
+    array, and the returned trajectory is None. Without consume the rows,
+    then a failed interval's last iterate, are collected into the returned
+    Trajectory.
     """
     grid = u0.grid
     times = config.times
@@ -483,8 +526,11 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
     heat = lru_cache(maxsize=config.quad_order + 1)(partial(heat_factor, grid))
     integrand = partial(apply_Q_stack, coeffs, grid)
     band = band_modes(grid, "kept")
-    increments = np.empty((len(times), 3, band.size), dtype=np.complex128)
-    increments[0] = 0.0
+    increments = None
+    if consume is None:
+        increments = np.empty((len(times), 3, band.size), dtype=np.complex128)
+        consume = partial(_store_row, increments)
+    consume(0, 0.0, np.zeros((3, band.size), dtype=np.complex128))
     recent = deque([u0_half], maxlen=4)
     u_phys = irfftn(u0_half)
     defect = np.zeros_like(u0_half)
@@ -518,17 +564,21 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients,
             w = update
         interval_iterates.append(rounds)
         ratios.append(deltas[-1] / deltas[-2] if rounds > 1 else math.nan)
-        recent.append(w)
-        u_phys = w_phys
-        increments[i + 1] = _increment(grid, t_hi, u0_half, w)
         defect *= propagator
         defect += w - update
         residuals.append(norm(defect))
+        row = _increment(grid, t_hi, u0_half, w)
         if diverged or stalled:
+            if increments is not None:
+                increments[i + 1] = row
             break
+        consume(i + 1, t_hi, row)
+        recent.append(w)
+        u_phys = w_phys
 
     kept = len(residuals)
-    traj = Trajectory.from_increments(grid, times[:kept], u0_half, increments[:kept])
+    traj = (None if increments is None else
+            Trajectory.from_increments(grid, times[:kept], u0_half, increments[:kept]))
     report = PicardReport(
         iterates=max(interval_iterates), deltas=tuple(deltas),
         residual_max=math.inf if diverged else max(residuals),

@@ -4,7 +4,13 @@ import json
 import math
 import os
 import shutil
+import signal
+import subprocess
+import sys
 import threading
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +19,7 @@ import helpers
 from gnsflow import cli, runner, solver, spectral
 from gnsflow import io as gio
 from gnsflow.config import ConfigError, parse_config_text
-from gnsflow.diagnostics import InconclusiveFitError
+from gnsflow.diagnostics import BoundAccumulator, InconclusiveFitError
 from gnsflow.operators import VelocityField, stack_coefficients
 from gnsflow.runner import (
     EXIT_CONFIG,
@@ -324,9 +330,10 @@ class TestCliCommands:
 
     def test_solve_internal_error_publishes_evidence(self, tmp_path, capsys,
                                                      monkeypatch):
+        # the solve's report is finished by the accumulator the march fed
         def broken_report(*args, **kwargs):
             raise RuntimeError("report exploded")
-        monkeypatch.setattr(runner, "bound_report", broken_report)
+        monkeypatch.setattr(BoundAccumulator, "finish", broken_report)
         cfg_path = write_cfg(tmp_path, BASE_CFG)
         out = tmp_path / "run"
         assert cli.main(["solve", str(cfg_path), "--out", str(out)]) == EXIT_FAILURE
@@ -612,6 +619,31 @@ def _etd_fails(*args, **kwargs):
     raise RuntimeError("reference integrator bug")
 
 
+_append = gio.TrajectoryWriter.append
+
+
+def _disk_full_at_state_3(writer, row):
+    # the temp increments file holds the header and three rows when it fills
+    if writer._rows == 3:
+        _disk_full()
+    _append(writer, row)
+
+
+INCONCLUSIVE_CFG = """
+grid.n = 16
+solver.t_final = 0.001
+solver.n_times = 3
+data.kind = compact_spectrum
+data.amplitude = 0.01
+data.band_lo = 1.0
+data.k_cut = 6.0
+diagnostics.sample_times = 0.0005, 0.001
+diagnostics.fit_lo = 1.5
+diagnostics.fit_hi = 5.5
+diagnostics.n_shells = 48
+"""
+
+
 @pytest.mark.parametrize("text, patch, code, files, evidence", [
     pytest.param(DIVERGING_CFG, None, EXIT_NO_CONVERGENCE,
                  ["config.txt", "deltas.csv", "run.json"],
@@ -636,10 +668,28 @@ def _etd_fails(*args, **kwargs):
                  ["config.txt", "error.json"],
                  {("error.json", "error"): "RuntimeError: reference integrator bug"},
                  id="etd_fails_after_converged_solve"),
-    pytest.param(BASE_CFG, (gio, "write_trajectory", _disk_full), EXIT_FAILURE,
-                 ["config.txt", "error.json", "norms.csv"],
+    pytest.param(BASE_CFG, (gio.TrajectoryWriter, "append", _disk_full), EXIT_FAILURE,
+                 ["config.txt", "error.json"],
                  {("error.json", "error"): "OSError: [Errno 28] No space left on device"},
                  id="trajectory_write_fails"),
+    pytest.param(BASE_CFG + "solver.etd_check = true\nsolver.dt = 0.001\n",
+                 (gio.TrajectoryWriter, "append", _disk_full_at_state_3), EXIT_FAILURE,
+                 ["config.txt", "error.json"],
+                 {("error.json", "error"): "OSError: [Errno 28] No space left on device"},
+                 id="disk_fills_mid_march"),
+    pytest.param(BASE_CFG + "solver.max_iter = 2\nsolver.tol = 1e-30\n", None,
+                 EXIT_NO_CONVERGENCE, ["config.txt", "deltas.csv", "run.json"],
+                 {("run.json", "status"): "not_converged"},
+                 id="picard_stalls"),
+    pytest.param(BASE_CFG + "solver.etd_check = true\nsolver.dt = 0.001\n"
+                            "solver.oracle_tol = 1e-18\n", None,
+                 EXIT_ORACLE_DISAGREEMENT, ["config.txt", "run.json"],
+                 {("run.json", "status"): "oracle_disagreement"},
+                 id="oracle_disagrees"),
+    pytest.param(INCONCLUSIVE_CFG, None, EXIT_INCONCLUSIVE_FIT,
+                 ["config.txt", "inconclusive.json", "norms.csv", "run.json", "trajectory"],
+                 {("run.json", "status"): "inconclusive_fit"},
+                 id="inconclusive_fit"),
 ])
 def test_failure_classes_through_the_runner(tmp_path, capsys, monkeypatch, text, patch,
                                             code, files, evidence):
@@ -744,3 +794,135 @@ def test_interrupt_stops_the_oracle_and_removes_the_partial_dir(tmp_path, oracle
     assert _oracle_threads() == []
     assert isinstance(oracle_spy["error"], solver._EtdStopped)
     assert oracle_spy["stop"].checks < oracle_spy["steps"]
+
+
+class TestStreamedSolve:
+    """run_scenario streams each state out of the march; what it writes is
+    what the Trajectory path computes from the stored run, byte for byte."""
+
+    @staticmethod
+    def trajectory_path_files(cfg, run, target):
+        traj = gio.read_trajectory(run / "trajectory")
+        gio.write_csv(target / "norms.csv", ("t", "h_gamma", "h_half_plus_delta", "l2"),
+                      [(float(t),
+                        runner.sobolev_norm(state, cfg.physics_gamma, homogeneous=False),
+                        runner.sobolev_norm(state, 0.5 + cfg.physics_delta,
+                                            homogeneous=True),
+                        runner.lebesgue_norm(state, 2.0))
+                       for t, state in zip(traj.times, traj.states)])
+        report = runner.bound_report(traj, cfg.physics_gamma, cfg.diagnostics_mode,
+                                     cfg.diagnostics_fit_lo, cfg.diagnostics_fit_hi,
+                                     cfg.diagnostics_sample_times,
+                                     cfg.diagnostics_n_shells)
+        gio.write_bound_report_json(target / "report.json", report)
+        return traj
+
+    @pytest.mark.parametrize("etd_check", [False, True])
+    @pytest.mark.parametrize("seed", [2024, 90210])
+    def test_outputs_equal_the_trajectory_path(self, tmp_path, seed, etd_check):
+        extra = "solver.etd_check = true\nsolver.dt = 0.001\n" if etd_check else ""
+        cfg = override_seed(parse_config_text(BASE_CFG + extra), seed)
+        run = tmp_path / "run"
+        art = run_scenario(cfg, out_dir=run)
+        assert (art.etd_rel_error is not None) == etd_check
+        target = tmp_path / "traj_path"
+        target.mkdir()
+        traj = self.trajectory_path_files(cfg, run, target)
+        for name in ("norms.csv", "report.json"):
+            assert (run / name).read_bytes() == (target / name).read_bytes(), name
+        # the library's collecting consumer holds the rows the runner streamed
+        u0 = VelocityField.from_half(traj.grid, traj.u0)
+        collected, _ = solver.picard_solve(u0, runner.load_coefficients(cfg, None),
+                                           cfg.solver_config())
+        header = gio._INCREMENTS_HEADER.pack(gio.INCREMENTS_MAGIC, gio.INCREMENTS_VERSION,
+                                             traj.grid.n_per_axis, len(traj.times),
+                                             traj.band.size)
+        stored = (run / "trajectory" / gio.INCREMENTS_FILE).read_bytes()
+        assert stored == header + collected.increments.astype("<c16").tobytes()
+
+    def test_inconclusive_evidence_is_the_first_requested_fit_error(self, tmp_path):
+        cfg = parse_config_text(INCONCLUSIVE_CFG)
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(cfg, out_dir=tmp_path / "run")
+        assert exc.value.exit_code == EXIT_INCONCLUSIVE_FIT
+        traj = gio.read_trajectory(tmp_path / "run" / "trajectory")
+        with pytest.raises(InconclusiveFitError) as direct:
+            runner.bound_report(traj, cfg.physics_gamma, cfg.diagnostics_mode,
+                                cfg.diagnostics_fit_lo, cfg.diagnostics_fit_hi,
+                                cfg.diagnostics_sample_times, cfg.diagnostics_n_shells)
+        err = direct.value
+        want = gio.dump_json({
+            "error": str(err), "n_usable": err.n_usable,
+            "r2": gio.json_safe_float(err.r2) if err.r2 is not None else None,
+            "slope": gio.json_safe_float(err.slope) if err.slope is not None else None,
+            "window": list(err.window) if err.window is not None else None})
+        assert (tmp_path / "run" / "inconclusive.json").read_text() == want
+
+    @staticmethod
+    def traced_peak(tmp_path, n_times):
+        cfg = parse_config_text(BASE_CFG.replace("solver.n_times = 9",
+                                                 f"solver.n_times = {n_times}"))
+        run_scenario(cfg, out_dir=tmp_path / f"warm{n_times}")
+        tracemalloc.start()
+        try:
+            run_scenario(cfg, out_dir=tmp_path / f"run{n_times}")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return cfg.build_grid(), peak
+
+    def test_peak_memory_does_not_grow_with_the_time_lattice(self, tmp_path):
+        grid, short = self.traced_peak(tmp_path, 21)
+        _, long = self.traced_peak(tmp_path, 81)
+        row_bytes = 3 * solver.band_modes(grid, "kept").size * 16
+        assert long - short < 60 * row_bytes, (short, long, row_bytes)
+
+
+class TestInterrupts:
+    @pytest.mark.parametrize("exc, name, code", [
+        (KeyboardInterrupt, "SIGINT", 130),
+        (cli.Terminated, "SIGTERM", 143),
+    ])
+    def test_one_line_and_signal_exit_code(self, tmp_path, capsys, monkeypatch,
+                                           exc, name, code):
+        def interrupted(args):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_report", interrupted)
+        assert cli.main(["report", str(tmp_path)]) == code
+        assert capsys.readouterr().err == f"error: interrupted ({name})\n"
+
+    def test_sigterm_handler_is_restored(self, tmp_path, monkeypatch):
+        before = signal.getsignal(signal.SIGTERM)
+        monkeypatch.setattr(cli, "_cmd_report", lambda args: 0)
+        assert cli.main(["report", str(tmp_path)]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_sigterm_mid_march_removes_the_partial_dir(self, tmp_path):
+        # a solve long enough to be caught with its increments file growing
+        cfg_path = write_cfg(tmp_path, BASE_CFG.replace("solver.n_times = 9",
+                                                        "solver.n_times = 4001")
+                             .replace("grid.n = 16", "grid.n = 20")
+                             + "solver.etd_check = true\nsolver.dt = 0.0005\n")
+        out = tmp_path / "runs" / "run"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).resolve().parents[1])]
+            + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        child = subprocess.Popen([sys.executable, "-m", "gnsflow.cli", "solve",
+                                  str(cfg_path), "--out", str(out)],
+                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 text=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(out.parent.glob("run.partial.*/trajectory/increments.gsi.*.tmp")):
+                assert child.poll() is None, child.communicate()
+                assert time.monotonic() < deadline, "no partial increments file"
+                time.sleep(0.01)
+            child.send_signal(signal.SIGTERM)
+            _, err = child.communicate(timeout=60)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+        assert child.returncode == 143
+        assert err == "error: interrupted (SIGTERM)\n"
+        assert list(out.parent.iterdir()) == []

@@ -604,6 +604,46 @@ class TestBoundReport:
         assert np.all(rep.ratio >= 1.0)
         np.testing.assert_allclose(rep.k_t, 3.0 * rep.beta_values, rtol=1e-12)
 
+    @pytest.mark.parametrize("mode, gamma", [("subcritical", 1.0), ("critical", 0.5)])
+    def test_tail_column_is_the_table_lookup_bitwise(self, mode, gamma):
+        grid = build_grid(16)
+        u0 = make_initial_data("random_sobolev_tail", grid,
+                               DataParams(amplitude=0.5, band_lo=1.0, band_hi=6.0), seed=4)
+        traj, _ = picard_solve(u0, navier_stokes_coeffs(),
+                               SolverConfig(t_final=0.02, n_times=9, tol=1e-10))
+        rep = bound_report(traj, gamma, mode, 1.5, 6.0, [0.02, 0.005, 0.0125], 32)
+        tail = eta_J if mode == "subcritical" else zeta_J
+        power = -0.5 if mode == "subcritical" else -0.25
+        for t, value in zip(rep.times, rep.eta_or_zeta):
+            assert value == tail(traj, float(t) ** power, gamma, float(t))
+
+    def test_sample_errors_raise_in_requested_order(self, monkeypatch):
+        grid = build_grid(16)
+        times = np.linspace(0.0, 0.04, 5)
+        traj = self.white_band_heat_traj(grid, 3.0, 6.0, times)
+
+        def inconclusive(u, *args):
+            raise InconclusiveFitError(repr(u.l2_coefficient_norm()))
+        monkeypatch.setattr(diagnostics, "estimate_radius", inconclusive)
+        with pytest.raises(InconclusiveFitError) as exc:
+            bound_report(traj, 1.0, "subcritical", 3.5, 5.5, [0.03, 0.01], 32)
+        assert str(exc.value) == repr(traj.states[3].l2_coefficient_norm())
+        with pytest.raises(ValueError, match="not on the trajectory lattice") as exc:
+            bound_report(traj, 1.0, "subcritical", 3.5, 5.5, [0.015, 0.01], 32)
+        assert not isinstance(exc.value, InconclusiveFitError)
+
+    def test_accumulator_takes_every_state_in_order(self):
+        grid = build_grid(8)
+        times = np.linspace(0.0, 0.02, 3)
+        traj = self.white_band_heat_traj(grid, 1.0, 3.0, times)
+        acc = diagnostics.BoundAccumulator(grid, times, 1.0, "subcritical", 1.0, 3.0,
+                                           [0.01], 8)
+        with pytest.raises(ValueError, match="state 1 added after 0"):
+            acc.add(1, traj.half_state(1))
+        acc.add(0, traj.half_state(0))
+        with pytest.raises(ValueError, match="1 of 3 states"):
+            acc.finish()
+
     def test_predictor_columns_consistent(self):
         grid = build_grid(32)
         times = np.linspace(0.0, 0.04, 41)

@@ -319,6 +319,66 @@ class TestTrajectoryRoundTrip:
                 (tmp_path / "r2" / name).read_bytes()
 
 
+class TestTrajectoryWriter:
+    def test_streamed_rows_write_the_bytes_of_the_whole_trajectory(self, tmp_path):
+        traj = picard_traj()
+        gio.write_trajectory(tmp_path / "whole", traj, config_sha256="s")
+        with gio.TrajectoryWriter(tmp_path / "streamed", traj.grid, traj.times,
+                                  traj.u0) as writer:
+            for row in traj.increments:
+                writer.append(row)
+            gio.write_trajectory(tmp_path / "streamed", writer, config_sha256="s")
+        for name in (gio.U0_FILE, gio.INCREMENTS_FILE):
+            assert ((tmp_path / "whole" / name).read_bytes()
+                    == (tmp_path / "streamed" / name).read_bytes())
+        whole, streamed = (json.loads((tmp_path / d / "manifest.json").read_text())
+                           for d in ("whole", "streamed"))
+        assert (helpers.manifest_comparison_key(whole)
+                == helpers.manifest_comparison_key(streamed))
+        assert sorted(p.name for p in (tmp_path / "streamed").iterdir()) == sorted(
+            [gio.U0_FILE, gio.INCREMENTS_FILE, "manifest.json"])
+
+    def test_an_unfinished_writer_removes_the_directory_it_made(self, tmp_path):
+        traj = picard_traj()
+        with pytest.raises(RuntimeError):
+            with gio.TrajectoryWriter(tmp_path / "run", traj.grid, traj.times,
+                                      traj.u0) as writer:
+                writer.append(traj.increments[0])
+                assert len(list((tmp_path / "run").iterdir())) == 1
+                raise RuntimeError("march failed")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_unfinished_writer_keeps_a_directory_it_found(self, tmp_path):
+        traj = picard_traj()
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "keep.txt").write_text("x")
+        with gio.TrajectoryWriter(tmp_path / "run", traj.grid, traj.times, traj.u0):
+            pass
+        assert [p.name for p in (tmp_path / "run").iterdir()] == ["keep.txt"]
+
+    def test_a_short_trajectory_is_not_published(self, tmp_path):
+        traj = picard_traj()
+        with gio.TrajectoryWriter(tmp_path / "run", traj.grid, traj.times,
+                                  traj.u0) as writer:
+            writer.append(traj.increments[0])
+            with pytest.raises(ValueError, match="1 of 4 states"):
+                gio.write_trajectory(tmp_path / "run", writer)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rows_are_checked(self, tmp_path):
+        traj = picard_traj(n_times=2)
+        with gio.TrajectoryWriter(tmp_path / "run", traj.grid, traj.times,
+                                  traj.u0) as writer:
+            with pytest.raises(ValueError, match="shape"):
+                writer.append(traj.increments[0][:, :-1])
+            writer.append(traj.increments[0])
+            writer.append(traj.increments[1])
+            with pytest.raises(ValueError, match="all 2 states"):
+                writer.append(traj.increments[1])
+            with pytest.raises(ValueError, match="writes into"):
+                gio.write_trajectory(tmp_path / "elsewhere", writer)
+
+
 class TestCsv:
     def test_cell_formatting(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -298,6 +298,28 @@ class TestPicard:
             for j in range(3):
                 assert mean[j] == pytest.approx(complex(mean0[j]), abs=1e-15)
 
+    def test_consumer_gets_each_accepted_row_as_collected(self):
+        grid, u0 = vortex_velocity(n=8, amplitude=1.0)
+        cfg = SolverConfig(t_final=0.02, n_times=6, tol=1e-10)
+        traj, report = picard_solve(u0, navier_stokes_coeffs(), cfg)
+        seen = []
+        none, streamed = picard_solve(u0, navier_stokes_coeffs(), cfg,
+                                      lambda i, t, row: seen.append((i, t, row)))
+        assert none is None and streamed == report
+        assert [i for i, _, _ in seen] == list(range(cfg.n_times))
+        assert [t for _, t, _ in seen] == traj.times.tolist()
+        for (_, _, row), inc in zip(seen, traj.increments):
+            assert row.tobytes() == inc.tobytes()
+
+    def test_a_failed_interval_is_not_handed_over(self):
+        grid, u0 = vortex_velocity(n=8, amplitude=1.0)
+        cfg = SolverConfig(t_final=0.02, n_times=6, tol=1e-14, max_iter=3)
+        traj, report = picard_solve(u0, navier_stokes_coeffs(), cfg)
+        seen = []
+        picard_solve(u0, navier_stokes_coeffs(), cfg, lambda i, t, row: seen.append(i))
+        assert not report.converged
+        assert seen == list(range(len(traj.times) - 1))
+
     def test_non_convergence_reported_honestly(self):
         grid, u0 = vortex_velocity(n=8, amplitude=1.0)
         cfg = SolverConfig(t_final=0.02, n_times=6, tol=1e-14, max_iter=3)
