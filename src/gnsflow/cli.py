@@ -21,7 +21,9 @@ from .runner import (
     emit_plot_data,
     exit_code_for,
     override_seed,
+    resolve_output_dir,
     run_scenario,
+    stale_partials,
 )
 from .spectral import set_fft_workers
 
@@ -91,6 +93,9 @@ def _print_report_rows(report: BoundReport) -> None:
 
 def _cmd_solve(args) -> int:
     cfg = override_seed(parse_config(args.config), args.seed)
+    for path in stale_partials(resolve_output_dir(cfg, args.out)):
+        print(f"warning: {path} is left from a run that was killed; not removed",
+              file=sys.stderr)
     artifacts = run_scenario(cfg, out_dir=args.out,
                              base_dir=Path(args.config).parent)
     pic = artifacts.picard
@@ -165,7 +170,7 @@ def _cmd_selftest(args) -> int:
     check("zero coefficients give the heat flow",
           rep.converged and float(np.max(np.abs(got - want))) <= 1e-14)
 
-    vals = [eta_J(traj, J, 1.0, 0.01) for J in (1.0, 10.0, 1000.0)]
+    vals = eta_J(traj, (1.0, 10.0, 1000.0), 1.0, 0.01)
     check("tail height nonincreasing in J",
           all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:])))
 

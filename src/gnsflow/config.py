@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .initial_data import DATA_KINDS
-from .solver import SolverConfig, _etd_steps
+from .solver import SolverConfig, _etd_steps, lattice_point, time_tolerance
 from .spectral import Grid, build_grid
 
 
@@ -262,14 +262,6 @@ def parse_config(path: Path) -> ScenarioConfig:
     return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
-def _lattice_point(t_final: float, n_times: int, i: int) -> float:
-    """np.linspace(0, t_final, n_times)[i] bit for bit, without the array."""
-    if i == n_times - 1:
-        return t_final
-    step = t_final / (n_times - 1)
-    return i * step if step else i / (n_times - 1) * t_final
-
-
 def _resolve_auto(values: dict) -> None:
     if values["data_spectral_exponent"] == "auto":
         values["data_spectral_exponent"] = values["physics_gamma"] + 2.0
@@ -277,7 +269,7 @@ def _resolve_auto(values: dict) -> None:
         t, m = values["solver_t_final"], values["solver_n_times"]
         if isinstance(t, float) and t > 0.0 and isinstance(m, int) and m >= 2:
             idx = sorted({max(1, (m - 1) // 4), max(1, (m - 1) // 2), m - 1})
-            values["diagnostics_sample_times"] = tuple(_lattice_point(t, m, i) for i in idx)
+            values["diagnostics_sample_times"] = tuple(lattice_point(t, m, i) for i in idx)
         else:
             values["diagnostics_sample_times"] = ()
 
@@ -344,7 +336,7 @@ def _validate(v: dict) -> list[str]:
     if isinstance(times, tuple):
         t_final, n_times = v["solver_t_final"], v["solver_n_times"]
         lattice_ok = 0.0 < t_final < math.inf and n_times >= 2
-        tol = 1e-9 * max(1.0, t_final)
+        tol = time_tolerance(t_final)
         # lambda_subcritical is defined for t < 1/e, beta and lambda_critical for t < 1
         limit = {"subcritical": (1.0 / math.e, "1/e"),
                  "critical": (1.0, "1")}.get(v["diagnostics_mode"])
@@ -361,7 +353,7 @@ def _validate(v: dict) -> list[str]:
                 continue
             # the lattice point nearest t is one of those next to t / step
             j = round(min(t / t_final, 1.0) * (n_times - 1))
-            if min(abs(_lattice_point(t_final, n_times, k) - t)
+            if min(abs(lattice_point(t_final, n_times, k) - t)
                    for k in range(max(0, j - 2), min(n_times, j + 3))) > tol:
                 p.append(f"diagnostics.sample_times[{i}]: {t!r} is not on the "
                          f"solver time lattice (t_final={t_final}, "

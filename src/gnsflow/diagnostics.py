@@ -126,12 +126,23 @@ def _tail_norms(grid, half: np.ndarray, gamma: float) -> np.ndarray:
     return np.sqrt(weighted_tail_sums(grid, half, gamma, True))
 
 
-def _tail_column(grid, cutoff: float) -> int | None:
-    """The tail-table column of a cutoff, None past the last level."""
+def _fold_tails(running: np.ndarray | None, grid, half: np.ndarray,
+                gamma: float) -> np.ndarray:
+    """Fold a state's tail norms into their running maximum over the states
+    before it (None before the first state)."""
+    tails = _tail_norms(grid, half, gamma)
+    if running is None:
+        return tails
+    np.maximum(running, tails, out=running)
+    return running
+
+
+def _tail_column(grid, running: np.ndarray, cutoff: float) -> float:
+    """The running maximum's entry for a cutoff, 0.0 past the last level."""
     levels, _ = grid.k_norm_levels
     # first level >= cutoff: the modes kept are those of a k_norm >= cutoff mask
     col = int(np.searchsorted(levels, cutoff, side="left"))
-    return None if col == levels.size else col
+    return 0.0 if col == levels.size else float(running[col])
 
 
 def _row_within(times: np.ndarray, t: float) -> int:
@@ -140,51 +151,39 @@ def _row_within(times: np.ndarray, t: float) -> int:
     return int(np.searchsorted(times, t + tol, side="right")) - 1
 
 
-def _build_tail_table(traj: Trajectory, gamma: float) -> np.ndarray:
-    """Row i, column m: max over tau <= times[i] of the homogeneous-H^gamma
-    tail norm with cutoff levels[m]."""
-    table = np.array([_tail_norms(traj.grid, traj.half_state(i), gamma)
-                      for i in range(len(traj.times))])
-    np.maximum.accumulate(table, axis=0, out=table)
-    table.setflags(write=False)
-    return table
-
-
-def _tail_running_max(traj: Trajectory, cutoff: float, gamma: float, t: float) -> float:
+def _tail_maximum(traj: Trajectory, J, scale: float, gamma: float, t: float):
+    """eta_J and zeta_J: the running maximum up to t at cutoff scale * J."""
+    Js = [float(j) for j in np.ravel(J)]
+    for j in Js:
+        if not (j > 0.0 and math.isfinite(j)):
+            raise ValueError(f"J must be positive and finite, got {j}")
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     tol = traj.time_tolerance()
     if t < -tol or t > traj.horizon + tol:
         raise ValueError(f"t = {t} outside the trajectory span [0, {traj.horizon}]")
-    key = float(gamma)
-    table = traj.tail_tables.get(key)
-    if table is None:
-        table = traj.tail_tables[key] = _build_tail_table(traj, key)
-    col = _tail_column(traj.grid, cutoff)
-    if col is None:
-        return 0.0
-    return float(table[_row_within(traj.times, t), col])
+    running = None
+    for i in range(_row_within(traj.times, t) + 1):
+        running = _fold_tails(running, traj.grid, traj.half_state(i), float(gamma))
+    values = [_tail_column(traj.grid, running, scale * j) for j in Js]
+    return values[0] if np.ndim(J) == 0 else np.array(values)
 
 
-def eta_J(traj: Trajectory, J: float, gamma: float, t: float) -> float:
+def eta_J(traj: Trajectory, J, gamma: float, t: float):
     """Running max over [0, t] of the homogeneous-H^gamma tail norm, cutoff 0.01 J.
 
-    A lookup into a per-(trajectory, gamma) table of every state's tail norms
-    at every |k| level, built on first use and cached on the trajectory.
+    Each call rebuilds the states up to t once, folds their tail norms into
+    one running maximum over the |k| levels and reads each cutoff's entry
+    (0.0 past the last level). J is a number, or a sequence for an array
+    equal bit for bit to the calls one J at a time.
     """
-    if not (J > 0.0 and math.isfinite(J)):
-        raise ValueError(f"J must be positive and finite, got {J}")
-    return _tail_running_max(traj, 0.01 * J, gamma, t)
+    return _tail_maximum(traj, J, 0.01, gamma, t)
 
 
-def zeta_J(traj: Trajectory, J: float, gamma: float, t: float) -> float:
-    """Running max over [0, t] of the homogeneous-H^gamma tail norm, cutoff J.
-
-    A lookup into the same cached table as eta_J.
-    """
-    if not (J > 0.0 and math.isfinite(J)):
-        raise ValueError(f"J must be positive and finite, got {J}")
-    return _tail_running_max(traj, J, gamma, t)
+def zeta_J(traj: Trajectory, J, gamma: float, t: float):
+    """Running max over [0, t] of the homogeneous-H^gamma tail norm, cutoff J:
+    eta_J's fold and lookup, J a number or a sequence."""
+    return _tail_maximum(traj, J, 1.0, gamma, t)
 
 
 def beta(t: float, gamma: float, eta_value: float) -> float:
@@ -446,10 +445,10 @@ class BoundAccumulator:
     """bound_report in one pass over the states of a time lattice.
 
     add(i, half) takes state i's half stack, in lattice order from i = 0. It
-    folds the state's tail norms into their running maximum (the rows of
-    eta_J's table), reads off each sample's eta or zeta at the row that
-    lookup would use, and fits the radius (estimate_radius) at each snapped
-    sample index. Nothing of a state is kept once add returns. finish()
+    folds the state's tail norms into their running maximum (the fold and
+    lookup of eta_J and zeta_J), reads off each sample's eta or zeta at the
+    last state those fold, and fits the radius (estimate_radius) at each
+    snapped sample index. Nothing of a state is kept once add returns. finish()
     assembles the BoundReport; a sample's ValueError (a time off the
     lattice, an inconclusive fit) is held until then and raised in
     requested-time order, as bound_report raises it.
@@ -475,7 +474,7 @@ class BoundAccumulator:
         self.n_times = len(times)
         # per requested time: (snapped index, t, J) or the ValueError to raise
         self._samples: list = []
-        self._tail_reads: dict[int, list[tuple[int, int | None]]] = {}
+        self._tail_reads: dict[int, list[tuple[int, float]]] = {}
         self._eta: dict[int, float] = {}
         self._fits: dict[int, RadiusEstimate | ValueError] = {}
         for s, t_req in enumerate(requested):
@@ -490,8 +489,8 @@ class BoundAccumulator:
             J = t**-0.5 if mode == "subcritical" else t**-0.25
             self._samples.append((idx, t, J))
             self._fits[idx] = None
-            col = _tail_column(grid, 0.01 * J if mode == "subcritical" else J)
-            self._tail_reads.setdefault(_row_within(times, t), []).append((s, col))
+            cutoff = 0.01 * J if mode == "subcritical" else J
+            self._tail_reads.setdefault(_row_within(times, t), []).append((s, cutoff))
         self._running = None
         self._added = 0
 
@@ -499,13 +498,9 @@ class BoundAccumulator:
         """Fold in state i, the next state of the lattice."""
         if i != self._added:
             raise ValueError(f"state {i} added after {self._added} states")
-        tails = _tail_norms(self.grid, half, self.gamma)
-        if self._running is None:
-            self._running = tails
-        else:
-            np.maximum(self._running, tails, out=self._running)
-        for s, col in self._tail_reads.get(i, ()):
-            self._eta[s] = 0.0 if col is None else float(self._running[col])
+        self._running = _fold_tails(self._running, self.grid, half, self.gamma)
+        for s, cutoff in self._tail_reads.get(i, ()):
+            self._eta[s] = _tail_column(self.grid, self._running, cutoff)
         if i in self._fits:
             try:
                 self._fits[i] = estimate_radius(VelocityField.from_half(self.grid, half),

@@ -23,6 +23,7 @@ a worker that stops at its next step.
 """
 from __future__ import annotations
 
+import glob
 import math
 import os
 import shutil
@@ -205,6 +206,21 @@ def _write_run_json(path: Path, cfg: ScenarioConfig, picard: PicardReport,
     gio.write_text(path, gio.dump_json(doc))
 
 
+def _make_directory(path: Path) -> None:
+    """mkdir -p path; exit 2 naming it when a file stands in the way."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ScenarioError(f"cannot create directory {path}: a file is in the way",
+                            EXIT_CONFIG) from None
+
+
+def stale_partials(out: Path) -> list[Path]:
+    """The <name>.partial.* siblings of out left by runs that were killed
+    (SIGKILL, out of memory) before run_scenario could remove them."""
+    return sorted(out.parent.glob(glob.escape(out.name) + ".partial.*"))
+
+
 def _publish(tmp: Path, out: Path) -> None:
     if out.exists():
         out.rmdir()  # only an empty placeholder is replaceable
@@ -228,10 +244,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None,
     oracle's thread, then removes the partial directory.
     """
     out = resolve_output_dir(cfg, None if out_dir is None else str(out_dir))
-    if out.exists() and any(out.iterdir()):
-        raise ScenarioError(f"output directory {out} exists and is not empty",
-                            EXIT_CONFIG)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ScenarioError(f"output directory {out} exists and is not an empty "
+                            "directory", EXIT_CONFIG)
+    _make_directory(out.parent)
 
     grid = cfg.build_grid()
     coeffs = load_coefficients(cfg, base_dir)
@@ -392,7 +408,7 @@ def diagnose_trajectory(manifest_path: Path, cfg: ScenarioConfig,
         raise ScenarioError(f"diagnostics: {exc}", EXIT_CONFIG)
     base = manifest_path.parent if manifest_path.name.endswith(".json") else manifest_path
     target = Path(out_dir) if out_dir is not None else base
-    target.mkdir(parents=True, exist_ok=True)
+    _make_directory(target)
     if "csv" in cfg.output_formats:
         gio.write_bound_report_csv(target / "report.csv", report)
     if "json" in cfg.output_formats:
@@ -446,18 +462,14 @@ def emit_plot_data(artifacts_dir: Path) -> list[Path]:
     gio.write_text(path, "\n".join(lines) + "\n")
     written.append(path)
 
-    grid = traj.grid
     horizon = traj.horizon
-    n_points = max(2, len(rows["t"]))
-    j_lo = 100.0 * grid.spacing
-    j_hi = 100.0 * grid.k_max
-    js = np.geomspace(j_lo, j_hi, n_points)
+    js = np.geomspace(100.0 * traj.grid.spacing, 100.0 * traj.grid.k_max,
+                      max(2, len(rows["t"])))
     path = artifacts_dir / "eta_vs_j.dat"
     lines = [f"# J eta_J at t = {gio.format_float(horizon)} "
              "(non-finite values: inf/-inf/nan)"]
-    for J in js:
-        lines.append(f"{gio.format_float(float(J))} "
-                     f"{gio.format_float(eta_J(traj, float(J), gamma, horizon))}")
+    for J, eta in zip(js, eta_J(traj, js, gamma, horizon)):
+        lines.append(f"{gio.format_float(J)} {gio.format_float(eta)}")
     gio.write_text(path, "\n".join(lines) + "\n")
     written.append(path)
     return written

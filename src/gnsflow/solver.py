@@ -41,7 +41,7 @@ import threading
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -159,6 +159,14 @@ def time_tolerance(horizon: float) -> float:
     return 1e-9 * max(1.0, horizon)
 
 
+def lattice_point(t_final: float, n_times: int, i: int) -> float:
+    """np.linspace(0, t_final, n_times)[i] bit for bit, without the array."""
+    if i == n_times - 1:
+        return t_final
+    step = t_final / (n_times - 1)
+    return i * step if step else i / (n_times - 1) * t_final
+
+
 def lattice_index(times: np.ndarray, t: float) -> int:
     """Index of the lattice time matching t within the snap tolerance."""
     idx = int(np.argmin(np.abs(times - t)))
@@ -202,10 +210,8 @@ class Trajectory:
     spectrum (band_modes) and increments a (T, 3, len(band)) array.
     Trajectory(times, states) stores u0 = 0 with the whole half band, so each
     state's half spectrum comes back bit for bit; picard_solve and
-    io.read_trajectory build theirs with from_increments.
-
-    Diagnostics cache tables derived from the states on the instance, so the
-    arrays are read-only.
+    io.read_trajectory build theirs with from_increments. The arrays are
+    read-only, and nothing derived from the states is kept on the instance.
     """
 
     def __init__(self, times, states) -> None:
@@ -270,15 +276,6 @@ class Trajectory:
 
     def time_tolerance(self) -> float:
         return time_tolerance(self.horizon)
-
-    def index_at_time(self, t: float) -> int:
-        """Index of the lattice time matching t within the snap tolerance."""
-        return lattice_index(self.times, t)
-
-    @cached_property
-    def tail_tables(self) -> dict[float, np.ndarray]:
-        """Per-gamma running-max tail tables, filled by the diagnostics on first use."""
-        return {}
 
 
 class _States(Sequence):
@@ -666,9 +663,7 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
         c = E2 * c + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
         peak = float(np.max(np.abs(c)))
         if not math.isfinite(peak) or peak > BLOWUP_FACTOR * scale0:
-            # np.linspace(0, t_final, n_steps + 1)[step + 1], bit for bit
-            t_here = float(t_final if step + 1 == n_steps
-                           else (step + 1) * (t_final / n_steps))
+            t_here = float(lattice_point(t_final, n_steps + 1, step + 1))
             raise BlowupError(
                 f"integrator blew up at t = {t_here:.6g}: max coefficient "
                 f"{peak:.3e} vs initial scale {scale0:.3e}", t_here, peak)

@@ -195,7 +195,7 @@ def _run_criterion_4(tmp_dir) -> dict:
                           fit_lo=1.0, fit_hi=2.0, sample_times=SAMPLE_TIMES,
                           n_shells=24)
 
-    etas = [eta_J(traj, J, 1.0, 0.01) for J in TAIL_SCALES]
+    etas = eta_J(traj, TAIL_SCALES, 1.0, 0.01)
     brute = [helpers.oracle_eta((stack_coefficients(s) for s in traj.states),
                                 grid.n_per_axis, grid.period, J, 1.0,
                                 grid.mode_weight)

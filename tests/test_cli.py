@@ -595,6 +595,75 @@ class TestMalformedFiles:
         assert sorted(run.glob("*.dat")) == []
 
 
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under root by relative path, the manifest without its wall clock."""
+    tree = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            key = helpers.manifest_comparison_key(json.loads(data))
+            data = json.dumps(key, sort_keys=True).encode()
+        tree[str(path.relative_to(root))] = data
+    return tree
+
+
+class TestOutputPaths:
+    """An --out path that a file stands in the way of is an input problem:
+    exit 2 with the path on stderr. The staging directories of killed runs
+    are named and left alone."""
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_solve_out_naming_a_file(self, tmp_path, capsys, below):
+        cfg_path = write_cfg(tmp_path, BASE_CFG)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / below if below else afile
+        assert cli.main(["solve", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(afile) in err
+        assert "Error" not in err
+        assert afile.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "scenario.cfg"]
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_diagnose_out_naming_a_file(self, tmp_path, capsys, solved_run, below):
+        cfg_path, run = solved_run
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / below if below else afile
+        rc = cli.main(["diagnose", str(run / "trajectory"), str(cfg_path),
+                       "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Error" not in err
+        assert afile.read_text() == "kept"
+
+    def test_solve_names_stale_partials_and_keeps_them(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, BASE_CFG)
+        stale = [tmp_path / "run.partial.k1ll3d", tmp_path / "run.partial.00m"]
+        for directory in stale:
+            directory.mkdir()
+            (directory / "config.txt").write_text("left by a killed run\n")
+        other = tmp_path / "runner.partial.x"   # another target's staging directory
+        other.mkdir()
+        before = {d: _tree_bytes(d) for d in stale + [other]}
+
+        assert cli.main(["solve", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: {d} is left from a run that was killed; not removed"
+                       for d in sorted(stale)]
+        assert {d: _tree_bytes(d) for d in stale + [other]} == before
+
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        assert cli.main(["solve", str(cfg_path), "--out", str(clean / "run")]) == 0
+        assert capsys.readouterr().err == ""
+        assert _tree_bytes(tmp_path / "run") == _tree_bytes(clean / "run")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["scenario.cfg", "run", "clean", other.name] + [d.name for d in stale])
+
+
 DIVERGING_CFG = """
 grid.n = 8
 data.kind = random_sobolev_tail

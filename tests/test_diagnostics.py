@@ -288,26 +288,23 @@ class TestEtaZeta:
                                       grid.mode_weight)
             assert eta_J(traj, 150.0, 1.0, t) == pytest.approx(want, rel=1e-12)
 
-    def test_table_built_once_per_gamma(self, rng, monkeypatch):
-        traj = self.make_traj(rng)
-        built = []
-        real = diagnostics._build_tail_table
-
-        def spy(tr, gamma):
-            built.append(gamma)
-            return real(tr, gamma)
-        monkeypatch.setattr(diagnostics, "_build_tail_table", spy)
-        for J in (10.0, 50.0, 400.0):
-            for t in (0.0, 0.05, 0.1):
-                eta_J(traj, J, 1.0, t)
-                zeta_J(traj, J, 1.0, t)
-        assert built == [1.0]
-        eta_J(traj, 10.0, 0.5, 0.1)
-        assert built == [1.0, 0.5]
-        assert traj.tail_tables[1.0] is not traj.tail_tables[0.5]
-        other = self.make_traj(rng)
-        eta_J(other, 10.0, 1.0, 0.1)
-        assert built == [1.0, 0.5, 1.0]
+    # cutoffs 0.003, 0.5, on the |k| = 2, 3, 4 shells, and past k_max
+    @pytest.mark.parametrize("tail, hundredfold, Js", [
+        (eta_J, 1.0, [0.3, 50.0, 200.0, 300.0, 400.0, 1000.0]),
+        (zeta_J, 100.0, [0.003, 0.5, 2.0, 3.0, 4.0, 10.0])])
+    def test_sequence_of_J_is_the_scalar_calls_bitwise(self, rng, tail, hundredfold, Js):
+        traj = self.make_traj(rng, m=6)
+        stacks = [stack_coefficients(s) for s in traj.states]
+        for upto, t in enumerate(traj.times, start=1):
+            got = tail(traj, Js, 1.0, float(t))
+            assert isinstance(got, np.ndarray) and got.shape == (len(Js),)
+            scalar = [tail(traj, J, 1.0, float(t)) for J in Js]
+            assert got.tobytes() == np.array(scalar).tobytes()
+            want = [helpers.oracle_eta(stacks[:upto], 8, 2 * math.pi, hundredfold * J,
+                                       1.0, traj.grid.mode_weight) for J in Js]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+            assert got[-1] == 0.0
+        assert isinstance(tail(traj, Js[0], 1.0, 0.1), float)
 
     def test_domain_errors(self, rng):
         traj = self.make_traj(rng)
@@ -317,6 +314,8 @@ class TestEtaZeta:
             eta_J(traj, 10.0, 1.0, 0.2)   # beyond horizon
         with pytest.raises(ValueError):
             eta_J(traj, 10.0, -0.5, 0.1)
+        with pytest.raises(ValueError, match="J must be positive"):
+            zeta_J(traj, [10.0, math.inf], 1.0, 0.1)
 
 
 class TestEnvelopeNorms:

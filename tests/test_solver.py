@@ -26,6 +26,7 @@ from gnsflow.solver import (
     Trajectory,
     duhamel_B,
     etd_integrate,
+    lattice_index,
     mild_residual,
     picard_solve,
 )
@@ -114,9 +115,9 @@ class TestTrajectory:
         grid = build_grid(8)
         u = divergence_free_velocity(grid, rng)
         traj = constant_trajectory(u, np.linspace(0.0, 1.0, 5))
-        assert traj.index_at_time(0.25 + 1e-12) == 1
+        assert lattice_index(traj.times, 0.25 + 1e-12) == 1
         with pytest.raises(ValueError):
-            traj.index_at_time(0.3)
+            lattice_index(traj.times, 0.3)
 
 
 class TestDuhamelB:
