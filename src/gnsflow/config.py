@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .initial_data import DATA_KINDS
+from .initial_data import DATA_KINDS, DataParams, data_problems
 from .solver import SolverConfig, _etd_steps, lattice_point, time_tolerance
 from .spectral import Grid, build_grid
 
@@ -99,7 +100,7 @@ class ScenarioConfig:
     data_seed: int = _key("data.seed", "int", 0,
                           _rule(lambda s: 0 <= s < 2**64, "in [0, 2^64)"))
     data_band_lo: float = _key("data.band_lo", "float", 0.5, _POSITIVE)
-    data_band_hi: float = _key("data.band_hi", "float", 2.5)
+    data_band_hi: float = _key("data.band_hi", "float", 2.5, _POSITIVE)
     data_mode: tuple[int, int, int] = _key("data.mode", "int_triple", (1, 0, 0))
     data_k_cut: float = _key("data.k_cut", "float", 2.0, _POSITIVE)
     data_spectral_exponent: float = _key("data.spectral_exponent", "float_or_auto",
@@ -119,6 +120,9 @@ class ScenarioConfig:
         return build_grid(self.grid_n, period=self.grid_period,
                           dealias_fraction=self.grid_dealias_fraction)
 
+    def data_params(self) -> DataParams:
+        return _data_params(vars(self))
+
     def solver_config(self) -> SolverConfig:
         return SolverConfig(t_final=self.solver_t_final,
                             n_times=self.solver_n_times,
@@ -132,7 +136,7 @@ class ScenarioConfig:
         lines = []
         for key, f in sorted(_FIELDS.items()):
             value = getattr(self, f.name)
-            lines.append(f"{key} = {_format_value(f.metadata['tag'], value)}")
+            lines.append(f"{key} = {_VALUE_TYPES[f.metadata['tag']].format(value)}")
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
@@ -142,83 +146,74 @@ class ScenarioConfig:
 _FIELDS = {f.metadata["key"]: f for f in fields(ScenarioConfig)}
 
 
+def key_problem(key: str, value) -> str | None:
+    """The single-key check of scenario key `key` on value: problem text or None."""
+    return _FIELDS[key].metadata["check"](value)
+
+
+def _data_params(v: dict) -> DataParams:
+    """The generator knobs of ScenarioConfig field values v."""
+    return DataParams(amplitude=v["data_amplitude"], band_lo=v["data_band_lo"],
+                      band_hi=v["data_band_hi"], mode=v["data_mode"],
+                      k_cut=v["data_k_cut"], spectral_exponent=v["data_spectral_exponent"])
+
+
+@dataclass(frozen=True)
+class _ValueType:
+    """How a type tag's values are read and written: parse raises ValueError
+    on a bad token, problem is the text then reported (with {token!r}), and
+    format gives the value's canonical text."""
+
+    parse: Callable[[str], object]
+    problem: str
+    format: Callable[[object], str]
+
+
+def _auto_or(parse):
+    return lambda token: "auto" if token == "auto" else parse(token)
+
+
+def _bool(token: str) -> bool:
+    if token not in ("true", "false"):
+        raise ValueError(token)
+    return token == "true"
+
+
+def _non_empty(value):
+    if not value:
+        raise ValueError(value)
+    return value
+
+
+def _int_triple(token: str) -> tuple[int, int, int]:
+    parts = token.split(",")
+    if len(parts) != 3:
+        raise ValueError(token)
+    return tuple(int(p) for p in parts)
+
+
 def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _format_value(typ: str, value) -> str:
-    if typ == "int":
-        return str(value)
-    if typ in ("float", "float_or_auto"):
-        return _format_float(value)
-    if typ == "bool":
-        return "true" if value else "false"
-    if typ == "str":
-        return str(value)
-    if typ == "float_list":
-        return ", ".join(_format_float(v) for v in value)
-    if typ == "str_list":
-        return ", ".join(value)
-    if typ == "int_triple":
-        return ",".join(str(v) for v in value)
-    raise AssertionError(f"unhandled type tag {typ}")
-
-
-def _parse_value(typ: str, token: str):
-    """Returns (value, None) or (None, problem string)."""
-    token = token.strip()
-    if typ == "int":
-        try:
-            return int(token), None
-        except ValueError:
-            return None, f"expected an integer, got {token!r}"
-    if typ == "float":
-        try:
-            return float(token), None
-        except ValueError:
-            return None, f"expected a number, got {token!r}"
-    if typ == "float_or_auto":
-        if token == "auto":
-            return "auto", None
-        try:
-            return float(token), None
-        except ValueError:
-            return None, f"expected a number or 'auto', got {token!r}"
-    if typ == "bool":
-        if token == "true":
-            return True, None
-        if token == "false":
-            return False, None
-        return None, f"expected true or false, got {token!r}"
-    if typ == "str":
-        if not token:
-            return None, "expected a non-empty value"
-        return token, None
-    if typ == "float_list":
-        if token == "auto":
-            return "auto", None
-        parts = [p.strip() for p in token.split(",")]
-        try:
-            values = tuple(float(p) for p in parts)
-        except ValueError:
-            return None, f"expected comma-separated numbers, got {token!r}"
-        if not values:
-            return None, "expected at least one number"
-        return values, None
-    if typ == "str_list":
-        parts = tuple(p.strip() for p in token.split(",") if p.strip())
-        if not parts:
-            return None, "expected at least one entry"
-        return parts, None
-    if typ == "int_triple":
-        parts = [p.strip() for p in token.split(",")]
-        if len(parts) != 3:
-            return None, f"expected three comma-separated integers, got {token!r}"
-        try:
-            return tuple(int(p) for p in parts), None
-        except ValueError:
-            return None, f"expected three comma-separated integers, got {token!r}"
-    raise AssertionError(f"unhandled type tag {typ}")
+_VALUE_TYPES = {
+    "int": _ValueType(int, "expected an integer, got {token!r}", str),
+    "float": _ValueType(float, "expected a number, got {token!r}", _format_float),
+    "float_or_auto": _ValueType(_auto_or(float), "expected a number or 'auto', got {token!r}",
+                                _format_float),
+    "bool": _ValueType(_bool, "expected true or false, got {token!r}",
+                       lambda b: "true" if b else "false"),
+    "str": _ValueType(_non_empty, "expected a non-empty value", str),
+    "float_list": _ValueType(_auto_or(lambda token: tuple(map(float, token.split(",")))),
+                             "expected comma-separated numbers, got {token!r}",
+                             lambda v: ", ".join(map(_format_float, v))),
+    "str_list": _ValueType(lambda token: _non_empty(tuple(p.strip() for p in token.split(",")
+                                                          if p.strip())),
+                           "expected at least one entry", ", ".join),
+    "int_triple": _ValueType(_int_triple,
+                             "expected three comma-separated integers, got {token!r}",
+                             lambda v: ",".join(map(str, v))),
+}
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -243,11 +238,13 @@ def parse_config_text(text: str) -> ScenarioConfig:
                             f"(first set on line {seen_lines[key]})")
             continue
         seen_lines[key] = lineno
-        value, err = _parse_value(_FIELDS[key].metadata["tag"], token)
-        if err is not None:
-            problems.append(f"line {lineno}: {key}: {err}")
-            continue
-        raw[key] = value
+        value_type = _VALUE_TYPES[_FIELDS[key].metadata["tag"]]
+        token = token.strip()
+        try:
+            raw[key] = value_type.parse(token)
+        except ValueError:
+            problems.append(f"line {lineno}: {key}: "
+                            + value_type.problem.format(token=token))
 
     values = {f.name: raw.get(key, f.metadata["default"]) for key, f in _FIELDS.items()}
 
@@ -276,13 +273,12 @@ def _resolve_auto(values: dict) -> None:
 
 def _validate(v: dict) -> list[str]:
     p = [f"{key}: {problem}" for key, f in _FIELDS.items()
-         if (problem := f.metadata["check"](v[f.name]))]
+         if (problem := key_problem(key, v[f.name]))]
 
     # cross-field checks only when the pieces above are individually sane
-    grid_ok = not any(s.startswith("grid.") for s in p)
-    k_max = None
-    if grid_ok:
-        k_max = (2.0 * math.pi / v["grid_period"]) * (v["grid_n"] // 2) * math.sqrt(3.0)
+    grid = None
+    if not any(s.startswith("grid.") for s in p):
+        grid = build_grid(v["grid_n"], v["grid_period"], v["grid_dealias_fraction"])
 
     gamma, delta = v["physics_gamma"], v["physics_delta"]
     scaling_ok = not any(s.startswith(("physics.gamma:", "physics.delta:")) for s in p)
@@ -295,36 +291,21 @@ def _validate(v: dict) -> list[str]:
             p.append("physics.gamma: critical scaling requires gamma = 0.5 "
                      f"exactly, got {gamma}")
 
-    if not (v["data_band_hi"] > v["data_band_lo"]):
-        p.append("data.band_hi: must exceed data.band_lo, got "
-                 f"[{v['data_band_lo']}, {v['data_band_hi']}]")
-    if k_max is not None:
-        if v["data_band_hi"] > k_max:
-            p.append(f"data.band_hi: {v['data_band_hi']} exceeds the grid's "
-                     f"largest wavenumber {k_max:.6g}")
-        if v["data_k_cut"] > k_max:
-            p.append(f"data.k_cut: {v['data_k_cut']} exceeds the grid's "
-                     f"largest wavenumber {k_max:.6g}")
-        if v["diagnostics_fit_hi"] > k_max:
+    if grid is not None:
+        if v["diagnostics_fit_hi"] > grid.k_max:
             p.append(f"diagnostics.fit_hi: {v['diagnostics_fit_hi']} exceeds the "
-                     f"grid's largest wavenumber {k_max:.6g}")
+                     f"grid's largest wavenumber {grid.k_max:.6g}")
         # the radius fit reduces over shells of the half spectrum's modes
-        modes = v["grid_n"] ** 2 * (v["grid_n"] // 2 + 1)
+        modes = math.prod(grid.half_shape)
         if v["diagnostics_n_shells"] > modes:
             p.append(f"diagnostics.n_shells: {v['diagnostics_n_shells']} exceeds the "
                      f"{modes} modes of the grid's half spectrum")
+        if not any(s.startswith("data.") for s in p):
+            p.extend(f"data.{name}: {problem}" for name, problem
+                     in data_problems(v["data_kind"], grid, _data_params(v)))
     if not (v["diagnostics_fit_hi"] > v["diagnostics_fit_lo"]):
         p.append("diagnostics.fit_hi: must exceed diagnostics.fit_lo, got "
                  f"[{v['diagnostics_fit_lo']}, {v['diagnostics_fit_hi']}]")
-
-    if v["data_kind"] == "single_mode" and grid_ok:
-        triple = v["data_mode"]
-        if all(m == 0 for m in triple):
-            p.append("data.mode: must not be the zero mode")
-        limit = v["grid_n"] // 2 - 1  # below Nyquist, see initial_data
-        if any(abs(m) > limit for m in triple):
-            p.append(f"data.mode: components must satisfy |m| <= {limit} "
-                     f"(below the Nyquist index), got {triple}")
 
     t_final, dt = v["solver_t_final"], v["solver_dt"]
     step_ok = not any(s.startswith(("solver.t_final:", "solver.dt:")) for s in p)

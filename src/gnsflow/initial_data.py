@@ -77,14 +77,9 @@ def taylor_green(grid: Grid, params: DataParams) -> VelocityField:
 
 def single_mode(grid: Grid, params: DataParams) -> VelocityField:
     """A e cos(k . x) with a real polarization e orthogonal to the mode k."""
+    _require_buildable("single_mode", grid, params)
     m = params.mode
     n = grid.n_per_axis
-    if all(c == 0 for c in m):
-        raise ValueError("mode must not be the zero mode")
-    limit = n // 2 - 1
-    if any(abs(c) > limit for c in m):
-        raise ValueError(f"mode components must satisfy |m| <= {limit} "
-                         f"(below the Nyquist index), got {m}")
     k = np.array(m, dtype=float)
     e = np.cross([0.0, 0.0, 1.0], k)
     if np.linalg.norm(e) == 0.0:  # k along z: any horizontal direction works
@@ -107,7 +102,7 @@ def random_sobolev_tail(grid: Grid, params: DataParams, seed: int) -> VelocityFi
     each component's draw is read at the half modes and their mirrors -k,
     then freed.
     """
-    _check_band(grid, params.band_lo, params.band_hi, "band_hi")
+    _require_buildable("random_sobolev_tail", grid, params)
     rng = np.random.Generator(np.random.Philox(key=seed))
     knorm = grid.k_norm
     band = (knorm >= params.band_lo) & (knorm <= params.band_hi)
@@ -130,26 +125,49 @@ def random_sobolev_tail(grid: Grid, params: DataParams, seed: int) -> VelocityFi
 
 def compact_spectrum(grid: Grid, params: DataParams) -> VelocityField:
     """Flat coefficient amplitude A on band_lo <= |k| <= k_cut, deterministic."""
-    _check_band(grid, params.band_lo, params.k_cut, "k_cut")
+    _require_buildable("compact_spectrum", grid, params)
     band = (grid.k_norm >= params.band_lo) & (grid.k_norm <= params.k_cut)
     values = np.where(band, params.amplitude + 0.0j, 0.0j)
     # even in k: the mirror -k of each mode holds the same value
     return _finish(grid, ((values.copy(), values.copy()) for _ in range(3)))
 
 
-def _check_band(grid: Grid, lo: float, hi: float, hi_name: str) -> None:
-    if not (lo > 0.0):
-        raise ValueError(f"band_lo must be positive, got {lo}")
-    if not (hi > lo):
-        raise ValueError(f"{hi_name} must exceed band_lo, got [{lo}, {hi}]")
-    if hi > grid.k_max:
-        raise ValueError(f"{hi_name} = {hi} exceeds the grid's largest "
-                         f"wavenumber {grid.k_max:.6g}")
+def data_problems(kind: str, grid: Grid, params: DataParams) -> list[tuple[str, str]]:
+    """Why kind's data cannot be built on grid from params: one (DataParams
+    field, problem) pair per broken rule, [] when it can. Only the fields
+    kind reads are checked, and no grid table is built."""
+    problems = []
+    if kind == "single_mode":
+        m = params.mode
+        if all(c == 0 for c in m):
+            problems.append(("mode", "must not be the zero mode"))
+        limit = grid.n_per_axis // 2 - 1  # the data is zero on the Nyquist planes
+        if any(abs(c) > limit for c in m):
+            problems.append(("mode", f"components must satisfy |m| <= {limit} "
+                                     f"(below the Nyquist index), got {m}"))
+    elif kind in ("random_sobolev_tail", "compact_spectrum"):
+        hi_name = "band_hi" if kind == "random_sobolev_tail" else "k_cut"
+        lo, hi = params.band_lo, getattr(params, hi_name)
+        if not (lo > 0.0):
+            problems.append(("band_lo", f"must be positive, got {lo}"))
+        if not (hi > lo):
+            problems.append((hi_name, f"must exceed band_lo, got [{lo}, {hi}]"))
+        if hi > grid.k_max:
+            problems.append((hi_name, f"{hi} exceeds the grid's largest wavenumber "
+                                      f"{grid.k_max:.6g}"))
+    return problems
+
+
+def _require_buildable(kind: str, grid: Grid, params: DataParams) -> None:
+    """Raise the first of data_problems as a ValueError naming its field."""
+    for name, problem in data_problems(kind, grid, params):
+        raise ValueError(f"{name}: {problem}")
 
 
 def make_initial_data(kind: str, grid: Grid, params: DataParams,
                       seed: int = 0) -> VelocityField:
-    """Dispatch on kind; every output is divergence-free and mean-free."""
+    """Dispatch on kind; every output is divergence-free and mean-free.
+    Raises the first of data_problems as a ValueError."""
     if kind == "taylor_green":
         return taylor_green(grid, params)
     if kind == "single_mode":

@@ -25,8 +25,7 @@ import scipy
 from .diagnostics import BoundReport
 from .operators import VelocityField, stack_coefficients
 from .solver import Trajectory, band_modes, band_plane_pairs
-from .spectral import (CorruptedFieldError, Grid, _real_field, build_grid,
-                       hermitian_deviation, hermitian_half)
+from .spectral import CorruptedFieldError, Grid, _real_field, build_grid, hermitian_half
 
 FIELD_MAGIC = b"GSF1"
 FIELD_VERSION = 1
@@ -36,18 +35,10 @@ INCREMENTS_MAGIC = b"GSI1"
 INCREMENTS_VERSION = 1
 _INCREMENTS_HEADER = struct.Struct("<4sIIII")  # magic, version, n_per_axis, n_times, band size
 
-FIELD_FORMAT = "gns-field-v1"
 TRAJECTORY_FORMAT = "gns-trajectory-v2"
 BOUND_REPORT_FORMAT = "gns-bound-report-v1"
 U0_FILE = "u0.gsf"
 INCREMENTS_FILE = "increments.gsi"
-
-_FIELD_LAYOUT = (
-    "header 32 bytes: magic 'GSF1', uint32 version, uint32 n_per_axis, "
-    "uint32 n_components, float64 period, float64 dealias_fraction, all "
-    "little-endian; payload n_components blocks of n_per_axis^3 complex128 "
-    "little-endian values in C (row-major) index order"
-)
 
 
 class FormatError(ValueError):
@@ -96,34 +87,14 @@ def json_safe_float(x: float):
     return format_float(x)
 
 
-def write_field(path: Path, u: VelocityField, sidecar: bool = True) -> str:
-    """Write a velocity field snapshot; returns the sha256 of the binary file.
-
-    The optional sidecar '<name>.json' records the layout, grid parameters,
-    Hermitian deviation, and the binary's sha256.
-    """
-    path = Path(path)
+def write_field(path: Path, u: VelocityField) -> str:
+    """Write a velocity field snapshot; returns the sha256 of the binary file."""
     grid = u.grid
     header = _HEADER.pack(FIELD_MAGIC, FIELD_VERSION, grid.n_per_axis, 3,
                           grid.period, grid.dealias_fraction)
-    stack = stack_coefficients(u)
-    data = header + stack.astype("<c16", copy=False).tobytes(order="C")
-    _atomic_write_bytes(path, data)
-    digest = hashlib.sha256(data).hexdigest()
-    if sidecar:
-        meta = {
-            "format": FIELD_FORMAT,
-            "binary": path.name,
-            "layout": _FIELD_LAYOUT,
-            "n_per_axis": grid.n_per_axis,
-            "n_components": 3,
-            "period": grid.period,
-            "dealias_fraction": grid.dealias_fraction,
-            "hermitian_deviation": hermitian_deviation(stack),
-            "sha256": digest,
-        }
-        write_text(path.with_name(path.name + ".json"), dump_json(meta))
-    return digest
+    data = header + stack_coefficients(u).astype("<c16", copy=False).tobytes(order="C")
+    _atomic_write_bytes(Path(path), data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def read_field(path: Path) -> VelocityField:
@@ -286,8 +257,7 @@ def _finish_trajectory(directory: Path, writer: TrajectoryWriter,
         raise ValueError(f"the writer writes into {writer.directory}, not {directory}")
     grid = writer.grid
     increments_digest = writer._publish_increments()
-    u0_digest = write_field(directory / U0_FILE, VelocityField.from_half(grid, writer.u0),
-                            sidecar=False)
+    u0_digest = write_field(directory / U0_FILE, VelocityField.from_half(grid, writer.u0))
     manifest = {
         "format": TRAJECTORY_FORMAT,
         "grid": {"n_per_axis": grid.n_per_axis, "period": grid.period,

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as gio
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, key_problem
 from .diagnostics import (
     BoundAccumulator,
     BoundReport,
@@ -53,7 +53,8 @@ from .operators import (
     navier_stokes_coeffs,
     read_q_coefficients,
 )
-from .solver import BlowupError, PicardReport, StateBuilder, etd_integrate, picard_solve
+from .solver import (BlowupError, PicardReport, StateBuilder, Trajectory, etd_integrate,
+                     picard_solve)
 from .spectral import CorruptedFieldError
 
 EXIT_OK = 0
@@ -136,12 +137,7 @@ def load_coefficients(cfg: ScenarioConfig, base_dir: Path | None) -> QCoefficien
 
 
 def data_params(cfg: ScenarioConfig) -> DataParams:
-    return DataParams(amplitude=cfg.data_amplitude,
-                      band_lo=cfg.data_band_lo,
-                      band_hi=cfg.data_band_hi,
-                      mode=cfg.data_mode,
-                      k_cut=cfg.data_k_cut,
-                      spectral_exponent=cfg.data_spectral_exponent)
+    return cfg.data_params()
 
 
 class _StreamedStates:
@@ -388,14 +384,19 @@ def _march_and_check(tmp: Path, out: Path, cfg: ScenarioConfig, coeffs, u0,
     return picard, etd_rel_error
 
 
+def _load_trajectory(path: Path) -> Trajectory:
+    """The stored trajectory at path; exit 2 when it cannot be read."""
+    try:
+        return gio.read_trajectory(path)
+    except (OSError, gio.FormatError, ValueError) as exc:
+        raise ScenarioError(f"cannot load trajectory: {exc}", EXIT_CONFIG)
+
+
 def diagnose_trajectory(manifest_path: Path, cfg: ScenarioConfig,
                         out_dir: str | Path | None = None) -> BoundReport:
     """Recompute the bound report for a stored trajectory; write report files."""
     manifest_path = Path(manifest_path)
-    try:
-        traj = gio.read_trajectory(manifest_path)
-    except (OSError, gio.FormatError, ValueError) as exc:
-        raise ScenarioError(f"cannot load trajectory: {exc}", EXIT_CONFIG)
+    traj = _load_trajectory(manifest_path)
     try:
         report = bound_report(traj, cfg.physics_gamma, cfg.diagnostics_mode,
                               cfg.diagnostics_fit_lo, cfg.diagnostics_fit_hi,
@@ -418,14 +419,18 @@ def diagnose_trajectory(manifest_path: Path, cfg: ScenarioConfig,
 
 def _report_columns(path: Path) -> tuple[float, dict[str, list[float]]]:
     """gamma and the report.json columns the curves plot; FormatError naming
-    path for a missing key, a wrong value or columns of unequal length."""
+    path for a missing key, a wrong value (gamma is held to physics.gamma's
+    rule) or columns of unequal length."""
     doc = gio.read_json(path)
     try:
         rows = {name: [float(v) for v in doc["rows"][name]]
                 for name in ("t", "ratio", "measured_radius", "predictor")}
         if len({len(column) for column in rows.values()}) != 1:
             raise ValueError("rows columns differ in length")
-        return float(doc["gamma"]), rows
+        gamma = float(doc["gamma"])
+        if problem := key_problem("physics.gamma", gamma):
+            raise ValueError(f"gamma {problem}")
+        return gamma, rows
     except (KeyError, TypeError, ValueError) as exc:
         raise gio.FormatError(f"{path}: bad or missing entry: {exc}") from None
 
@@ -443,7 +448,7 @@ def emit_plot_data(artifacts_dir: Path) -> list[Path]:
     if not report_path.exists():
         raise ScenarioError(f"no report.json in {artifacts_dir}", EXIT_CONFIG)
     gamma, rows = _report_columns(report_path)
-    traj = gio.read_trajectory(artifacts_dir / "trajectory")
+    traj = _load_trajectory(artifacts_dir / "trajectory")
 
     written = []
 

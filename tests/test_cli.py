@@ -524,6 +524,8 @@ REPORT_CORRUPTIONS = {
     "ratio_holds_text": _rewrite_json(lambda d: d["rows"]["ratio"].__setitem__(0, "big")),
     "ratio_not_a_list": _rewrite_json(lambda d: d["rows"].update(ratio=1.0)),
     "columns_differ_in_length": _rewrite_json(lambda d: d["rows"]["t"].pop()),
+    "gamma_below_half": _rewrite_json(lambda d: d.update(gamma=-1)),
+    "gamma_nan": _rewrite_json(lambda d: d.update(gamma="nan")),
 }
 
 
@@ -567,6 +569,25 @@ class TestMalformedFiles:
         capsys.readouterr()
         assert cli.main(["report", str(run)]) == EXIT_CONFIG
         assert "report.json" in capsys.readouterr().err
+        assert sorted(run.glob("*.dat")) == []
+
+    @pytest.mark.parametrize("command", ["diagnose", "report"])
+    def test_unreadable_increments(self, tmp_path, capsys, solved_run, command):
+        # a directory where increments.gsi should be: reading it is an OSError
+        cfg_path, solved = solved_run
+        run = shutil.copytree(solved, tmp_path / "run")
+        increments = run / "trajectory" / gio.INCREMENTS_FILE
+        increments.unlink()
+        increments.mkdir()
+        capsys.readouterr()
+        if command == "diagnose":
+            argv = ["diagnose", str(run / "trajectory"), str(cfg_path),
+                    "--out", str(tmp_path / "diag")]
+        else:
+            argv = ["report", str(run)]
+        assert cli.main(argv) == EXIT_CONFIG
+        assert "cannot load trajectory" in capsys.readouterr().err
+        assert not (tmp_path / "diag").exists()
         assert sorted(run.glob("*.dat")) == []
 
     @pytest.mark.parametrize("command", ["diagnose", "report"])

@@ -1,6 +1,7 @@
 import math
 import re
 import threading
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,8 +15,9 @@ from gnsflow.config import (
     parse_config,
     parse_config_text,
 )
+from gnsflow.initial_data import DATA_KINDS, DataParams, make_initial_data
 from gnsflow.operators import VelocityField, navier_stokes_coeffs
-from gnsflow.spectral import build_grid
+from gnsflow.spectral import Grid, build_grid
 
 MINIMAL = """
 # subcritical demo
@@ -140,11 +142,13 @@ class TestErrorCollection:
     def test_band_and_fit_window_against_grid(self):
         # 8-point unit-spacing grid: largest |k| is 4 sqrt(3) ~ 6.93
         self.assert_problems(
-            "grid.n = 8\ndata.band_hi = 9.0\n", "data.band_hi")
+            "grid.n = 8\ndata.kind = random_sobolev_tail\ndata.band_hi = 9.0\n",
+            "data.band_hi")
         self.assert_problems(
             "grid.n = 8\ndiagnostics.fit_hi = 8.0\n", "diagnostics.fit_hi")
         self.assert_problems(
-            "data.band_lo = 2.0\ndata.band_hi = 1.0\n", "band_hi")
+            "data.kind = random_sobolev_tail\ndata.band_lo = 2.0\ndata.band_hi = 1.0\n",
+            "band_hi")
         self.assert_problems(
             "diagnostics.fit_lo = 3.0\ndiagnostics.fit_hi = 2.0\n", "fit_hi")
 
@@ -228,6 +232,109 @@ class TestErrorCollection:
             self.assert_problems(f"grid.n = 8\ndiagnostics.n_shells = {n_shells}\n",
                                  f"diagnostics.n_shells: {n_shells} exceeds the "
                                  f"{modes} modes")
+
+
+# the band edges sit on, just above and just below the grid's largest |k|
+SMALL_GRID = build_grid(6, period=157.07963267948966)
+K_MAX = SMALL_GRID.k_max
+EDGES = (K_MAX, np.nextafter(K_MAX, math.inf), np.nextafter(K_MAX, 0.0))
+BAND_LOS = (-1.0, 0.0, 0.05, 0.1) + EDGES + (math.nan,)
+BAND_HIS = (0.03, 0.05, 0.15) + EDGES + (2.0 * K_MAX, math.nan)
+MODES = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, -2, 1), (3, 0, 0), (0, 0, -3), (2, 2, 2))
+# each kind's sections vary only the data keys it reads; taylor_green reads none
+DATA_SECTIONS = {
+    "taylor_green": [dict(band_lo=0.05, band_hi=2.0 * K_MAX, k_cut=0.03, mode=(0, 0, 0)),
+                     dict(band_lo=EDGES[1], band_hi=0.05, k_cut=EDGES[1], mode=(3, 0, 0))],
+    "single_mode": [dict(mode=m) for m in MODES],
+    "random_sobolev_tail": [dict(band_lo=lo, band_hi=hi)
+                            for lo in BAND_LOS for hi in BAND_HIS],
+    "compact_spectrum": [dict(band_lo=lo, k_cut=hi) for lo in BAND_LOS for hi in BAND_HIS],
+}
+
+
+def _data_section(kind: str, data: dict) -> str:
+    lines = [f"data.{name} = " + (",".join(map(str, value)) if name == "mode"
+                                  else repr(float(value)))
+             for name, value in data.items()]
+    return (f"grid.n = 6\ngrid.period = {SMALL_GRID.period!r}\n"
+            "diagnostics.fit_lo = 0.05\ndiagnostics.fit_hi = 0.2\n"
+            f"data.kind = {kind}\n" + "\n".join(lines) + "\n")
+
+
+class TestDataRules:
+    """The config refuses a data section exactly when the data cannot be
+    built: it asks initial_data, for the selected kind only."""
+
+    @pytest.mark.parametrize("kind", DATA_KINDS)
+    def test_config_accepts_what_make_initial_data_builds(self, kind):
+        for data in DATA_SECTIONS[kind]:
+            try:
+                cfg = parse_config_text(_data_section(kind, data))
+                config_ok = True
+            except ConfigError as exc:
+                assert all(p.startswith("data.") for p in exc.problems), exc
+                config_ok = False
+            try:
+                make_initial_data(kind, SMALL_GRID, DataParams(**data))
+                data_ok = True
+            except ValueError:
+                data_ok = False
+            assert config_ok == data_ok, (kind, data)
+            if config_ok:
+                assert cfg.build_grid() == SMALL_GRID
+
+    def test_problem_names_the_key_and_matches_the_generator(self):
+        text = _data_section("compact_spectrum", dict(band_lo=0.05, k_cut=EDGES[1]))
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text)
+        with pytest.raises(ValueError) as direct:
+            make_initial_data("compact_spectrum", SMALL_GRID,
+                              DataParams(band_lo=0.05, k_cut=EDGES[1]))
+        assert exc.value.problems == [f"data.{direct.value}"]
+        assert "largest wavenumber" in str(direct.value)
+
+    def test_compact_band_ignores_band_hi(self):
+        cfg = parse_config_text("data.kind = compact_spectrum\n"
+                                "data.band_lo = 3\ndata.k_cut = 4\n")
+        assert (cfg.data_band_lo, cfg.data_k_cut, cfg.data_band_hi) == (3.0, 4.0, 2.5)
+
+    def test_compact_k_cut_must_exceed_band_lo(self):
+        for k_cut in ("1.5", "2.0"):
+            with pytest.raises(ConfigError) as exc:
+                parse_config_text("data.kind = compact_spectrum\n"
+                                  f"data.band_lo = 2.0\ndata.k_cut = {k_cut}\n")
+            assert exc.value.problems == [
+                f"data.k_cut: must exceed band_lo, got [2.0, {float(k_cut)}]"]
+
+    def test_taylor_green_reads_no_band(self):
+        # largest |k| is (2 pi / 20) * 4 * sqrt(3) ~ 2.18, under the default band_hi
+        cfg = parse_config_text("grid.n = 8\ngrid.period = 20\ndata.kind = taylor_green\n")
+        assert cfg.data_band_hi > cfg.build_grid().k_max
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_band_hi_is_positive_whatever_the_kind(self, value):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"data.band_hi = {value}\n")
+        assert exc.value.problems == [f"data.band_hi: must be positive, got {float(value)}"]
+
+    def test_bounds_are_the_grids_without_its_tables(self, monkeypatch):
+        read = []
+        k_max = Grid.k_max.func
+        monkeypatch.setattr(Grid, "k_max", property(lambda g: read.append(g) or k_max(g)))
+
+        def no_table(grid):
+            raise AssertionError("a grid table was built")
+        for name in ("alias_integers", "k_components", "k_sq", "k_norm", "inv_k_sq"):
+            monkeypatch.setattr(Grid, name, property(no_table))
+        tracemalloc.start()
+        try:
+            cfg = parse_config_text("grid.n = 4096\ndata.kind = random_sobolev_tail\n"
+                                    "diagnostics.fit_hi = 2.0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read and set(read) == {cfg.build_grid()}
+        assert peak < 2**20
 
 
 @pytest.mark.usefixtures("small_linspace")

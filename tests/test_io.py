@@ -37,34 +37,17 @@ class TestFieldRoundTrip:
         grid = build_grid(8, period=3.5, dealias_fraction=0.5)
         u = make_field(grid, rng)
         path = tmp_path / "field.gsf"
-        gio.write_field(path, u)
+        digest = gio.write_field(path, u)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         back = gio.read_field(path)
         assert back.grid == grid
         np.testing.assert_array_equal(stack_coefficients(back),
                                       stack_coefficients(u))
 
-    def test_sidecar_records_sha_and_layout(self, rng, tmp_path):
-        grid = build_grid(8)
-        u = make_field(grid, rng)
-        path = tmp_path / "field.gsf"
-        digest = gio.write_field(path, u)
-        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-        meta = json.loads((tmp_path / "field.gsf.json").read_text())
-        assert meta["sha256"] == digest
-        assert meta["format"] == gio.FIELD_FORMAT
-        assert meta["n_per_axis"] == 8
-        assert "complex128" in meta["layout"]
-        assert meta["hermitian_deviation"] <= 1e-12
-
-    def test_sidecar_optional(self, rng, tmp_path):
-        u = make_field(build_grid(8), rng)
-        gio.write_field(tmp_path / "f.gsf", u, sidecar=False)
-        assert not (tmp_path / "f.gsf.json").exists()
-
     def test_rejects_bad_magic(self, rng, tmp_path):
         u = make_field(build_grid(8), rng)
         path = tmp_path / "f.gsf"
-        gio.write_field(path, u, sidecar=False)
+        gio.write_field(path, u)
         data = bytearray(path.read_bytes())
         data[:4] = b"NOPE"
         path.write_bytes(bytes(data))
@@ -74,7 +57,7 @@ class TestFieldRoundTrip:
     def test_rejects_bad_version(self, rng, tmp_path):
         u = make_field(build_grid(8), rng)
         path = tmp_path / "f.gsf"
-        gio.write_field(path, u, sidecar=False)
+        gio.write_field(path, u)
         data = bytearray(path.read_bytes())
         data[4] = 99
         path.write_bytes(bytes(data))
@@ -84,7 +67,7 @@ class TestFieldRoundTrip:
     def test_rejects_truncated_payload(self, rng, tmp_path):
         u = make_field(build_grid(8), rng)
         path = tmp_path / "f.gsf"
-        gio.write_field(path, u, sidecar=False)
+        gio.write_field(path, u)
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(gio.FormatError, match="size"):
@@ -100,8 +83,8 @@ class TestFieldRoundTrip:
 
     def test_write_is_deterministic(self, rng, tmp_path):
         u = make_field(build_grid(8), rng)
-        gio.write_field(tmp_path / "a.gsf", u, sidecar=False)
-        gio.write_field(tmp_path / "b.gsf", u, sidecar=False)
+        gio.write_field(tmp_path / "a.gsf", u)
+        gio.write_field(tmp_path / "b.gsf", u)
         assert (tmp_path / "a.gsf").read_bytes() == (tmp_path / "b.gsf").read_bytes()
 
 
@@ -236,7 +219,7 @@ class TestTrajectoryRoundTrip:
         traj = heat_traj(make_field(build_grid(8), rng), [0.0, 0.01])
         gio.write_trajectory(tmp_path / "run", traj)
         gio.write_field(tmp_path / "run" / gio.U0_FILE,
-                        make_field(build_grid(8, period=3.0), rng), sidecar=False)
+                        make_field(build_grid(8, period=3.0), rng))
         helpers.repoint_digest(tmp_path / "run", gio.U0_FILE)
         with pytest.raises(gio.FormatError, match="grid differs"):
             gio.read_trajectory(tmp_path / "run")
@@ -475,8 +458,8 @@ class TestAtomicity:
         u1 = make_field(grid, rng)
         u2 = make_field(grid, rng)
         path = tmp_path / "f.gsf"
-        gio.write_field(path, u1, sidecar=False)
-        gio.write_field(path, u2, sidecar=False)
+        gio.write_field(path, u1)
+        gio.write_field(path, u2)
         back = gio.read_field(path)
         np.testing.assert_array_equal(stack_coefficients(back),
                                       stack_coefficients(u2))
