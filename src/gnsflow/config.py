@@ -63,7 +63,6 @@ def _at_least(lo):
 
 
 _POSITIVE = _rule(lambda x: x > 0.0, "positive")
-_POSITIVE_FINITE = _rule(lambda x: x > 0.0 and math.isfinite(x), "positive and finite")
 _OPEN_UNIT = _rule(lambda x: 0.0 < x < 1.0, "in (0, 1)")
 # increments.gsi stores the number of lattice times as a uint32
 _UINT32 = _rule(lambda x: x <= 2**32 - 1, "<= 2^32 - 1")
@@ -76,27 +75,24 @@ class ScenarioConfig:
 
     grid_n: int = _key("grid.n", "int", 32,
                        _rule(lambda n: n >= 4 and n % 2 == 0, "an even integer >= 4"))
-    grid_period: float = _key("grid.period", "float", 2.0 * math.pi, _POSITIVE_FINITE)
+    grid_period: float = _key("grid.period", "float", 2.0 * math.pi, _POSITIVE)
     grid_dealias_fraction: float = _key("grid.dealias_fraction", "float", 2.0 / 3.0,
                                         _rule(lambda x: 0.0 < x <= 1.0, "in (0, 1]"))
-    solver_t_final: float = _key("solver.t_final", "float", 0.01, _POSITIVE_FINITE)
+    solver_t_final: float = _key("solver.t_final", "float", 0.01, _POSITIVE)
     solver_n_times: int = _key("solver.n_times", "int", 33,
                                lambda m: _at_least(2)(m) or _UINT32(m))
     solver_quad_order: int = _key("solver.quad_order", "int", 2,
                                   _rule(lambda q: 1 <= q <= 12, "in [1, 12]"))
     solver_tol: float = _key("solver.tol", "float", 1e-8, _OPEN_UNIT)
     solver_max_iter: int = _key("solver.max_iter", "int", 16, _at_least(1))
-    solver_dt: float = _key("solver.dt", "float", 1e-4, _POSITIVE_FINITE)
+    solver_dt: float = _key("solver.dt", "float", 1e-4, _POSITIVE)
     solver_etd_check: bool = _key("solver.etd_check", "bool", False)
     solver_oracle_tol: float = _key("solver.oracle_tol", "float", 1e-6, _POSITIVE)
     physics_coefficients: str = _key("physics.coefficients", "str", "navier_stokes")
-    physics_gamma: float = _key("physics.gamma", "float", 1.0,
-                                _rule(lambda g: g >= 0.5 and math.isfinite(g), ">= 0.5"))
+    physics_gamma: float = _key("physics.gamma", "float", 1.0, _at_least(0.5))
     physics_delta: float = _key("physics.delta", "float", 0.1, _OPEN_UNIT)
     data_kind: str = _key("data.kind", "str", "taylor_green", _one_of(DATA_KINDS))
-    data_amplitude: float = _key("data.amplitude", "float", 1.0,
-                                 _rule(lambda a: a >= 0.0 and math.isfinite(a),
-                                       ">= 0 and finite"))
+    data_amplitude: float = _key("data.amplitude", "float", 1.0, _at_least(0.0))
     data_seed: int = _key("data.seed", "int", 0,
                           _rule(lambda s: 0 <= s < 2**64, "in [0, 2^64)"))
     data_band_lo: float = _key("data.band_lo", "float", 0.5, _POSITIVE)
@@ -147,8 +143,13 @@ _FIELDS = {f.metadata["key"]: f for f in fields(ScenarioConfig)}
 
 
 def key_problem(key: str, value) -> str | None:
-    """The single-key check of scenario key `key` on value: problem text or None."""
-    return _FIELDS[key].metadata["check"](value)
+    """The single-key check of scenario key `key` on value, then the rule
+    that every float key is finite: problem text or None."""
+    f = _FIELDS[key]
+    problem = f.metadata["check"](value)
+    if problem is None and f.metadata["tag"] in _FLOAT_TAGS and not math.isfinite(value):
+        problem = f"must be finite, got {value}"
+    return problem
 
 
 def _data_params(v: dict) -> DataParams:
@@ -195,6 +196,10 @@ def _int_triple(token: str) -> tuple[int, int, int]:
 def _format_float(x: float) -> str:
     return repr(float(x))
 
+
+# the tags of the float keys, each held to be finite (a sample time is held to
+# (0, t_final] instead)
+_FLOAT_TAGS = ("float", "float_or_auto")
 
 _VALUE_TYPES = {
     "int": _ValueType(int, "expected an integer, got {token!r}", str),

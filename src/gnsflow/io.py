@@ -24,7 +24,7 @@ import scipy
 
 from .diagnostics import BoundReport
 from .operators import VelocityField, stack_coefficients
-from .solver import Trajectory, band_modes, band_plane_pairs
+from .solver import StateBuilder, Trajectory, band_modes, band_plane_pairs, time_tolerance
 from .spectral import CorruptedFieldError, Grid, _real_field, build_grid, hermitian_half
 
 FIELD_MAGIC = b"GSF1"
@@ -155,11 +155,14 @@ def _sha256_file(path: Path, expected: str) -> bytes:
     """The bytes of a trajectory file, checked against its manifest sha256;
     the file is read once."""
     data = path.read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
+    _check_sha256(path, hashlib.sha256(data).hexdigest(), expected)
+    return data
+
+
+def _check_sha256(path: Path, digest: str, expected: str) -> None:
     if digest != expected:
         raise FormatError(f"{path}: sha256 mismatch (file {digest}, "
                           f"manifest {expected})")
-    return data
 
 
 class TrajectoryWriter:
@@ -312,55 +315,206 @@ def _manifest_fields(path: Path) -> tuple[Grid, np.ndarray, str, dict[str, str]]
     return grid, times, band_kind, digests
 
 
-def read_trajectory(manifest_path: Path) -> Trajectory:
-    """Reload a trajectory from its manifest; verifies sha256 and grid match.
+def _increments_size(path: Path, header: bytes, grid: Grid, n_times: int,
+                     band_size: int) -> int:
+    """The byte size that increments.gsi must have, once its header (the
+    first bytes of the file) matches the manifest's grid, times and band."""
+    if len(header) < _INCREMENTS_HEADER.size:
+        raise FormatError(f"{path}: truncated header ({len(header)} bytes)")
+    magic, version, n, count, size = _INCREMENTS_HEADER.unpack_from(header)
+    if magic != INCREMENTS_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {INCREMENTS_MAGIC!r}")
+    if version != INCREMENTS_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    if (n, count, size) != (grid.n_per_axis, n_times, band_size):
+        raise FormatError(f"{path}: header (n, T, band) = {(n, count, size)} does not "
+                          f"match the manifest's {(grid.n_per_axis, n_times, band_size)}")
+    return _INCREMENTS_HEADER.size + count * 3 * size * 16
 
-    Each file is read once: the bytes that are hashed are the bytes that
-    are parsed. u0 and the increments on the kz = 0 and kz = n/2 planes
-    are held to the real-field contract, and every increment must be finite;
-    exact increments are the array read.
+
+def _size_error(path: Path, size: int, want: int) -> FormatError:
+    return FormatError(f"{path}: payload size {size} != expected {want}")
+
+
+def _checked_rows(path: Path, grid: Grid, band_kind: str, rows: np.ndarray) -> np.ndarray:
+    """Increment rows (m, len(band)) held to the stored run's contract: every
+    value finite, and the kz = 0 and kz = n/2 plane pairs of the band held to
+    the real-field contract. rows itself when its pairs are exact, else a
+    copy with them symmetrized; CorruptedFieldError naming path otherwise."""
+    if not np.isfinite(rows.view("<f8")).all():
+        raise CorruptedFieldError(f"{path}: non-finite increment values", math.nan)
+    plane, partner = band_plane_pairs(grid, band_kind)
+    ours = rows[:, plane]
+    fixed = _real_field_in(path, _real_field, ours, np.conj(rows[:, partner]))
+    if fixed is not ours:
+        rows = rows.copy()
+        rows[:, partner] = np.conj(fixed)
+        rows[:, plane] = fixed
+    return rows
+
+
+# increments.gsi is streamed in blocks of whole rows of about this many bytes
+READ_BLOCK_BYTES = 1 << 20
+
+
+class StreamedTrajectory:
+    """A stored trajectory read in one pass, each state once, in lattice order.
+
+    It answers what bound_report and eta_J ask of a Trajectory: grid,
+    times, horizon, time_tolerance() and half_state(i), with i = 0, 1, ...
+    in turn. increments.gsi is read in blocks of whole rows, about
+    READ_BLOCK_BYTES each, into one reused buffer. Each block is hashed as
+    it is read and held to read_trajectory's checks, and half_state
+    rebuilds its states with StateBuilder, so memory does not grow with the
+    number of times.
+
+    The first verdict on the file stops the state building: the rest of the
+    file is hashed, and the verdicts are raised in order, a sha256 mismatch,
+    then the header or the size, then a non-finite value or a broken plane
+    pair. The last block's states are handed on only after the whole file
+    has been hashed and checked, so a consumer that took every state took a
+    verified file. It is a context manager, whose exit reads and checks the
+    rows that no state asked for.
     """
+
+    def __init__(self, path: Path, sha256: str, grid: Grid, times: np.ndarray,
+                 band_kind: str, u0: np.ndarray) -> None:
+        self.grid = grid
+        self.times = times
+        self._path = path
+        self._sha256 = sha256
+        self._band_kind = band_kind
+        self._build = StateBuilder(grid, u0, band_kind)
+        self._row_shape = (3, band_modes(grid, band_kind).size)
+        self._row_bytes = 3 * self._row_shape[1] * 16
+        self._digest = hashlib.sha256()
+        self._bytes_read = 0  # and hashed
+        self._want: int | None = None  # the size the header asks for
+        self._rows = np.empty((0,) + self._row_shape, dtype=np.complex128)
+        self._first = 0  # the state of self._rows[0]
+        self._next = 0  # the state half_state hands on next
+        self._fh = open(path, "rb")
+        try:
+            header = self._fh.read(_INCREMENTS_HEADER.size)
+            self._hash(header)
+            try:
+                self._want = _increments_size(path, header, grid, times.size,
+                                              self._row_shape[1])
+            except FormatError as exc:
+                self._settle(exc)
+            self._block_rows = min(max(1, READ_BLOCK_BYTES // self._row_bytes), times.size)
+            self._buffer = bytearray(self._block_rows * self._row_bytes)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    @property
+    def horizon(self) -> float:
+        return float(self.times[-1])
+
+    def time_tolerance(self) -> float:
+        return time_tolerance(self.horizon)
+
+    def half_state(self, i: int) -> np.ndarray:
+        """State i as a new half stack; i must be the state after the last one."""
+        if i != self._next or i >= self.times.size:
+            raise ValueError(f"a streamed trajectory hands on each state once, in "
+                             f"order: state {i} asked for, state {self._next} is next")
+        if i == self._first + len(self._rows):
+            self._read_block()
+        self._next += 1
+        return self._build(float(self.times[i]), self._rows[i - self._first])
+
+    def _hash(self, chunk) -> None:
+        self._digest.update(chunk)
+        self._bytes_read += len(chunk)
+
+    def _read_block(self) -> None:
+        """Read, hash and check the next block of rows."""
+        self._first += len(self._rows)
+        count = min(self._block_rows, self.times.size - self._first)
+        view = memoryview(self._buffer)[:count * self._row_bytes]
+        got = self._fh.readinto(view)  # a buffered file fills view unless at its end
+        self._hash(view[:got])
+        if got < len(view):
+            self._settle()
+        rows = np.frombuffer(self._buffer, dtype="<c16", count=len(view) // 16)
+        try:
+            rows = _checked_rows(self._path, self.grid, self._band_kind,
+                                 rows.reshape(count * 3, -1))
+        except CorruptedFieldError as exc:
+            self._settle(exc)
+        if self._first + count == self.times.size:
+            self._settle()
+        self._rows = rows.reshape((count,) + self._row_shape)
+
+    def _settle(self, verdict: ValueError | None = None) -> None:
+        """Hash the rest of the file and close it; raise the first verdict."""
+        with self._fh:
+            for chunk in iter(lambda: self._fh.read(READ_BLOCK_BYTES), b""):
+                self._hash(chunk)
+        _check_sha256(self._path, self._digest.hexdigest(), self._sha256)
+        if self._want is not None and self._bytes_read != self._want:
+            raise _size_error(self._path, self._bytes_read, self._want)
+        if verdict is not None:
+            raise verdict
+
+    def __enter__(self) -> "StreamedTrajectory":
+        return self
+
+    def __exit__(self, exc_type, *exc_info) -> None:
+        """Read, hash and check the rows no state asked for, raising the
+        file's first verdict, and close it; an interrupt only closes it."""
+        try:
+            if exc_type is None or issubclass(exc_type, Exception):
+                while not self._fh.closed:
+                    self._read_block()
+        finally:
+            self._fh.close()
+
+
+def _manifest_and_u0(manifest_path: Path
+                     ) -> tuple[Path, str, Grid, np.ndarray, str, np.ndarray]:
+    """The increments file of a stored trajectory, its manifest sha256, the
+    grid, times and band kind, and the u0 half stack, read and checked once."""
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
     grid, times, band_kind, digests = _manifest_fields(manifest_path)
     directory = manifest_path.parent
-
     path = directory / U0_FILE
     data = _sha256_file(path, digests[U0_FILE])
     if _field_grid(path, data) != grid:
         raise FormatError(f"{path}: grid differs from manifest grid")
-    u0 = _checked_half(path, grid, data)
-    band = band_modes(grid, band_kind)
+    return (directory / INCREMENTS_FILE, digests[INCREMENTS_FILE], grid, times, band_kind,
+            _checked_half(path, grid, data))
 
-    path = directory / INCREMENTS_FILE
-    data = _sha256_file(path, digests[INCREMENTS_FILE])
-    if len(data) < _INCREMENTS_HEADER.size:
-        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
-    magic, version, n, count, size = _INCREMENTS_HEADER.unpack_from(data)
-    if magic != INCREMENTS_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {INCREMENTS_MAGIC!r}")
-    if version != INCREMENTS_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if (n, count, size) != (grid.n_per_axis, times.size, band.size):
-        raise FormatError(f"{path}: header (n, T, band) = {(n, count, size)} does not "
-                          f"match the manifest's {(grid.n_per_axis, times.size, band.size)}")
-    want = _INCREMENTS_HEADER.size + count * 3 * size * 16
+
+def read_trajectory(manifest_path: Path,
+                    stream: bool = False) -> Trajectory | StreamedTrajectory:
+    """Reload a trajectory from its manifest; verifies sha256 and grid match.
+
+    Each file is read once: the bytes that are hashed are the bytes that
+    are parsed. u0 and the increments on the kz = 0 and kz = n/2 planes
+    are held to the real-field contract, and every increment must be finite;
+    exact increments are the array read. With stream, increments.gsi is
+    not read here: the StreamedTrajectory returned reads and checks it in
+    blocks as its states are asked for.
+    """
+    stored = _manifest_and_u0(manifest_path)
+    if stream:
+        return StreamedTrajectory(*stored)
+    path, digest, grid, times, band_kind, u0 = stored
+    data = _sha256_file(path, digest)
+    band = band_modes(grid, band_kind)
+    want = _increments_size(path, data, grid, times.size, band.size)
     if len(data) != want:
-        raise FormatError(f"{path}: payload size {len(data)} != expected {want}")
+        raise _size_error(path, len(data), want)
     increments = np.frombuffer(data, dtype="<c16", offset=_INCREMENTS_HEADER.size)
-    if not np.isfinite(increments.view("<f8")).all():
-        raise CorruptedFieldError(f"{path}: non-finite increment values", math.nan)
-    increments = increments.reshape(count * 3, size)
-    plane, partner = band_plane_pairs(grid, band_kind)
-    ours = increments[:, plane]
-    fixed = _real_field_in(path, _real_field, ours, np.conj(increments[:, partner]))
-    if fixed is not ours:
-        increments = increments.copy()
-        increments[:, partner] = np.conj(fixed)
-        increments[:, plane] = fixed
-    increments = increments.reshape(count, 3, size)
-    return Trajectory.from_increments(grid, times, u0, increments, band=band_kind)
+    increments = _checked_rows(path, grid, band_kind, increments.reshape(-1, band.size))
+    return Trajectory.from_increments(grid, times, u0,
+                                      increments.reshape(times.size, 3, band.size),
+                                      band=band_kind)
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

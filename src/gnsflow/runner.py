@@ -29,7 +29,9 @@ import os
 import shutil
 import tempfile
 import threading
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -53,8 +55,7 @@ from .operators import (
     navier_stokes_coeffs,
     read_q_coefficients,
 )
-from .solver import (BlowupError, PicardReport, StateBuilder, Trajectory, etd_integrate,
-                     picard_solve)
+from .solver import BlowupError, PicardReport, StateBuilder, etd_integrate, picard_solve
 from .spectral import CorruptedFieldError
 
 EXIT_OK = 0
@@ -384,24 +385,31 @@ def _march_and_check(tmp: Path, out: Path, cfg: ScenarioConfig, coeffs, u0,
     return picard, etd_rel_error
 
 
-def _load_trajectory(path: Path) -> Trajectory:
-    """The stored trajectory at path; exit 2 when it cannot be read."""
+@contextmanager
+def _stored_run(path: Path) -> Iterator[gio.StreamedTrajectory]:
+    """The stored trajectory at path, streamed; exit 2 naming the file for any
+    verdict on it, whenever the stream reaches one. The file is read to its
+    end and verified when the block exits."""
     try:
-        return gio.read_trajectory(path)
-    except (OSError, gio.FormatError, ValueError) as exc:
+        with gio.read_trajectory(path, stream=True) as traj:
+            yield traj
+    except (OSError, gio.FormatError, CorruptedFieldError) as exc:
         raise ScenarioError(f"cannot load trajectory: {exc}", EXIT_CONFIG)
 
 
 def diagnose_trajectory(manifest_path: Path, cfg: ScenarioConfig,
                         out_dir: str | Path | None = None) -> BoundReport:
-    """Recompute the bound report for a stored trajectory; write report files."""
+    """Recompute the bound report for a stored trajectory; write report files.
+
+    The report is folded from one streamed pass over the stored run and
+    written only once the whole file has been read and verified."""
     manifest_path = Path(manifest_path)
-    traj = _load_trajectory(manifest_path)
     try:
-        report = bound_report(traj, cfg.physics_gamma, cfg.diagnostics_mode,
-                              cfg.diagnostics_fit_lo, cfg.diagnostics_fit_hi,
-                              cfg.diagnostics_sample_times,
-                              cfg.diagnostics_n_shells)
+        with _stored_run(manifest_path) as traj:
+            report = bound_report(traj, cfg.physics_gamma, cfg.diagnostics_mode,
+                                  cfg.diagnostics_fit_lo, cfg.diagnostics_fit_hi,
+                                  cfg.diagnostics_sample_times,
+                                  cfg.diagnostics_n_shells)
     except InconclusiveFitError as exc:
         raise ScenarioError(f"radius fit inconclusive: {exc}",
                             EXIT_INCONCLUSIVE_FIT)
@@ -441,43 +449,35 @@ def emit_plot_data(artifacts_dir: Path) -> list[Path]:
     ratio_vs_time.dat    t, measured/predicted radius ratio
     radius_vs_time.dat   t, measured radius, predicted lower bound
     eta_vs_j.dat         J, tail height at the trajectory horizon
-    Non-finite values use inf/-inf/nan; bad input raises before any write.
+    Non-finite values use inf/-inf/nan. eta_J is folded from one streamed
+    pass over the stored run; bad input raises before any write.
     """
     artifacts_dir = Path(artifacts_dir)
     report_path = artifacts_dir / "report.json"
     if not report_path.exists():
         raise ScenarioError(f"no report.json in {artifacts_dir}", EXIT_CONFIG)
     gamma, rows = _report_columns(report_path)
-    traj = _load_trajectory(artifacts_dir / "trajectory")
+    with _stored_run(artifacts_dir / "trajectory") as traj:
+        horizon = traj.horizon
+        js = np.geomspace(100.0 * traj.grid.spacing, 100.0 * traj.grid.k_max,
+                          max(2, len(rows["t"])))
+        etas = eta_J(traj, js, gamma, horizon)
 
-    written = []
-
-    path = artifacts_dir / "ratio_vs_time.dat"
-    lines = ["# t ratio (non-finite values: inf/-inf/nan)"]
-    for t, r in zip(rows["t"], rows["ratio"]):
-        lines.append(f"{gio.format_float(t)} {gio.format_float(r)}")
-    gio.write_text(path, "\n".join(lines) + "\n")
-    written.append(path)
-
-    path = artifacts_dir / "radius_vs_time.dat"
-    lines = ["# t measured_radius predicted_bound (non-finite values: inf/-inf/nan)"]
-    for t, m, pr in zip(rows["t"], rows["measured_radius"], rows["predictor"]):
-        lines.append(f"{gio.format_float(t)} {gio.format_float(m)} "
-                     f"{gio.format_float(pr)}")
-    gio.write_text(path, "\n".join(lines) + "\n")
-    written.append(path)
-
-    horizon = traj.horizon
-    js = np.geomspace(100.0 * traj.grid.spacing, 100.0 * traj.grid.k_max,
-                      max(2, len(rows["t"])))
-    path = artifacts_dir / "eta_vs_j.dat"
-    lines = [f"# J eta_J at t = {gio.format_float(horizon)} "
-             "(non-finite values: inf/-inf/nan)"]
-    for J, eta in zip(js, eta_J(traj, js, gamma, horizon)):
-        lines.append(f"{gio.format_float(J)} {gio.format_float(eta)}")
-    gio.write_text(path, "\n".join(lines) + "\n")
-    written.append(path)
-    return written
+    curves = {
+        "ratio_vs_time.dat": ["# t ratio (non-finite values: inf/-inf/nan)"]
+        + [f"{gio.format_float(t)} {gio.format_float(r)}"
+           for t, r in zip(rows["t"], rows["ratio"])],
+        "radius_vs_time.dat": ["# t measured_radius predicted_bound "
+                               "(non-finite values: inf/-inf/nan)"]
+        + [f"{gio.format_float(t)} {gio.format_float(m)} {gio.format_float(pr)}"
+           for t, m, pr in zip(rows["t"], rows["measured_radius"], rows["predictor"])],
+        "eta_vs_j.dat": [f"# J eta_J at t = {gio.format_float(horizon)} "
+                         "(non-finite values: inf/-inf/nan)"]
+        + [f"{gio.format_float(J)} {gio.format_float(eta)}" for J, eta in zip(js, etas)],
+    }
+    for name, lines in curves.items():
+        gio.write_text(artifacts_dir / name, "\n".join(lines) + "\n")
+    return [artifacts_dir / name for name in curves]
 
 
 def override_seed(cfg: ScenarioConfig, seed: int | None) -> ScenarioConfig:

@@ -438,6 +438,45 @@ class TestSingleKeyRules:
         runner.data_params(cfg)
 
 
+FLOAT_KEYS = [f.metadata["key"] for f in fields(ScenarioConfig)
+              if f.metadata["tag"] in ("float", "float_or_auto")]
+
+
+class TestFiniteFloats:
+    """Every float key is finite: the one rule after each key's own check."""
+
+    def test_the_float_keys(self):
+        assert FLOAT_KEYS == [
+            "grid.period", "grid.dealias_fraction", "solver.t_final", "solver.tol",
+            "solver.dt", "solver.oracle_tol", "physics.gamma", "physics.delta",
+            "data.amplitude", "data.band_lo", "data.band_hi", "data.k_cut",
+            "data.spectral_exponent", "diagnostics.fit_lo", "diagnostics.fit_hi"]
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_values_are_refused(self, key, value):
+        # the key's own check speaks first; what it admits, the rule refuses
+        check = next(f.metadata["check"] for f in fields(ScenarioConfig)
+                     if f.metadata["key"] == key)
+        want = check(float(value)) or f"must be finite, got {float(value)}"
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"{key} = {value}\n")
+        assert f"{key}: {want}" in exc.value.problems, exc.value
+
+    def test_the_oracle_gate_cannot_be_switched_off(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("solver.etd_check = true\nsolver.oracle_tol = inf\n")
+        assert exc.value.problems == ["solver.oracle_tol: must be finite, got inf"]
+
+    def test_unread_data_keys_are_finite_too(self):
+        # taylor_green reads no band key; each is still written to config.txt
+        for key in ("data.band_lo", "data.band_hi", "data.k_cut",
+                    "data.spectral_exponent"):
+            with pytest.raises(ConfigError) as exc:
+                parse_config_text(f"data.kind = taylor_green\n{key} = inf\n")
+            assert exc.value.problems == [f"{key}: must be finite, got inf"]
+
+
 def test_reference_tables_list_exactly_the_declared_keys():
     doc = Path(__file__).resolve().parents[1] / "docs" / "config.md"
     documented = re.findall(r"^\| `([a-z_]+\.[a-z0-9_]+)` \|", doc.read_text(), re.M)
