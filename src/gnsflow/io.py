@@ -355,6 +355,19 @@ def _checked_rows(path: Path, grid: Grid, band_kind: str, rows: np.ndarray) -> n
 
 # increments.gsi is streamed in blocks of whole rows of about this many bytes
 READ_BLOCK_BYTES = 1 << 20
+# the block buffer of the last stream to finish, if it is at most
+# READ_BLOCK_BYTES, for the next stream: a new buffer of this size is a new
+# memory map, whose pages fault in again on every read
+_spare_buffers: list[bytearray] = []
+
+
+def _block_buffer(size: int) -> bytearray:
+    """A buffer of at least size bytes: the spare one if it is large enough."""
+    try:
+        spare = _spare_buffers.pop()
+    except IndexError:
+        return bytearray(size)
+    return spare if len(spare) >= size else bytearray(size)
 
 
 class StreamedTrajectory:
@@ -363,10 +376,10 @@ class StreamedTrajectory:
     It answers what bound_report and eta_J ask of a Trajectory: grid,
     times, horizon, time_tolerance() and half_state(i), with i = 0, 1, ...
     in turn. increments.gsi is read in blocks of whole rows, about
-    READ_BLOCK_BYTES each, into one reused buffer. Each block is hashed as
-    it is read and held to read_trajectory's checks, and half_state
-    rebuilds its states with StateBuilder, so memory does not grow with the
-    number of times.
+    READ_BLOCK_BYTES each, into one buffer, which the next stream reuses
+    once this one has exited. Each block is hashed as it is read and held
+    to read_trajectory's checks, and half_state rebuilds its states with
+    StateBuilder, so memory does not grow with the number of times.
 
     The first verdict on the file stops the state building: the rest of the
     file is hashed, and the verdicts are raised in order, a sha256 mismatch,
@@ -403,7 +416,7 @@ class StreamedTrajectory:
             except FormatError as exc:
                 self._settle(exc)
             self._block_rows = min(max(1, READ_BLOCK_BYTES // self._row_bytes), times.size)
-            self._buffer = bytearray(self._block_rows * self._row_bytes)
+            self._buffer = _block_buffer(self._block_rows * self._row_bytes)
         except BaseException:
             self._fh.close()
             raise
@@ -464,13 +477,17 @@ class StreamedTrajectory:
 
     def __exit__(self, exc_type, *exc_info) -> None:
         """Read, hash and check the rows no state asked for, raising the
-        file's first verdict, and close it; an interrupt only closes it."""
+        file's first verdict, and close it; an interrupt only closes it.
+        No state is handed on after the exit."""
         try:
             if exc_type is None or issubclass(exc_type, Exception):
                 while not self._fh.closed:
                     self._read_block()
         finally:
             self._fh.close()
+            self._next, self._rows = self.times.size, None
+            if len(self._buffer) <= READ_BLOCK_BYTES:
+                _spare_buffers[:] = [self._buffer]
 
 
 def _manifest_and_u0(manifest_path: Path

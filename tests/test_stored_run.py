@@ -213,6 +213,25 @@ class TestStreamedStates:
             traj.half_state(0)
             with pytest.raises(ValueError, match="in order"):
                 traj.half_state(0)
+        with pytest.raises(ValueError, match="in order"):
+            traj.half_state(1)
+
+    @pytest.mark.parametrize("block_bytes", [2 * ROW_BYTES + 1, gio.READ_BLOCK_BYTES])
+    def test_streams_open_at_once_keep_their_own_rows(self, monkeypatch, solved, run,
+                                                      block_bytes):
+        # each exit leaves its buffer for the next stream to reuse; two runs
+        # that differ in every row, read in step, must not share one
+        monkeypatch.setattr(gio, "READ_BLOCK_BYTES", block_bytes)
+        for row in range(9):
+            helpers.shift_increment(run / "trajectory", (row, 0, INTERIOR_POS), 1e-3)
+        paths = (solved[1] / "trajectory", run / "trajectory")
+        wholes = [gio.read_trajectory(path) for path in paths]
+        walk(paths[0])
+        with gio.read_trajectory(paths[0], stream=True) as a, \
+                gio.read_trajectory(paths[1], stream=True) as b:
+            for i in range(9):
+                for traj, whole in zip((a, b), wholes):
+                    assert traj.half_state(i).tobytes() == whole.half_state(i).tobytes()
 
 
 class TestMemory:
