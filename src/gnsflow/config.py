@@ -13,9 +13,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .initial_data import DATA_KINDS, DataParams, data_problems
-from .solver import SolverConfig, _etd_steps, lattice_point, time_tolerance
-from .spectral import Grid, build_grid
+from .initial_data import DATA_KINDS, DATA_RULES, DataParams, data_problems
+from .solver import SOLVER_RULES, SolverConfig, _etd_steps, lattice_point, time_tolerance
+from .spectral import (FINITE, GRID_RULES, OPEN_UNIT, POSITIVE, Grid, all_of, at_least,
+                       build_grid, rule)
 
 
 class ConfigError(ValueError):
@@ -30,20 +31,11 @@ DIAGNOSTIC_MODES = ("subcritical", "critical")
 OUTPUT_FORMATS = ("csv", "json")
 
 
-def _unchecked(value) -> None:
-    return None
-
-
-def _key(key: str, tag: str, default, check=_unchecked):
+def _key(key: str, tag: str, default, check=all_of()):
     """A ScenarioConfig field declared as scenario key `key`: its type tag,
     its default ("auto" defaults resolve after parse) and its single-key
-    check, value -> problem text or None."""
+    check, value -> problem text or None (all_of() passes every value)."""
     return field(metadata={"key": key, "tag": tag, "default": default, "check": check})
-
-
-def _rule(ok, allowed: str):
-    """A single-key check: "must be <allowed>, got <value>" unless ok(value)."""
-    return lambda value: None if ok(value) else f"must be {allowed}, got {value}"
 
 
 def _one_of(choices: tuple[str, ...]):
@@ -58,14 +50,8 @@ def _known_formats(formats: tuple[str, ...]) -> str | None:
     return None
 
 
-def _at_least(lo):
-    return _rule(lambda x: x >= lo, f">= {lo}")
-
-
-_POSITIVE = _rule(lambda x: x > 0.0, "positive")
-_OPEN_UNIT = _rule(lambda x: 0.0 < x < 1.0, "in (0, 1)")
 # increments.gsi stores the number of lattice times as a uint32
-_UINT32 = _rule(lambda x: x <= 2**32 - 1, "<= 2^32 - 1")
+_UINT32 = rule(lambda x: x <= 2**32 - 1, "<= 2^32 - 1")
 
 
 @dataclass(frozen=True)
@@ -73,40 +59,40 @@ class ScenarioConfig:
     """A parsed scenario. Each field is the one declaration of its key; the
     single-key checks run in field order, before the cross-key checks."""
 
-    grid_n: int = _key("grid.n", "int", 32,
-                       _rule(lambda n: n >= 4 and n % 2 == 0, "an even integer >= 4"))
-    grid_period: float = _key("grid.period", "float", 2.0 * math.pi, _POSITIVE)
+    grid_n: int = _key("grid.n", "int", 32, GRID_RULES["n_per_axis"])
+    grid_period: float = _key("grid.period", "float", 2.0 * math.pi, GRID_RULES["period"])
     grid_dealias_fraction: float = _key("grid.dealias_fraction", "float", 2.0 / 3.0,
-                                        _rule(lambda x: 0.0 < x <= 1.0, "in (0, 1]"))
-    solver_t_final: float = _key("solver.t_final", "float", 0.01, _POSITIVE)
+                                        GRID_RULES["dealias_fraction"])
+    solver_t_final: float = _key("solver.t_final", "float", 0.01, SOLVER_RULES["t_final"])
     solver_n_times: int = _key("solver.n_times", "int", 33,
-                               lambda m: _at_least(2)(m) or _UINT32(m))
+                               all_of(SOLVER_RULES["n_times"], _UINT32))
     solver_quad_order: int = _key("solver.quad_order", "int", 2,
-                                  _rule(lambda q: 1 <= q <= 12, "in [1, 12]"))
-    solver_tol: float = _key("solver.tol", "float", 1e-8, _OPEN_UNIT)
-    solver_max_iter: int = _key("solver.max_iter", "int", 16, _at_least(1))
-    solver_dt: float = _key("solver.dt", "float", 1e-4, _POSITIVE)
+                                  all_of(SOLVER_RULES["quad_order"],
+                                         rule(lambda q: q <= 12, "<= 12")))
+    solver_tol: float = _key("solver.tol", "float", 1e-8, SOLVER_RULES["tol"])
+    solver_max_iter: int = _key("solver.max_iter", "int", 16, SOLVER_RULES["max_iter"])
+    solver_dt: float = _key("solver.dt", "float", 1e-4, POSITIVE)
     solver_etd_check: bool = _key("solver.etd_check", "bool", False)
-    solver_oracle_tol: float = _key("solver.oracle_tol", "float", 1e-6, _POSITIVE)
+    solver_oracle_tol: float = _key("solver.oracle_tol", "float", 1e-6, POSITIVE)
     physics_coefficients: str = _key("physics.coefficients", "str", "navier_stokes")
-    physics_gamma: float = _key("physics.gamma", "float", 1.0, _at_least(0.5))
-    physics_delta: float = _key("physics.delta", "float", 0.1, _OPEN_UNIT)
+    physics_gamma: float = _key("physics.gamma", "float", 1.0, at_least(0.5))
+    physics_delta: float = _key("physics.delta", "float", 0.1, OPEN_UNIT)
     data_kind: str = _key("data.kind", "str", "taylor_green", _one_of(DATA_KINDS))
-    data_amplitude: float = _key("data.amplitude", "float", 1.0, _at_least(0.0))
+    data_amplitude: float = _key("data.amplitude", "float", 1.0, DATA_RULES["amplitude"])
     data_seed: int = _key("data.seed", "int", 0,
-                          _rule(lambda s: 0 <= s < 2**64, "in [0, 2^64)"))
-    data_band_lo: float = _key("data.band_lo", "float", 0.5, _POSITIVE)
-    data_band_hi: float = _key("data.band_hi", "float", 2.5, _POSITIVE)
+                          rule(lambda s: 0 <= s < 2**64, "in [0, 2^64)"))
+    data_band_lo: float = _key("data.band_lo", "float", 0.5, POSITIVE)
+    data_band_hi: float = _key("data.band_hi", "float", 2.5, POSITIVE)
     data_mode: tuple[int, int, int] = _key("data.mode", "int_triple", (1, 0, 0))
-    data_k_cut: float = _key("data.k_cut", "float", 2.0, _POSITIVE)
+    data_k_cut: float = _key("data.k_cut", "float", 2.0, POSITIVE)
     data_spectral_exponent: float = _key("data.spectral_exponent", "float_or_auto",
-                                         "auto", _POSITIVE)
+                                         "auto", POSITIVE)
     diagnostics_mode: str = _key("diagnostics.mode", "str", "subcritical",
                                  _one_of(DIAGNOSTIC_MODES))
-    diagnostics_n_shells: int = _key("diagnostics.n_shells", "int", 32, _at_least(2))
+    diagnostics_n_shells: int = _key("diagnostics.n_shells", "int", 32, at_least(2))
     diagnostics_sample_times: tuple[float, ...] = _key("diagnostics.sample_times",
                                                        "float_list", "auto")
-    diagnostics_fit_lo: float = _key("diagnostics.fit_lo", "float", 1.0, _POSITIVE)
+    diagnostics_fit_lo: float = _key("diagnostics.fit_lo", "float", 1.0, POSITIVE)
     diagnostics_fit_hi: float = _key("diagnostics.fit_hi", "float", 2.0)
     output_directory: str = _key("output.directory", "str", "run")
     output_formats: tuple[str, ...] = _key("output.formats", "str_list", ("csv", "json"),
@@ -147,8 +133,8 @@ def key_problem(key: str, value) -> str | None:
     that every float key is finite: problem text or None."""
     f = _FIELDS[key]
     problem = f.metadata["check"](value)
-    if problem is None and f.metadata["tag"] in _FLOAT_TAGS and not math.isfinite(value):
-        problem = f"must be finite, got {value}"
+    if problem is None and f.metadata["tag"] in _FLOAT_TAGS:
+        problem = FINITE(value)
     return problem
 
 
@@ -269,7 +255,7 @@ def _resolve_auto(values: dict) -> None:
         values["data_spectral_exponent"] = values["physics_gamma"] + 2.0
     if values["diagnostics_sample_times"] == "auto":
         t, m = values["solver_t_final"], values["solver_n_times"]
-        if isinstance(t, float) and t > 0.0 and isinstance(m, int) and m >= 2:
+        if not (SOLVER_RULES["t_final"](t) or SOLVER_RULES["n_times"](m)):
             idx = sorted({max(1, (m - 1) // 4), max(1, (m - 1) // 2), m - 1})
             values["diagnostics_sample_times"] = tuple(lattice_point(t, m, i) for i in idx)
         else:
@@ -321,7 +307,7 @@ def _validate(v: dict) -> list[str]:
     times = v["diagnostics_sample_times"]
     if isinstance(times, tuple):
         t_final, n_times = v["solver_t_final"], v["solver_n_times"]
-        lattice_ok = 0.0 < t_final < math.inf and n_times >= 2
+        lattice_ok = not (SOLVER_RULES["t_final"](t_final) or SOLVER_RULES["n_times"](n_times))
         tol = time_tolerance(t_final)
         # lambda_subcritical is defined for t < 1/e, beta and lambda_critical for t < 1
         limit = {"subcritical": (1.0 / math.e, "1/e"),

@@ -157,10 +157,10 @@ def _tail_maximum(traj: Trajectory, J, scale: float, gamma: float, t: float):
     for j in Js:
         if not (j > 0.0 and math.isfinite(j)):
             raise ValueError(f"J must be positive and finite, got {j}")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not (0.0 <= gamma < math.inf):
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
     tol = traj.time_tolerance()
-    if t < -tol or t > traj.horizon + tol:
+    if not (-tol <= t <= traj.horizon + tol):
         raise ValueError(f"t = {t} outside the trajectory span [0, {traj.horizon}]")
     running = None
     for i in range(_row_within(traj.times, t) + 1):

@@ -9,17 +9,20 @@ kind's noise draw, one component at a time.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import VelocityField, leray_project_stack
-from .spectral import Grid, negated_half, to_half
+from .spectral import (FINITE, POSITIVE, Grid, all_of, at_least, enforce, negated_half,
+                       to_half)
 
 DATA_KINDS = ("taylor_green", "single_mode", "random_sobolev_tail",
               "compact_spectrum")
+
+# the range DataParams holds for every kind; data_problems has each kind's own
+DATA_RULES = {"amplitude": all_of(at_least(0.0), FINITE)}
 
 
 @dataclass(frozen=True)
@@ -34,8 +37,7 @@ class DataParams:
     spectral_exponent: float = 3.0
 
     def __post_init__(self):
-        if not (self.amplitude >= 0.0 and math.isfinite(self.amplitude)):
-            raise ValueError(f"amplitude must be >= 0 and finite, got {self.amplitude}")
+        enforce(DATA_RULES, vars(self))
 
 
 def _finish(grid: Grid, pairs: Iterator[tuple[np.ndarray, np.ndarray]]) -> VelocityField:
@@ -148,8 +150,8 @@ def data_problems(kind: str, grid: Grid, params: DataParams) -> list[tuple[str, 
     elif kind in ("random_sobolev_tail", "compact_spectrum"):
         hi_name = "band_hi" if kind == "random_sobolev_tail" else "k_cut"
         lo, hi = params.band_lo, getattr(params, hi_name)
-        if not (lo > 0.0):
-            problems.append(("band_lo", f"must be positive, got {lo}"))
+        if problem := POSITIVE(lo):
+            problems.append(("band_lo", problem))
         if not (hi > lo):
             problems.append((hi_name, f"must exceed band_lo, got [{lo}, {hi}]"))
         if hi > grid.k_max:

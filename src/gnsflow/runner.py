@@ -483,6 +483,6 @@ def emit_plot_data(artifacts_dir: Path) -> list[Path]:
 def override_seed(cfg: ScenarioConfig, seed: int | None) -> ScenarioConfig:
     if seed is None:
         return cfg
-    if not (0 <= seed < 2**64):
-        raise ScenarioError(f"seed must be in [0, 2^64), got {seed}", EXIT_CONFIG)
+    if problem := key_problem("data.seed", seed):
+        raise ScenarioError(f"seed {problem}", EXIT_CONFIG)
     return replace(cfg, data_seed=seed)

@@ -47,7 +47,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .operators import QCoefficients, VelocityField, apply_Q_stack, heat_factor
-from .spectral import Grid, irfftn, plane_pairs, weighted_l2_stack
+from .spectral import (INTEGER, OPEN_UNIT, POSITIVE_FINITE, Grid, all_of, at_least, enforce,
+                       irfftn, plane_pairs, read_only, weighted_l2_stack)
 
 __all__ = [
     "SolverConfig",
@@ -82,6 +83,16 @@ class _EtdStopped(Exception):
     """etd_integrate found its stop event set; its result is not wanted."""
 
 
+# the ranges of SolverConfig's fields (gamma is the caller's)
+SOLVER_RULES = {
+    "t_final": POSITIVE_FINITE,
+    "n_times": all_of(INTEGER, at_least(2)),
+    "quad_order": all_of(INTEGER, at_least(1)),
+    "tol": OPEN_UNIT,
+    "max_iter": all_of(INTEGER, at_least(1)),
+}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Picard parameters.
@@ -100,16 +111,7 @@ class SolverConfig:
     max_iter: int = 16
 
     def __post_init__(self) -> None:
-        if not (self.t_final > 0.0 and math.isfinite(self.t_final)):
-            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
-        if not isinstance(self.n_times, int) or self.n_times < 2:
-            raise ValueError(f"n_times must be an int >= 2, got {self.n_times!r}")
-        if not isinstance(self.quad_order, int) or self.quad_order < 1:
-            raise ValueError(f"quad_order must be an int >= 1, got {self.quad_order!r}")
-        if not (0.0 < self.tol < 1.0):
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
+        enforce(SOLVER_RULES, vars(self))
 
     @property
     def times(self) -> np.ndarray:
@@ -127,9 +129,7 @@ def band_modes(grid: Grid, kind: str) -> np.ndarray:
         return grid.half_dealias_modes[0]
     if kind != "all":
         raise ValueError(f"band kind must be 'kept' or 'all', got {kind!r}")
-    arr = np.arange(math.prod(grid.half_shape))
-    arr.setflags(write=False)
-    return arr
+    return read_only(np.arange(math.prod(grid.half_shape)))
 
 
 @lru_cache(maxsize=8)
@@ -137,10 +137,7 @@ def band_plane_pairs(grid: Grid, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """spectral.plane_pairs of band_modes(grid, kind), each pair once (first <= second)."""
     plane, partner = plane_pairs(grid, band_modes(grid, kind))
     once = plane <= partner
-    plane, partner = plane[once], partner[once]
-    for arr in (plane, partner):
-        arr.setflags(write=False)
-    return plane, partner
+    return read_only(plane[once]), read_only(partner[once])
 
 
 @lru_cache(maxsize=8)
@@ -149,9 +146,7 @@ def _stack_index(grid: Grid, kind: str) -> np.ndarray:
     (3, n, n, n//2+1) stack, component by component (one flat take or
     scatter is much faster than a 2-D fancy index)."""
     size = math.prod(grid.half_shape)
-    arr = (band_modes(grid, kind) + size * np.arange(3)[:, None]).ravel()
-    arr.setflags(write=False)
-    return arr
+    return read_only((band_modes(grid, kind) + size * np.arange(3)[:, None]).ravel())
 
 
 def time_tolerance(horizon: float) -> float:
@@ -251,14 +246,12 @@ class Trajectory:
         if increments.shape[1:] != (3, modes.size):
             raise ValueError(f"increments shape {increments.shape} does not match "
                              f"the {band!r} band of {modes.size} modes")
-        for arr in (t, u0, increments):
-            arr.setflags(write=False)
         self.grid = grid
-        self.times = t
-        self.u0 = u0
+        self.times = read_only(t)
+        self.u0 = read_only(u0)
         self.band_kind = band
         self.band = modes
-        self.increments = increments
+        self.increments = read_only(increments)
         self._build = StateBuilder(grid, u0, band)
 
     def half_state(self, i: int) -> np.ndarray:
@@ -368,8 +361,8 @@ def duhamel_B(coeffs: QCoefficients, u: Trajectory, v: Trajectory, t_eval: float
     rule with the heat kernel evaluated exactly at the nodes.
     """
     _check_same_lattice(u, v)
-    if not isinstance(quad_order, int) or quad_order < 1:
-        raise ValueError(f"quad_order must be an int >= 1, got {quad_order!r}")
+    if problem := SOLVER_RULES["quad_order"](quad_order):
+        raise ValueError(f"quad_order {problem}")
     if t_eval < 0.0 or t_eval > u.horizon + u.time_tolerance():
         raise ValueError(f"t_eval {t_eval} outside the trajectory span [0, {u.horizon}]")
     grid = u.grid
@@ -637,10 +630,8 @@ def etd_integrate(u0: VelocityField, coeffs: QCoefficients, t_final: float,
     thread: it is checked before every step, and once it is set the call
     ends with a private exception instead of a field.
     """
-    if not (t_final > 0.0 and math.isfinite(t_final)):
-        raise ValueError(f"t_final must be positive and finite, got {t_final}")
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    enforce({"t_final": SOLVER_RULES["t_final"], "dt": POSITIVE_FINITE},
+            {"t_final": t_final, "dt": dt})
     n_steps = _etd_steps(t_final, dt)
     if n_steps is None:
         raise ValueError(f"t_final {t_final} is not an integer multiple of dt {dt}")

@@ -65,6 +65,12 @@ def get_fft_workers() -> int:
     return _fft_workers
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only (the package's cached tables and stored arrays)."""
+    arr.setflags(write=False)
+    return arr
+
+
 # fftn and ifftn are no longer called in the package; they stay importable
 # under these names because the benchmark's trace hooks rebind them.
 def fftn(values: np.ndarray) -> np.ndarray:
@@ -97,6 +103,43 @@ class CorruptedFieldError(ValueError):
         self.deviation = deviation
 
 
+# Range rules: value -> "must be <allowed>, got <value>", or None if allowed.
+# A constructor's {field: rule} table (GRID_RULES, SOLVER_RULES, DATA_RULES) is
+# the one home of its fields' ranges; the config checks each key it feeds with it.
+def rule(ok, allowed: str):
+    return lambda value: None if ok(value) else f"must be {allowed}, got {value}"
+
+
+def all_of(*rules):
+    """The first problem of rules, in order, or None."""
+    return lambda value: next((problem for r in rules if (problem := r(value))), None)
+
+
+def at_least(lo):
+    return rule(lambda x: x >= lo, f">= {lo}")
+
+
+def enforce(rules: dict, values: dict) -> None:
+    """Raise the first broken rule of values[name] as ValueError("<name> <problem>")."""
+    for name, check in rules.items():
+        if problem := check(values[name]):
+            raise ValueError(f"{name} {problem}")
+
+
+INTEGER = rule(lambda x: isinstance(x, int), "an integer")
+POSITIVE = rule(lambda x: x > 0.0, "positive")
+FINITE = rule(math.isfinite, "finite")
+POSITIVE_FINITE = all_of(POSITIVE, FINITE)
+OPEN_UNIT = rule(lambda x: 0.0 < x < 1.0, "in (0, 1)")
+
+GRID_RULES = {
+    "n_per_axis": rule(lambda n: isinstance(n, int) and n >= 4 and n % 2 == 0,
+                       "an even integer >= 4"),
+    "period": POSITIVE_FINITE,
+    "dealias_fraction": rule(lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
+}
+
+
 @dataclass(frozen=True)
 class Grid:
     """Cubic periodic lattice: n_per_axis points per axis, side length period.
@@ -111,14 +154,7 @@ class Grid:
     dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_per_axis, int):
-            raise ValueError(f"n_per_axis must be an int, got {type(self.n_per_axis).__name__}")
-        if self.n_per_axis < 4 or self.n_per_axis % 2 != 0:
-            raise ValueError(f"n_per_axis must be even and >= 4, got {self.n_per_axis}")
-        if not (self.period > 0.0 and math.isfinite(self.period)):
-            raise ValueError(f"period must be positive and finite, got {self.period}")
-        if not (0.0 < self.dealias_fraction <= 1.0):
-            raise ValueError(f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}")
+        enforce(GRID_RULES, vars(self))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -150,40 +186,29 @@ class Grid:
     def alias_integers(self) -> np.ndarray:
         """Signed integer mode aliases per axis, in FFT storage order."""
         n = self.n_per_axis
-        arr = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-        arr.setflags(write=False)
-        return arr
+        return read_only(np.fft.fftfreq(n, d=1.0 / n).astype(np.int64))
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         """Physical wavenumbers (2*pi/period)*alias per axis, FFT storage order."""
-        arr = self.spacing * self.alias_integers.astype(np.float64)
-        arr.setflags(write=False)
-        return arr
+        return read_only(self.spacing * self.alias_integers.astype(np.float64))
 
     @cached_property
     def k_components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable (n,1,1), (1,n,1), (1,1,n//2+1) wavenumber component
         arrays of the half spectrum."""
         k = self.wavenumbers
-        kx, ky, kz = np.meshgrid(k, k, k[:self.n_per_axis // 2 + 1], indexing="ij",
-                                 sparse=True)
-        for a in (kx, ky, kz):
-            a.setflags(write=False)
-        return kx, ky, kz
+        return tuple(map(read_only, np.meshgrid(k, k, k[:self.n_per_axis // 2 + 1],
+                                                indexing="ij", sparse=True)))
 
     @cached_property
     def k_sq(self) -> np.ndarray:
         kx, ky, kz = self.k_components
-        arr = kx**2 + ky**2 + kz**2
-        arr.setflags(write=False)
-        return arr
+        return read_only(kx**2 + ky**2 + kz**2)
 
     @cached_property
     def k_norm(self) -> np.ndarray:
-        arr = np.sqrt(self.k_sq)
-        arr.setflags(write=False)
-        return arr
+        return read_only(np.sqrt(self.k_sq))
 
     @cached_property
     def k_norm_levels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -196,10 +221,7 @@ class Grid:
         half-spectrum mode (|-k| = |k|), so the levels are the full lattice's.
         """
         levels, mode_level = np.unique(self.k_norm, return_inverse=True)
-        mode_level = mode_level.ravel()
-        for arr in (levels, mode_level):
-            arr.setflags(write=False)
-        return levels, mode_level
+        return read_only(levels), read_only(mode_level.ravel())
 
     @cached_property
     def k_max(self) -> float:
@@ -220,21 +242,18 @@ class Grid:
         keep = np.abs(self.alias_integers) <= self.dealias_fraction * (self.n_per_axis / 2.0)
         modes = np.flatnonzero(keep[:, None, None] & keep[None, :, None] & keep[:h])
         plane, partner = plane_pairs(self, modes)
-        modes.setflags(write=False)
-        return modes, plane, partner
+        return read_only(modes), plane, partner
 
     @cached_property
     def inv_k_sq(self) -> np.ndarray:
         """1/|k|^2 with the k = 0 entry set to 0."""
         with np.errstate(divide="ignore"):
-            arr = np.where(self.k_sq > 0.0, 1.0 / self.k_sq, 0.0)
-        arr.setflags(write=False)
-        return arr
+            return read_only(np.where(self.k_sq > 0.0, 1.0 / self.k_sq, 0.0))
 
 
 def build_grid(n_per_axis: int, period: float = 2.0 * math.pi,
                dealias_fraction: float = 2.0 / 3.0) -> Grid:
-    """Validate and construct a Grid (n_per_axis even and >= 4, period > 0)."""
+    """Construct a Grid; GRID_RULES holds the ranges of its arguments."""
     return Grid(n_per_axis=n_per_axis, period=float(period),
                 dealias_fraction=float(dealias_fraction))
 
@@ -253,10 +272,7 @@ def plane_pairs(grid: Grid, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i, j, l = np.unravel_index(modes, grid.half_shape)
     plane = np.flatnonzero((l == 0) | (l == n // 2))  # l is its own negative there
     negated = np.ravel_multi_index((neg[i[plane]], neg[j[plane]], l[plane]), grid.half_shape)
-    partner = np.searchsorted(modes, negated)
-    for arr in (plane, partner):
-        arr.setflags(write=False)
-    return plane, partner
+    return read_only(plane), read_only(np.searchsorted(modes, negated))
 
 
 def negated_half(values: np.ndarray) -> np.ndarray:
@@ -436,16 +452,13 @@ def _half_weight_table(grid: Grid, s: float, homogeneous: bool) -> np.ndarray:
     multiplicity = np.full(grid.n_per_axis // 2 + 1, 2.0)
     multiplicity[[0, -1]] = 1.0
     table *= multiplicity
-    table.setflags(write=False)
-    return table
+    return read_only(table)
 
 
 @lru_cache(maxsize=16)
 def _cutoff_mask(grid: Grid, cutoff: float) -> np.ndarray:
     """Read-only k_norm >= cutoff mask on the half spectrum."""
-    mask = grid.k_norm >= cutoff
-    mask.setflags(write=False)
-    return mask
+    return read_only(grid.k_norm >= cutoff)
 
 
 def _half_components(grid: Grid, stacks: np.ndarray) -> np.ndarray:

@@ -4,10 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from gnsflow import operators, spectral
+
+# every property test draws the same examples on every run and keeps no
+# example database; each test bounds its own number of examples
+settings.register_profile("gnsflow", derandomize=True, database=None)
+settings.load_profile("gnsflow")
 
 
 @pytest.fixture(autouse=True)

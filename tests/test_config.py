@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnsflow import runner, solver
 from gnsflow.config import (
@@ -17,6 +19,7 @@ from gnsflow.config import (
 )
 from gnsflow.initial_data import DATA_KINDS, DataParams, make_initial_data
 from gnsflow.operators import VelocityField, navier_stokes_coeffs
+from gnsflow.solver import SolverConfig
 from gnsflow.spectral import Grid, build_grid
 
 MINIMAL = """
@@ -410,6 +413,57 @@ class TestDerivedObjects:
         assert sc.gamma == 1.5
 
 
+def _floats(lo: float, hi: float, *outside: float):
+    """Floats in [lo, hi], the values outside given and the non-finite ones."""
+    return st.one_of(st.floats(lo, hi),
+                     st.sampled_from(outside + (math.inf, -math.inf, math.nan)))
+
+
+# values of the keys that feed Grid, SolverConfig, DataParams and
+# make_initial_data, in and out of range, on grids of at most 16^3. The band
+# keys stay positive and t_final stays below 1/e, so that only the
+# constructors and the config-only rules (quad_order <= 12, n_times in
+# uint32, every float finite) decide.
+CONSTRUCTOR_VALUES = {
+    "grid.n": st.sampled_from([-2, 0, 2, 3, 4, 5, 6, 8, 16]),
+    "grid.period": _floats(0.5, 60.0, 0.0, -1.0),
+    "grid.dealias_fraction": _floats(0.05, 1.0, 0.0, -0.5, 1.5),
+    "solver.t_final": _floats(1e-4, 0.3, 0.0, -0.01),
+    "solver.n_times": st.sampled_from([-1, 0, 1, 2, 3, 33, 2**32 - 1, 2**32, 2**64]),
+    "solver.quad_order": st.sampled_from([-1, 0, 1, 2, 12, 13]),
+    "solver.tol": _floats(1e-12, 0.99, 0.0, 1.0, 1.5),
+    "solver.max_iter": st.sampled_from([-1, 0, 1, 16]),
+    "data.kind": st.sampled_from(DATA_KINDS),
+    "data.amplitude": _floats(0.0, 10.0, -1.0),
+    "data.band_lo": st.floats(0.01, 8.0),
+    "data.band_hi": st.floats(0.01, 8.0),
+    "data.k_cut": st.floats(0.01, 8.0),
+    "data.mode": st.tuples(*[st.integers(-8, 8)] * 3),
+    "data.spectral_exponent": st.floats(0.1, 6.0),
+}
+# inside every grid's largest wavenumber above (>= 0.43) and its half spectrum
+FIT_WINDOW = "diagnostics.fit_lo = 0.01\ndiagnostics.fit_hi = 0.02\ndiagnostics.n_shells = 2\n"
+
+
+def _token(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _constructors_accept(v: dict) -> bool:
+    try:
+        grid = Grid(v["grid.n"], v["grid.period"], v["grid.dealias_fraction"])
+        SolverConfig(t_final=v["solver.t_final"], n_times=v["solver.n_times"],
+                     quad_order=v["solver.quad_order"], tol=v["solver.tol"],
+                     max_iter=v["solver.max_iter"])
+        params = DataParams(**{name: v[f"data.{name}"] for name in
+                               ("amplitude", "band_lo", "band_hi", "mode", "k_cut",
+                                "spectral_exponent")})
+        make_initial_data(v["data.kind"], grid, params)
+    except ValueError:
+        return False
+    return True
+
+
 class TestSingleKeyRules:
     @pytest.mark.parametrize("line, key", [
         ("solver.tol = 1.0", "solver.tol"), ("solver.tol = 1.5", "solver.tol"),
@@ -436,6 +490,64 @@ class TestSingleKeyRules:
         cfg.build_grid()
         cfg.solver_config()
         runner.data_params(cfg)
+
+    # each key in scope with a value its constructor refuses, and that
+    # constructor given the value alone
+    BROKEN = {
+        "grid.n": (7, Grid),
+        "grid.period": (-1.0, lambda x: Grid(8, period=x)),
+        "grid.dealias_fraction": (0.0, lambda x: Grid(8, dealias_fraction=x)),
+        "solver.t_final": (0.0, SolverConfig),
+        "solver.n_times": (1, lambda m: SolverConfig(0.01, n_times=m)),
+        "solver.quad_order": (0, lambda q: SolverConfig(0.01, quad_order=q)),
+        "solver.tol": (1.0, lambda x: SolverConfig(0.01, tol=x)),
+        "solver.max_iter": (0, lambda m: SolverConfig(0.01, max_iter=m)),
+        "data.amplitude": (-1.0, lambda x: DataParams(amplitude=x)),
+    }
+
+    def test_each_broken_key_is_named_once_with_its_constructors_problem(self):
+        want = []
+        for key, (value, construct) in self.BROKEN.items():
+            with pytest.raises(ValueError) as direct:
+                construct(value)
+            _, _, problem = str(direct.value).partition(" ")
+            want.append(f"{key}: {problem}")
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("".join(f"{key} = {value}\n"
+                                      for key, (value, _) in self.BROKEN.items()))
+        assert exc.value.problems == want
+        assert want[0] == "grid.n: must be an even integer >= 4, got 7"
+
+    @pytest.mark.parametrize("line, problem", [
+        ("solver.quad_order = 13", "must be <= 12, got 13"),
+        ("solver.n_times = 4294967296", "must be <= 2^32 - 1, got 4294967296")])
+    def test_config_only_bounds_follow_the_constructors_rule(self, line, problem):
+        key, _, token = line.partition(" = ")
+        SolverConfig(0.01, **{key.split(".")[1]: int(token)})
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(line + "\n")
+        assert exc.value.problems == [f"{key}: {problem}"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=st.fixed_dictionaries({}, optional=CONSTRUCTOR_VALUES))
+    def test_config_accepts_what_the_constructors_accept(self, drawn):
+        text = FIT_WINDOW + "".join(f"{key} = {_token(value)}\n"
+                                    for key, value in drawn.items())
+        try:
+            cfg = parse_config_text(text)
+        except ConfigError as exc:
+            cfg = None
+            named = {problem.split(":")[0] for problem in exc.problems}
+            assert named <= set(CONSTRUCTOR_VALUES), exc.problems
+        v = {f.metadata["key"]: f.metadata["default"] for f in fields(ScenarioConfig)}
+        v.update(drawn)
+        if v["data.spectral_exponent"] == "auto":
+            v["data.spectral_exponent"] = v["physics.gamma"] + 2.0
+        config_only = (v["solver.quad_order"] <= 12 and v["solver.n_times"] <= 2**32 - 1
+                       and all(math.isfinite(x) for x in v.values() if isinstance(x, float)))
+        assert (cfg is not None) == (_constructors_accept(v) and config_only), text
+        if cfg is not None:
+            assert parse_config_text(cfg.canonical_text()).sha256() == cfg.sha256()
 
 
 FLOAT_KEYS = [f.metadata["key"] for f in fields(ScenarioConfig)

@@ -316,6 +316,12 @@ class TestEtaZeta:
             eta_J(traj, 10.0, -0.5, 0.1)
         with pytest.raises(ValueError, match="J must be positive"):
             zeta_J(traj, [10.0, math.inf], 1.0, 0.1)
+        for gamma in (math.nan, math.inf):
+            for tail in (eta_J, zeta_J):
+                with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
+                    tail(traj, 10.0, gamma, 0.1)
+        with pytest.raises(ValueError, match="outside the trajectory span"):
+            eta_J(traj, 1.0, 1.0, math.nan)
 
 
 class TestEnvelopeNorms:

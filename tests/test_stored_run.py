@@ -5,11 +5,19 @@ hashed and checked as read_trajectory checks the whole file; the verdicts
 are raised in read_trajectory's order once the file has been read to its
 end, and nothing is written before that.
 """
+import contextlib
+import io
+import json
+import math
 import shutil
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from gnsflow import cli, runner, solver
@@ -123,6 +131,86 @@ class TestVerdictsThroughTheCli:
         assert not (tmp_path / "diag").exists()
         assert sorted(p.name for p in run.iterdir()) == before
         assert sorted(run.glob("*.dat")) == []
+
+
+def json_leaves(doc, path=()):
+    """The key or index path of every non-container value in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from json_leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+DELETE = object()
+JSON_VALUES = [DELETE, None, "x", "nan", -1, 0, 1, 0.5, 1e300, 2**70, True, [], {},
+               math.nan, math.inf]
+
+
+def flip_bit(path, position, bit):
+    data = bytearray(path.read_bytes())
+    data[position % len(data)] ^= 1 << bit
+    path.write_bytes(bytes(data))
+
+
+def cut(path, length):
+    path.write_bytes(path.read_bytes()[:length % path.stat().st_size])
+
+
+def edit_json(path, leaf, value):
+    doc = json.loads(path.read_text())
+    leaves = list(json_leaves(doc))
+    *parents, last = leaves[leaf % len(leaves)]
+    parent = doc
+    for key in parents:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    path.write_text(json.dumps(doc))
+
+
+STORED_FILES = st.sampled_from([f"trajectory/{gio.U0_FILE}", f"trajectory/{gio.INCREMENTS_FILE}"])
+# (corrupt, file in the run directory, arguments); a corrupted binary file
+# gets its manifest digest re-pointed, so the reader's other checks are reached
+CORRUPTION = st.one_of(
+    st.tuples(st.just(flip_bit), STORED_FILES, st.integers(0, 2**20), st.integers(0, 7)),
+    st.tuples(st.just(cut), STORED_FILES, st.integers(0, 2**20)),
+    st.tuples(st.just(edit_json), st.sampled_from(["trajectory/manifest.json", "report.json"]),
+              st.integers(0, 2**10), st.sampled_from(JSON_VALUES)))
+
+
+class TestCorruptedRuns:
+    """Whatever is corrupted, diagnose and report exit 0 or 2, and an exit 2
+    prints one stderr line and writes nothing."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(corruption=CORRUPTION)
+    def test_exit_0_or_2(self, tmp_path_factory, solved, corruption):
+        corrupt, name, *arguments = corruption
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as scratch:
+            run = shutil.copytree(solved[1], Path(scratch) / "run")
+            corrupt(run / name, *arguments)
+            if corrupt is not edit_json:
+                helpers.repoint_digest(run / "trajectory", Path(name).name)
+            before = sorted(p.name for p in run.iterdir())
+            diag = Path(scratch) / "diag"
+            codes = {}
+            for argv in (["diagnose", str(run / "trajectory"), str(solved[0]),
+                          "--out", str(diag)],
+                         ["report", str(run)]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    codes[argv[0]] = cli.main(argv)
+                assert codes[argv[0]] in (0, EXIT_CONFIG), (argv[0], err.getvalue())
+                if codes[argv[0]] == EXIT_CONFIG:
+                    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+                    assert sorted(p.name for p in run.iterdir()) == before
+            # a report directory and .dat curves only on exit 0
+            assert diag.exists() == (codes["diagnose"] == 0)
+            assert bool(list(run.glob("*.dat"))) == (codes["report"] == 0)
 
 
 class TestOrderOfVerdicts:
