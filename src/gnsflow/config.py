@@ -13,9 +13,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .diagnostics import GAMMA_RULE
 from .initial_data import DATA_KINDS, DATA_RULES, DataParams, data_problems
 from .solver import SOLVER_RULES, SolverConfig, _etd_steps, lattice_point, time_tolerance
-from .spectral import (FINITE, GRID_RULES, OPEN_UNIT, POSITIVE, Grid, all_of, at_least,
+from .spectral import (FINITE, GRID_RULES, N_SHELLS_RULE, OPEN_UNIT, POSITIVE, Grid, all_of,
                        build_grid, rule)
 
 
@@ -75,7 +76,7 @@ class ScenarioConfig:
     solver_etd_check: bool = _key("solver.etd_check", "bool", False)
     solver_oracle_tol: float = _key("solver.oracle_tol", "float", 1e-6, POSITIVE)
     physics_coefficients: str = _key("physics.coefficients", "str", "navier_stokes")
-    physics_gamma: float = _key("physics.gamma", "float", 1.0, at_least(0.5))
+    physics_gamma: float = _key("physics.gamma", "float", 1.0, GAMMA_RULE)
     physics_delta: float = _key("physics.delta", "float", 0.1, OPEN_UNIT)
     data_kind: str = _key("data.kind", "str", "taylor_green", _one_of(DATA_KINDS))
     data_amplitude: float = _key("data.amplitude", "float", 1.0, DATA_RULES["amplitude"])
@@ -89,7 +90,7 @@ class ScenarioConfig:
                                          "auto", POSITIVE)
     diagnostics_mode: str = _key("diagnostics.mode", "str", "subcritical",
                                  _one_of(DIAGNOSTIC_MODES))
-    diagnostics_n_shells: int = _key("diagnostics.n_shells", "int", 32, at_least(2))
+    diagnostics_n_shells: int = _key("diagnostics.n_shells", "int", 32, N_SHELLS_RULE)
     diagnostics_sample_times: tuple[float, ...] = _key("diagnostics.sample_times",
                                                        "float_list", "auto")
     diagnostics_fit_lo: float = _key("diagnostics.fit_lo", "float", 1.0, POSITIVE)

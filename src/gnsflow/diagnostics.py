@@ -25,6 +25,8 @@ from .solver import (
 )
 from .spectral import (
     EXP_GUARD,
+    at_least,
+    enforce,
     irfftn,
     shell_reduce_max,
     weighted_l2_stack,
@@ -65,6 +67,10 @@ CAP_LOG = -math.log(RADIUS_FLOOR_FACTOR)
 MIN_FIT_SHELLS = 5
 R2_THRESHOLD = 0.9
 
+# the one home of the data-regularity range gamma >= 1/2 (NaN fails it):
+# NormParams, beta, p_gamma and the config's physics.gamma key
+GAMMA_RULE = at_least(0.5)
+
 
 @dataclass(frozen=True)
 class NormParams:
@@ -82,8 +88,7 @@ class NormParams:
     eta0: float = 1e-5
 
     def __post_init__(self) -> None:
-        if not (self.gamma >= 0.5):
-            raise ValueError(f"gamma must be >= 0.5, got {self.gamma}")
+        enforce({"gamma": GAMMA_RULE}, {"gamma": self.gamma})
         if not (self.delta > 0.0):
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not (self.t_horizon > 0.0 and math.isfinite(self.t_horizon)):
@@ -193,8 +198,7 @@ def beta(t: float, gamma: float, eta_value: float) -> float:
     """
     if not (0.0 < t < 1.0):
         raise ValueError(f"beta is defined for 0 < t < 1, got t = {t}")
-    if gamma < 0.5:
-        raise ValueError(f"beta requires gamma >= 1/2, got {gamma}")
+    enforce({"gamma": GAMMA_RULE}, {"gamma": gamma})
     if not (eta_value >= 0.0 and math.isfinite(eta_value)):
         raise ValueError(f"eta_value must be finite and >= 0, got {eta_value}")
     cutoff = 0.5 * (gamma - 0.5) * abs(math.log(t))
@@ -235,8 +239,7 @@ def lambda_critical(t: float, zeta_value: float) -> float:
 
 def p_gamma(gamma: float) -> float:
     """Integrability exponent: 4 above gamma = 1, else 8 / (3 - 2 gamma)."""
-    if gamma < 0.5:
-        raise ValueError(f"p_gamma requires gamma >= 1/2, got {gamma}")
+    enforce({"gamma": GAMMA_RULE}, {"gamma": gamma})
     if gamma > 1.0:
         return 4.0
     return 8.0 / (3.0 - 2.0 * gamma)

@@ -13,6 +13,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from .spectral import (  # noqa: F401
     ifftn,
     irfftn,
     negated_axis,
+    read_only,
     rfftn,
     to_full,
 )
@@ -39,6 +41,8 @@ __all__ = [
     "navier_stokes_coeffs",
     "leray_project",
     "heat_semigroup",
+    "band_modes",
+    "scatter_band",
     "velocity_from_stack",
     "stack_coefficients",
     "write_q_coefficients",
@@ -237,19 +241,67 @@ def stack_coefficients(u: VelocityField) -> np.ndarray:
     return to_full(u.grid, u.half_spectrum())
 
 
+@lru_cache(maxsize=8)
+def band_modes(grid: Grid, kind: str) -> np.ndarray:
+    """Read-only flat half-spectrum index of a band kind.
+
+    "kept": the 2/3-rule kept modes (Grid.half_dealias_modes), where Q's
+    output and a solver's increments live; "all": every half-spectrum mode.
+    """
+    if kind == "kept":
+        return grid.half_dealias_modes[0]
+    if kind != "all":
+        raise ValueError(f"band kind must be 'kept' or 'all', got {kind!r}")
+    return read_only(np.arange(math.prod(grid.half_shape)))
+
+
+@lru_cache(maxsize=8)
+def _stack_index(grid: Grid, kind: str) -> np.ndarray:
+    """Read-only flat index of the band's modes in all three components of a
+    (3, n, n, n//2+1) stack, component by component (one flat take or
+    scatter is much faster than a 2-D fancy index)."""
+    size = math.prod(grid.half_shape)
+    return read_only((band_modes(grid, kind) + size * np.arange(3)[:, None]).ravel())
+
+
+def scatter_band(grid: Grid, kind: str, row: np.ndarray,
+                 onto: np.ndarray | None = None) -> np.ndarray:
+    """A (3, len(band)) row on band_modes(grid, kind) as a half stack.
+
+    With onto None the row is scattered into zeros, so the band holds the
+    row bit for bit and every other mode is 0. Otherwise the row is added
+    to onto, a C-order (3, n, n, n//2+1) stack, in place, and onto is
+    returned: its modes off the band are left as they are.
+    """
+    index = _stack_index(grid, kind)
+    if onto is None:
+        onto = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
+        onto.reshape(-1)[index] = row.reshape(-1)
+    else:
+        onto.reshape(-1)[index] += row.reshape(-1)
+    return onto
+
+
 def apply_Q_stack(coeffs: QCoefficients, grid: Grid, u_phys: np.ndarray,
                   v_phys: np.ndarray | None = None) -> np.ndarray:
-    """Q(u, v) from the physical values of real fields (solver hot path).
+    """Q(u, v) on the kept modes, from the physical values of real fields
+    (solver hot path).
 
     u_phys and v_phys are (3, n, n, n) real arrays, the irfftn of the
     fields' half spectra; each caller makes its own inverse transform, so a
     caller that interpolates fields linearly can interpolate their physical
-    values instead. The result is the (3, n, n, n//2+1) half spectrum
-    result_j = i * sum_{a,b} W[j,a,b] * dealias(rfftn(u_a v_b)) with the
-    symmetrized multiplier of QCoefficients.pair_weights; the kz = 0 and
+    values instead. The result is the (3, K) array of
+    result_j = i * sum_{a,b} W[j,a,b] * rfftn(u_a v_b) on the K kept modes
+    grid.half_dealias_modes[0], with the symmetrized multiplier of
+    QCoefficients.pair_weights; the dealiased modes are exactly 0, so
+    scatter_band(grid, "kept", result) is Q's half spectrum. The kz = 0 and
     kz = n/2 planes, which hold both k and -k, are then set to
     (c(k) + conj c(-k)) / 2, so the full spectrum of the output is exactly
     Hermitian.
+
+    One product pair is formed, transformed and gathered at a time, and the
+    terms are added in pair order, as a sum over a pair axis would add them:
+    the work arrays are one product and its transform, not a batch of them.
     """
     same = v_phys is None or v_phys is u_phys
     modes, plane, partner = grid.half_dealias_modes
@@ -258,23 +310,22 @@ def apply_Q_stack(coeffs: QCoefficients, grid: Grid, u_phys: np.ndarray,
 
     if same:
         v_phys = u_phys
-    products = np.empty((len(pairs),) + grid.shape)
+    product = np.empty(grid.shape)
+    acc = None
     for p, (a, b) in enumerate(pairs):
-        np.multiply(u_phys[a], v_phys[b], out=products[p])
-    # only the kept modes are accumulated; the dealiased ones stay exactly 0
-    prod_hat = rfftn(products).reshape(len(pairs), -1).take(modes, axis=1)
-
-    acc = (weights * prod_hat).sum(axis=1)
+        np.multiply(u_phys[a], v_phys[b], out=product)
+        term = weights[:, p] * rfftn(product).reshape(-1).take(modes)
+        if acc is None:
+            acc = term
+        else:
+            acc += term
     acc *= 1j
     # c(k) <- (c(k) + conj c(-k)) / 2 on the self-paired planes
     sym = np.conj(acc.take(partner, axis=1))
     sym += acc.take(plane, axis=1)
     sym *= 0.5
     acc[:, plane] = sym
-    out = np.zeros((3, math.prod(grid.half_shape)), dtype=np.complex128)
-    for j in range(3):
-        out[j][modes] = acc[j]
-    return out.reshape((3,) + grid.half_shape)
+    return acc
 
 
 def apply_Q(coeffs: QCoefficients, u: VelocityField, v: VelocityField) -> VelocityField:
@@ -284,7 +335,8 @@ def apply_Q(coeffs: QCoefficients, u: VelocityField, v: VelocityField) -> Veloci
         raise ValueError("apply_Q operands must share one grid")
     u_phys = irfftn(u.half_spectrum())
     v_phys = None if v is u else irfftn(v.half_spectrum())
-    return VelocityField.from_half(u.grid, apply_Q_stack(coeffs, u.grid, u_phys, v_phys))
+    return VelocityField.from_half(
+        u.grid, scatter_band(u.grid, "kept", apply_Q_stack(coeffs, u.grid, u_phys, v_phys)))
 
 
 def leray_project_stack(grid: Grid, stack: np.ndarray) -> np.ndarray:

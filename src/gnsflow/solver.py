@@ -23,7 +23,12 @@ The march, mild_residual and the ETD steps hold states as the half spectrum
 (3, n, n, n//2+1) of the real fields. Q is evaluated from physical values
 (operators.apply_Q_stack): the march transforms each iterate once and
 interpolates in physical space, since irfftn is linear; mild_residual, the
-Duhamel integrals and ETD transform every state they hand to Q. A
+Duhamel integrals and ETD transform every state they hand to Q. Q returns
+its values on the 2/3-rule kept modes only. The march sums them there,
+against the heat kernel read at those modes, and scatters the sum onto the
+heat-propagated state once per round; the Duhamel integrals,
+mild_residual and ETD scatter each Q value to a half stack
+(operators.scatter_band) and keep their half-stack arithmetic. A
 Trajectory holds its states as the heat flow of the initial data plus
 increments on a band of half-spectrum modes: state i is
 e^{t_i L} u0 + B_i, and the march's B_i lives on the 2/3-rule kept modes
@@ -46,7 +51,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .operators import QCoefficients, VelocityField, apply_Q_stack, heat_factor
+from .operators import (QCoefficients, VelocityField, _stack_index, apply_Q_stack, band_modes,
+                        heat_factor, scatter_band)
 from .spectral import (INTEGER, OPEN_UNIT, POSITIVE_FINITE, Grid, all_of, at_least, enforce,
                        irfftn, plane_pairs, read_only, weighted_l2_stack)
 
@@ -119,34 +125,11 @@ class SolverConfig:
 
 
 @lru_cache(maxsize=8)
-def band_modes(grid: Grid, kind: str) -> np.ndarray:
-    """Read-only flat half-spectrum index of a band kind.
-
-    "kept": the 2/3-rule kept modes (Grid.half_dealias_modes), where a
-    solver's increments live; "all": every half-spectrum mode.
-    """
-    if kind == "kept":
-        return grid.half_dealias_modes[0]
-    if kind != "all":
-        raise ValueError(f"band kind must be 'kept' or 'all', got {kind!r}")
-    return read_only(np.arange(math.prod(grid.half_shape)))
-
-
-@lru_cache(maxsize=8)
 def band_plane_pairs(grid: Grid, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """spectral.plane_pairs of band_modes(grid, kind), each pair once (first <= second)."""
     plane, partner = plane_pairs(grid, band_modes(grid, kind))
     once = plane <= partner
     return read_only(plane[once]), read_only(partner[once])
-
-
-@lru_cache(maxsize=8)
-def _stack_index(grid: Grid, kind: str) -> np.ndarray:
-    """Read-only flat index of the band's modes in all three components of a
-    (3, n, n, n//2+1) stack, component by component (one flat take or
-    scatter is much faster than a 2-D fancy index)."""
-    size = math.prod(grid.half_shape)
-    return read_only((band_modes(grid, kind) + size * np.arange(3)[:, None]).ravel())
 
 
 def time_tolerance(horizon: float) -> float:
@@ -183,18 +166,13 @@ class StateBuilder:
     def __init__(self, grid: Grid, u0: np.ndarray, band: str = "kept") -> None:
         self.grid = grid
         self.u0 = u0
-        self._index = _stack_index(grid, band)
+        self._band = band
         self._flows = bool(u0.any())
 
     def __call__(self, t: float, row: np.ndarray) -> np.ndarray:
         """The state at time t with increment row, as a new half stack."""
-        if self._flows:
-            out = heat_factor(self.grid, t) * self.u0
-            out.reshape(-1)[self._index] += row.reshape(-1)
-        else:
-            out = np.zeros((3,) + self.grid.half_shape, dtype=np.complex128)
-            out.reshape(-1)[self._index] = row.reshape(-1)
-        return out
+        flow = heat_factor(self.grid, t) * self.u0 if self._flows else None
+        return scatter_band(self.grid, self._band, row, flow)
 
 
 class Trajectory:
@@ -313,9 +291,11 @@ def _lattice_quadrature(times: np.ndarray, state_at: Callable[[int], Sequence[np
     interpolates each linearly in s between lattice times, and each endpoint
     is fetched once per interval. Every lattice interval meeting [lo, hi]
     gets a quad_order Gauss-Legendre rule; kernel(s) is a scalar or a
-    per-mode array. The accumulator takes the shape of integrand's output,
-    which need not be the endpoints' layout. integrand must return a new
-    array: it is scaled in place.
+    per-mode array broadcast against integrand's output. The accumulator
+    takes the shape of that output, which need not be the endpoints' layout:
+    the march's integrand is apply_Q_stack, whose (3, K) kept-mode values it
+    sums against a kernel of K values. integrand must return a new array: it
+    is scaled in place.
     """
     acc = None
     for i in range(len(times) - 1):
@@ -347,9 +327,14 @@ def _lattice_quadrature(times: np.ndarray, state_at: Callable[[int], Sequence[np
     return acc
 
 
+def _q_half(coeffs: QCoefficients, grid: Grid, *phys: np.ndarray) -> np.ndarray:
+    """apply_Q_stack's kept-mode values scattered to a half stack."""
+    return scatter_band(grid, "kept", apply_Q_stack(coeffs, grid, *phys))
+
+
 def _q_of_halves(coeffs: QCoefficients, grid: Grid, *halves: np.ndarray) -> np.ndarray:
-    """apply_Q_stack on half stacks, each transformed to physical values here."""
-    return apply_Q_stack(coeffs, grid, *(irfftn(h) for h in halves))
+    """Q as a half stack from half stacks, each transformed to physical values here."""
+    return _q_half(coeffs, grid, *(irfftn(h) for h in halves))
 
 
 def duhamel_B(coeffs: QCoefficients, u: Trajectory, v: Trajectory, t_eval: float,
@@ -391,7 +376,7 @@ def _duhamel_lattice(coeffs: QCoefficients, grid: Grid, times: np.ndarray,
     to physical values once and Q's arguments at the Gauss nodes are
     interpolated there (irfftn is linear).
     """
-    integrand = partial(apply_Q_stack, coeffs, grid)
+    integrand = partial(_q_half, coeffs, grid)
     walks = [map(irfftn, states)] if v_states is None else [map(irfftn, states),
                                                              map(irfftn, v_states)]
     acc = np.zeros((3,) + grid.half_shape, dtype=np.complex128)
@@ -482,7 +467,9 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients, config: SolverConfig,
     u_i and w. Each round transforms w to physical values once; Q's
     argument at a Gauss node is (1 - theta) phys(u_i) + theta phys(w), where
     phys(u_i) is the transform of the previous interval's accepted iterate
-    (of u0 at i = 0). It stops when the H^gamma update is at most
+    (of u0 at i = 0). The integral is summed on the kept modes, where Q
+    lives, and added to base = e^{hL} u_i there in one scatter; base's other
+    modes are the update's as they are. It stops when the H^gamma update is at most
     min(tol / 100, 1e-13 * the update's norm) and accepts w, the iterate
     whose Q values were evaluated. The defect d_i = w - w'
     accumulates as R_{i+1} = e^{hL} R_i + d_i, which is the mild residual
@@ -511,11 +498,17 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients, config: SolverConfig,
         return weighted_l2_stack(grid, stack, gamma, homogeneous=False)
 
     guard = DIVERGENCE_FACTOR * (1.0 + norm(u0_half))
-    # an interval asks for h and its quad_order node offsets t_{i+1} - s in
-    # every round; across intervals they repeat only up to rounding
-    heat = lru_cache(maxsize=config.quad_order + 1)(partial(heat_factor, grid))
-    integrand = partial(apply_Q_stack, coeffs, grid)
     band = band_modes(grid, "kept")
+    k_sq_kept = grid.k_sq.reshape(-1).take(band)
+
+    # each round of an interval asks for the same quad_order node offsets
+    # t_{i+1} - s; across intervals they repeat only up to rounding. A node's
+    # kernel is heat_factor's arithmetic at the kept modes only, where Q lives.
+    @lru_cache(maxsize=config.quad_order)
+    def kept_heat(t: float) -> np.ndarray:
+        return np.exp(-t * k_sq_kept)
+
+    integrand = partial(apply_Q_stack, coeffs, grid)
     increments = None
     if consume is None:
         increments = np.empty((len(times), 3, band.size), dtype=np.complex128)
@@ -532,15 +525,16 @@ def picard_solve(u0: VelocityField, coeffs: QCoefficients, config: SolverConfig,
 
     for i in range(len(times) - 1):
         t_lo, t_hi = float(times[i]), float(times[i + 1])
-        propagator = heat(t_hi - t_lo)
+        propagator = heat_factor(grid, t_hi - t_lo)
         u_i = recent[-1]
         base = propagator * u_i
         w = base if i == 0 else _start_guess(times, recent, i)
         for rounds in range(1, config.max_iter + 1):
             w_phys = irfftn(w)
-            update = base + _lattice_quadrature(
+            acc = _lattice_quadrature(
                 times[i:i + 2], lambda j: ((u_phys, w_phys)[j],), t_lo, t_hi,
-                config.quad_order, lambda s: heat(t_hi - s), integrand)
+                config.quad_order, lambda s: kept_heat(t_hi - s), integrand)
+            update = scatter_band(grid, "kept", acc, base.copy())
             delta = norm(update - w)
             deltas.append(delta)
             if not math.isfinite(delta) or delta > guard:

@@ -132,6 +132,10 @@ FINITE = rule(math.isfinite, "finite")
 POSITIVE_FINITE = all_of(POSITIVE, FINITE)
 OPEN_UNIT = rule(lambda x: 0.0 < x < 1.0, "in (0, 1)")
 
+# the one home of the shell count's range: shell_reduce_max and the config's
+# diagnostics.n_shells key
+N_SHELLS_RULE = all_of(INTEGER, at_least(2))
+
 GRID_RULES = {
     "n_per_axis": rule(lambda n: isinstance(n, int) and n >= 4 and n % 2 == 0,
                        "an even integer >= 4"),
@@ -408,8 +412,7 @@ def shell_reduce_max(grid: Grid, magnitudes: np.ndarray, n_shells: int) -> Shell
     """Reduce half-spectrum magnitudes (half_shape) to per-shell maxima over
     n_shells equal-width |k| shells. The pair k, -k has one |k|, so a real
     field's half gives the full lattice's values, peaks and empty shells."""
-    if not isinstance(n_shells, int) or n_shells < 2:
-        raise ValueError(f"n_shells must be an int >= 2, got {n_shells!r}")
+    enforce({"n_shells": N_SHELLS_RULE}, {"n_shells": n_shells})
     if magnitudes.shape != grid.half_shape:
         raise ValueError(f"expected half-spectrum magnitudes {grid.half_shape}, "
                          f"got shape {magnitudes.shape}")

@@ -2,7 +2,8 @@
 
 Everything here is written against raw numpy only (np.fft, direct index
 arithmetic), deliberately NOT reusing package code paths, so agreement between
-package and oracle is meaningful.
+package and oracle is meaningful. oracle_q_batch alone calls scipy.fft, the
+package's transform library, because it is compared bit for bit.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 
 def oracle_wavenumbers(n: int, period: float) -> np.ndarray:
@@ -113,6 +116,40 @@ def oracle_multiplier(alpha: np.ndarray, n: int, period: float) -> np.ndarray:
     cubic = np.einsum("jmpqab,m...,p...,q...->jab...", alpha, kvec, kvec, kvec)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(ksq > 0, cubic / ksq, 0.0)
+
+
+def oracle_q_batch(W: np.ndarray, modes: np.ndarray, plane: np.ndarray,
+                   partner: np.ndarray, u_phys: np.ndarray,
+                   v_phys: np.ndarray | None = None) -> np.ndarray:
+    """Q's kept-mode values by the batch formula: every product pair at once.
+
+    W is the (3, n_pairs, K) pair weight table on the flat half-spectrum
+    modes; pairs are (a, b) with a <= b when v_phys is None (v = u), else all
+    nine. All products are transformed in one rfftn, summed as
+    (W * prod_hat).sum(axis=1), multiplied by i, and then the kz = 0 and
+    kz = n/2 plane modes (list positions plane, their -k at partner) are
+    set to (c(k) + conj c(-k)) / 2. Returns the (3, K) values.
+    """
+    v = u_phys if v_phys is None else v_phys
+    pairs = ([(a, b) for a in range(3) for b in range(a, 3)] if v_phys is None
+             else [(a, b) for a in range(3) for b in range(3)])
+    products = np.stack([u_phys[a] * v[b] for a, b in pairs])
+    prod_hat = scipy.fft.rfftn(products, axes=(-3, -2, -1), norm="forward")
+    prod_hat = prod_hat.reshape(len(pairs), -1)[:, modes]
+    acc = 1j * (W * prod_hat).sum(axis=1)
+    acc[:, plane] = 0.5 * (acc[:, plane] + np.conj(acc[:, partner]))
+    return acc
+
+
+def peak_allocation(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the tracemalloc peak of that call in bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def write_raw_field(path: Path, grid, stack: np.ndarray) -> Path:

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -953,12 +952,7 @@ class TestStreamedSolve:
         cfg = parse_config_text(BASE_CFG.replace("solver.n_times = 9",
                                                  f"solver.n_times = {n_times}"))
         run_scenario(cfg, out_dir=tmp_path / f"warm{n_times}")
-        tracemalloc.start()
-        try:
-            run_scenario(cfg, out_dir=tmp_path / f"run{n_times}")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = helpers.peak_allocation(run_scenario, cfg, out_dir=tmp_path / f"run{n_times}")
         return cfg.build_grid(), peak
 
     def test_peak_memory_does_not_grow_with_the_time_lattice(self, tmp_path):

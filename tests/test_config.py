@@ -1,7 +1,6 @@
 import math
 import re
 import threading
-import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from gnsflow import runner, solver
 from gnsflow.config import (
     ConfigError,
@@ -329,13 +329,9 @@ class TestDataRules:
             raise AssertionError("a grid table was built")
         for name in ("alias_integers", "k_components", "k_sq", "k_norm", "inv_k_sq"):
             monkeypatch.setattr(Grid, name, property(no_table))
-        tracemalloc.start()
-        try:
-            cfg = parse_config_text("grid.n = 4096\ndata.kind = random_sobolev_tail\n"
-                                    "diagnostics.fit_hi = 2.0\n")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        cfg, peak = helpers.peak_allocation(
+            parse_config_text, "grid.n = 4096\ndata.kind = random_sobolev_tail\n"
+            "diagnostics.fit_hi = 2.0\n")
         assert read and set(read) == {cfg.build_grid()}
         assert peak < 2**20
 

@@ -6,6 +6,7 @@ import pytest
 import helpers
 from conftest import leray_full, random_hermitian_coeffs
 from gnsflow import diagnostics, operators
+from gnsflow.config import ScenarioConfig
 from gnsflow.diagnostics import (
     BoundReport,
     InconclusiveFitError,
@@ -141,6 +142,20 @@ class TestHandValues:
     def test_p_gamma_domain(self):
         with pytest.raises(ValueError):
             p_gamma(0.3)
+
+    @pytest.mark.parametrize("gamma", [math.nan, 0.3, -math.inf])
+    def test_one_gamma_rule_refuses_nan(self, gamma):
+        # NormParams, beta, p_gamma and physics.gamma read one rule; NaN
+        # passed the old `gamma < 0.5` tests of beta and p_gamma
+        want = f"gamma must be >= 0.5, got {gamma}"
+        for call in (lambda: p_gamma(gamma), lambda: beta(0.01, gamma, 0.1),
+                     lambda: NormParams(gamma=gamma, delta=0.1, t_horizon=0.01, lam=4.0)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == want
+        assert diagnostics.GAMMA_RULE(gamma) == want.removeprefix("gamma ")
+        assert ScenarioConfig.__dataclass_fields__["physics_gamma"].metadata["check"] \
+            is diagnostics.GAMMA_RULE
 
 
 class TestNormParams:

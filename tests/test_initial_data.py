@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,10 +247,6 @@ class TestMemory:
         # warm: the grid's tables are built by the first call
         grid = build_grid(32)
         make_initial_data("random_sobolev_tail", grid, DataParams(), seed=2024)
-        tracemalloc.start()
-        try:
-            u = make_initial_data("random_sobolev_tail", grid, DataParams(), seed=2024)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        u, peak = helpers.peak_allocation(make_initial_data, "random_sobolev_tail", grid,
+                                          DataParams(), seed=2024)
         assert peak <= 4 * u.half_spectrum().nbytes

@@ -348,8 +348,8 @@ class TestApplyQ:
                 want[j] += w * prod_hat
         want *= 1j
         want = np.stack([helpers.hermitian_symmetrize(want[j]) for j in range(3)])
-        got = spectral.to_full(grid, operators.apply_Q_stack(
-            a, grid, u_phys, None if v is None else v_phys))
+        got = spectral.to_full(grid, operators.scatter_band(grid, "kept", operators.apply_Q_stack(
+            a, grid, u_phys, None if v is None else v_phys)))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         assert max(spectral.hermitian_deviation(got[j]) for j in range(3)) == 0.0
 
@@ -364,6 +364,50 @@ class TestApplyQ:
         off_nyquist = np.all(alias != grid.n_per_axis // 2, axis=0)
         np.testing.assert_array_equal(w[..., off_nyquist], M[..., off_nyquist])
         assert fraction < 1.0 or not np.all(off_nyquist)
+
+    @pytest.mark.parametrize("n", [8, 16, 20])
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0, 0.5])
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_pairwise_sum_equals_the_batch_formula_bitwise(self, rng, n, fraction, distinct):
+        # one pair at a time, added in pair order, is the batch's sum over
+        # its pair axis bit for bit, on the kept modes only
+        grid = build_grid(n, dealias_fraction=fraction)
+        a = QCoefficients(rng.standard_normal((3,) * 6))
+        u_phys = rng.standard_normal((3,) + grid.shape)
+        v_phys = rng.standard_normal((3,) + grid.shape) if distinct else None
+        modes, plane, partner = grid.half_dealias_modes
+        got = operators.apply_Q_stack(a, grid, u_phys, v_phys)
+        want = helpers.oracle_q_batch(a.pair_weights(grid, not distinct), modes, plane,
+                                      partner, u_phys, v_phys)
+        assert got.shape == (3, modes.size)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_peak_allocation_is_below_one_product_batch(self, rng, distinct):
+        # the batch formula held six (n, n, n) products at once; the warm
+        # call holds one product and its transform
+        grid = build_grid(32)
+        a = QCoefficients(rng.standard_normal((3,) * 6))
+        u_phys = rng.standard_normal((3,) + grid.shape)
+        v_phys = rng.standard_normal((3,) + grid.shape) if distinct else None
+        operators.apply_Q_stack(a, grid, u_phys, v_phys)
+        _, peak = helpers.peak_allocation(operators.apply_Q_stack, a, grid, u_phys, v_phys)
+        assert peak < 6 * 32**3 * 8, peak
+
+    def test_scatter_band_writes_the_band_only(self, rng):
+        grid = build_grid(8)
+        modes = grid.half_dealias_modes[0]
+        row = rng.standard_normal((3, modes.size)) + 1j * rng.standard_normal((3, modes.size))
+        zeros = operators.scatter_band(grid, "kept", row)
+        assert np.array_equal(zeros.reshape(3, -1)[:, modes], row)
+        off = np.setdiff1d(np.arange(math.prod(grid.half_shape)), modes)
+        assert not np.any(zeros.reshape(3, -1)[:, off])
+        onto = rng.standard_normal((3,) + grid.half_shape) + 0j
+        before = onto.copy()
+        assert operators.scatter_band(grid, "kept", row, onto) is onto
+        assert np.array_equal(onto.reshape(3, -1)[:, off], before.reshape(3, -1)[:, off])
+        assert np.array_equal(onto.reshape(3, -1)[:, modes],
+                              before.reshape(3, -1)[:, modes] + row)
 
 
 class TestLeray:

@@ -1,6 +1,5 @@
 import math
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,6 +484,37 @@ class TestKeptModeStates:
             off = (state - flow).reshape(3, -1)[:, ~kept]
             assert np.max(np.abs(off)) <= 1e-15 * scale
 
+    def test_each_round_leaves_base_as_it_is_off_the_kept_modes(self, monkeypatch):
+        # the march's Duhamel sum lives on the kept modes: a round's update
+        # is base with that sum added on them, and base bit for bit elsewhere
+        grid = build_grid(16)
+        u0 = make_initial_data("random_sobolev_tail", grid,
+                               DataParams(amplitude=0.5, band_lo=1.0, band_hi=10.0),
+                               seed=7)
+        rounds = []
+        real = solver.scatter_band
+
+        def spy(grid_, kind, row, onto=None):
+            before = None if onto is None else onto.copy()
+            out = real(grid_, kind, row, onto)
+            if before is not None:
+                rounds.append((kind, row.copy(), before, out.copy()))
+            return out
+
+        monkeypatch.setattr(solver, "scatter_band", spy)
+        _, report = picard_solve(u0, navier_stokes_coeffs(),
+                                 SolverConfig(t_final=0.01, n_times=6, tol=1e-8))
+        assert report.converged and len(rounds) == sum(report.interval_iterates)
+        modes = grid.half_dealias_modes[0]
+        off = np.setdiff1d(np.arange(math.prod(grid.half_shape)), modes)
+        for kind, acc, base, update in rounds:
+            assert kind == "kept" and acc.shape == (3, modes.size)
+            base, update = base.reshape(3, -1), update.reshape(3, -1)
+            # the data reach past the kept band, so the check is not vacuous
+            assert np.abs(base[:, off]).max() > 1e-3
+            assert np.array_equal(update[:, off], base[:, off])
+            assert np.array_equal(update[:, modes], base[:, modes] + acc)
+
 
 class TestStartGuess:
     """The march's start guess is Lagrange extrapolation through the last
@@ -623,13 +653,11 @@ class TestEtdIntegrate:
         u0 = divergence_free_velocity(build_grid(8), rng)
         stop = threading.Event()
         stop.set()
-        tracemalloc.start()
-        try:
+
+        def stopped_call():
             with pytest.raises(solver._EtdStopped, match="before step 0 of 10000000"):
                 etd_integrate(u0, navier_stokes_coeffs(), 0.01, 1e-9, stop=stop)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = helpers.peak_allocation(stopped_call)
         assert peak < 2**20
 
     def test_chained_calls_equal_one_call_bitwise(self):

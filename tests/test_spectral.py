@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import helpers
 from conftest import random_hermitian_coeffs
 from gnsflow import spectral
+from gnsflow.config import ScenarioConfig
 from gnsflow.spectral import (
     CorruptedFieldError,
     build_grid,
@@ -288,6 +289,19 @@ class TestHalfSpectrum:
 class TestShellReduceMax:
     """shell_reduce_max on the half spectrum of real fields, against maxima
     taken over the whole lattice."""
+
+    @pytest.mark.parametrize("n_shells, problem", [
+        (1, "must be >= 2, got 1"), (2.0, "must be an integer, got 2.0"),
+        (np.int64(8), "must be an integer, got 8")])
+    def test_one_shell_count_rule(self, n_shells, problem):
+        # shell_reduce_max and diagnostics.n_shells read one rule
+        g = build_grid(8)
+        with pytest.raises(ValueError) as exc:
+            shell_reduce_max(g, np.ones(g.half_shape), n_shells)
+        assert str(exc.value) == f"n_shells {problem}"
+        assert spectral.N_SHELLS_RULE(n_shells) == problem
+        assert ScenarioConfig.__dataclass_fields__["diagnostics_n_shells"].metadata["check"] \
+            is spectral.N_SHELLS_RULE
 
     def test_exponential_profile_shell_maxima(self):
         # u_hat = exp(-0.2 |k|): each shell max is attained at the smallest |k|

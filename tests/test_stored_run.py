@@ -11,7 +11,6 @@ import json
 import math
 import shutil
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -331,17 +330,9 @@ class TestMemory:
         cfg_path, run = solve(directory, n_times)
         cfg = parse_config(cfg_path)
         runner.diagnose_trajectory(run / "trajectory", cfg, out_dir=directory / "warm")
-        peaks = []
-        for call in (lambda: runner.diagnose_trajectory(run / "trajectory", cfg,
-                                                        out_dir=directory / "diag"),
-                     lambda: runner.emit_plot_data(run)):
-            tracemalloc.start()
-            try:
-                call()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        return peaks
+        return [helpers.peak_allocation(runner.diagnose_trajectory, run / "trajectory", cfg,
+                                        out_dir=directory / "diag")[1],
+                helpers.peak_allocation(runner.emit_plot_data, run)[1]]
 
     @pytest.mark.parametrize("block_rows", [None, 5])
     def test_peaks_do_not_grow_with_the_time_lattice(self, tmp_path, monkeypatch,
