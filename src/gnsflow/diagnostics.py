@@ -25,6 +25,10 @@ from .solver import (
 )
 from .spectral import (
     EXP_GUARD,
+    FINITE,
+    NONNEGATIVE,
+    POSITIVE_FINITE,
+    all_of,
     at_least,
     enforce,
     irfftn,
@@ -71,6 +75,15 @@ R2_THRESHOLD = 0.9
 # NormParams, beta, p_gamma and the config's physics.gamma key
 GAMMA_RULE = at_least(0.5)
 
+# the one home of NormParams' ranges
+NORM_RULES = {
+    "gamma": GAMMA_RULE,
+    "delta": POSITIVE_FINITE,
+    "t_horizon": POSITIVE_FINITE,
+    "lam": all_of(NONNEGATIVE, FINITE),
+    "eta0": POSITIVE_FINITE,
+}
+
 
 @dataclass(frozen=True)
 class NormParams:
@@ -88,15 +101,7 @@ class NormParams:
     eta0: float = 1e-5
 
     def __post_init__(self) -> None:
-        enforce({"gamma": GAMMA_RULE}, {"gamma": self.gamma})
-        if not (self.delta > 0.0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not (self.t_horizon > 0.0 and math.isfinite(self.t_horizon)):
-            raise ValueError(f"t_horizon must be positive and finite, got {self.t_horizon}")
-        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not (self.eta0 > 0.0):
-            raise ValueError(f"eta0 must be positive, got {self.eta0}")
+        enforce(NORM_RULES, vars(self))
 
 
 def sobolev_norm(u: VelocityField, s: float, homogeneous: bool) -> float:
@@ -164,7 +169,7 @@ def _tail_maximum(traj: Trajectory, J, scale: float, gamma: float, t: float):
             raise ValueError(f"J must be positive and finite, got {j}")
     if not (0.0 <= gamma < math.inf):
         raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
-    tol = traj.time_tolerance()
+    tol = time_tolerance(traj.horizon)
     if not (-tol <= t <= traj.horizon + tol):
         raise ValueError(f"t = {t} outside the trajectory span [0, {traj.horizon}]")
     running = None
@@ -252,8 +257,7 @@ def envelope_norm(u: VelocityField, t: float, params: NormParams,
 
     Returns inf when the exponential weight passes the overflow guard.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    enforce({"t": NONNEGATIVE}, {"t": t})
     grid = u.grid
     lam, T, delta = params.lam, params.t_horizon, params.delta
     drift = lam * t / math.sqrt(T)
@@ -271,7 +275,7 @@ def _last_index_within(traj: Trajectory, T: float) -> int:
     """Index of the last lattice time <= T within the snap tolerance, so a sup
     over lattice t in (0, T] runs over indices 1 to it; ValueError when the
     trajectory stops short of T."""
-    tol = traj.time_tolerance()
+    tol = time_tolerance(traj.horizon)
     if traj.horizon < T - tol:
         raise ValueError(
             f"trajectory horizon {traj.horizon} is shorter than the norm horizon {T}")

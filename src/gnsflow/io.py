@@ -3,7 +3,9 @@
 Everything written here is byte-deterministic for identical inputs: floats
 are serialized with repr (shortest round-trip), JSON keys are sorted, and
 the only non-reproducible manifest entry (wall_clock_utc) is isolated so
-comparison tools can strip it.
+comparison tools can strip it. A stored run's increments.gsi is read and
+checked in one place, _increment_blocks, which read_trajectory drains
+into one array and StreamedTrajectory one block at a time.
 """
 from __future__ import annotations
 
@@ -17,14 +19,14 @@ import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy
 
 from .diagnostics import BoundReport
 from .operators import VelocityField, stack_coefficients
-from .solver import StateBuilder, Trajectory, band_modes, band_plane_pairs, time_tolerance
+from .solver import StateBuilder, Trajectory, band_modes, band_plane_pairs
 from .spectral import CorruptedFieldError, Grid, _real_field, build_grid, hermitian_half
 
 FIELD_MAGIC = b"GSF1"
@@ -332,10 +334,6 @@ def _increments_size(path: Path, header: bytes, grid: Grid, n_times: int,
     return _INCREMENTS_HEADER.size + count * 3 * size * 16
 
 
-def _size_error(path: Path, size: int, want: int) -> FormatError:
-    return FormatError(f"{path}: payload size {size} != expected {want}")
-
-
 def _checked_rows(path: Path, grid: Grid, band_kind: str, rows: np.ndarray) -> np.ndarray:
     """Increment rows (m, len(band)) held to the stored run's contract: every
     value finite, and the kz = 0 and kz = n/2 plane pairs of the band held to
@@ -353,10 +351,10 @@ def _checked_rows(path: Path, grid: Grid, band_kind: str, rows: np.ndarray) -> n
     return rows
 
 
-# increments.gsi is streamed in blocks of whole rows of about this many bytes
+# increments.gsi is read in blocks of whole rows of about this many bytes
 READ_BLOCK_BYTES = 1 << 20
-# the block buffer of the last stream to finish, if it is at most
-# READ_BLOCK_BYTES, for the next stream: a new buffer of this size is a new
+# the block buffer of the last read to finish, if it is at most
+# READ_BLOCK_BYTES, for the next read: a new buffer of this size is a new
 # memory map, whose pages fault in again on every read
 _spare_buffers: list[bytearray] = []
 
@@ -370,63 +368,92 @@ def _block_buffer(size: int) -> bytearray:
     return spare if len(spare) >= size else bytearray(size)
 
 
+def _increment_blocks(path: Path, sha256: str, grid: Grid, times: np.ndarray,
+                      band_kind: str) -> Iterator[tuple[int, np.ndarray]]:
+    """The rows of increments.gsi in file order, as (first, rows) blocks.
+
+    rows is a (m, 3, len(band)) view of one buffer, the increments of
+    states first to first + m - 1, valid until the next block is asked for;
+    the blocks are whole rows, about READ_BLOCK_BYTES each. Each block is
+    hashed as it is read and held to _checked_rows, after the header and
+    size checks. The first verdict on the file stops the blocks: the rest
+    of the file is hashed, and the verdicts are raised in order, a sha256
+    mismatch, then the header or the size, then a non-finite value or a
+    broken plane pair. The last block comes only after the whole file has
+    been hashed and checked, so a consumer that took every block took a
+    verified file. The buffer is left for the next read once the
+    generator finishes or is closed.
+    """
+    size = band_modes(grid, band_kind).size
+    row_bytes = 3 * size * 16
+    block_rows = min(max(1, READ_BLOCK_BYTES // row_bytes), times.size)
+    buffer = _block_buffer(block_rows * row_bytes)
+    try:
+        with open(path, "rb") as fh:
+            header = fh.read(_INCREMENTS_HEADER.size)
+            digest = hashlib.sha256(header)
+            verdict = want = None
+            try:
+                want = _increments_size(path, header, grid, times.size, size)
+            except FormatError as exc:
+                verdict = exc
+            first = 0
+            while verdict is None:
+                count = min(block_rows, times.size - first)
+                view = memoryview(buffer)[:count * row_bytes]
+                got = fh.readinto(view)  # a buffered file fills view unless at its end
+                digest.update(view[:got])
+                if got < len(view):
+                    break  # the size check below fails
+                rows = np.frombuffer(buffer, dtype="<c16", count=len(view) // 16)
+                try:
+                    rows = _checked_rows(path, grid, band_kind, rows.reshape(count * 3, size))
+                except CorruptedFieldError as exc:
+                    verdict = exc
+                    break
+                rows = rows.reshape(count, 3, size)
+                if first + count == times.size:
+                    break
+                yield first, rows
+                first += count
+            for chunk in iter(lambda: fh.read(READ_BLOCK_BYTES), b""):
+                digest.update(chunk)
+            _check_sha256(path, digest.hexdigest(), sha256)
+            if want is not None and fh.tell() != want:
+                raise FormatError(f"{path}: payload size {fh.tell()} != expected {want}")
+            if verdict is not None:
+                raise verdict
+        yield first, rows
+    finally:
+        if len(buffer) <= READ_BLOCK_BYTES:
+            _spare_buffers[:] = [buffer]
+
+
 class StreamedTrajectory:
     """A stored trajectory read in one pass, each state once, in lattice order.
 
     It answers what bound_report and eta_J ask of a Trajectory: grid,
-    times, horizon, time_tolerance() and half_state(i), with i = 0, 1, ...
-    in turn. increments.gsi is read in blocks of whole rows, about
-    READ_BLOCK_BYTES each, into one buffer, which the next stream reuses
-    once this one has exited. Each block is hashed as it is read and held
-    to read_trajectory's checks, and half_state rebuilds its states with
-    StateBuilder, so memory does not grow with the number of times.
-
-    The first verdict on the file stops the state building: the rest of the
-    file is hashed, and the verdicts are raised in order, a sha256 mismatch,
-    then the header or the size, then a non-finite value or a broken plane
-    pair. The last block's states are handed on only after the whole file
-    has been hashed and checked, so a consumer that took every state took a
-    verified file. It is a context manager, whose exit reads and checks the
-    rows that no state asked for.
+    times, horizon and half_state(i), with i = 0, 1, ... in turn.
+    half_state takes increments.gsi's rows from _increment_blocks, one
+    block at a time, and rebuilds its states with StateBuilder, so memory
+    does not grow with the number of times. A verdict on the file is
+    raised by the first half_state that asks for a bad block or the last
+    one, or by the exit: it is a context manager, whose exit reads and
+    checks the rows that no state asked for.
     """
 
     def __init__(self, path: Path, sha256: str, grid: Grid, times: np.ndarray,
                  band_kind: str, u0: np.ndarray) -> None:
         self.grid = grid
         self.times = times
-        self._path = path
-        self._sha256 = sha256
-        self._band_kind = band_kind
         self._build = StateBuilder(grid, u0, band_kind)
-        self._row_shape = (3, band_modes(grid, band_kind).size)
-        self._row_bytes = 3 * self._row_shape[1] * 16
-        self._digest = hashlib.sha256()
-        self._bytes_read = 0  # and hashed
-        self._want: int | None = None  # the size the header asks for
-        self._rows = np.empty((0,) + self._row_shape, dtype=np.complex128)
-        self._first = 0  # the state of self._rows[0]
+        self._blocks = _increment_blocks(path, sha256, grid, times, band_kind)
+        self._first, self._rows = 0, ()  # self._rows[0] is state self._first
         self._next = 0  # the state half_state hands on next
-        self._fh = open(path, "rb")
-        try:
-            header = self._fh.read(_INCREMENTS_HEADER.size)
-            self._hash(header)
-            try:
-                self._want = _increments_size(path, header, grid, times.size,
-                                              self._row_shape[1])
-            except FormatError as exc:
-                self._settle(exc)
-            self._block_rows = min(max(1, READ_BLOCK_BYTES // self._row_bytes), times.size)
-            self._buffer = _block_buffer(self._block_rows * self._row_bytes)
-        except BaseException:
-            self._fh.close()
-            raise
 
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
-
-    def time_tolerance(self) -> float:
-        return time_tolerance(self.horizon)
 
     def half_state(self, i: int) -> np.ndarray:
         """State i as a new half stack; i must be the state after the last one."""
@@ -434,43 +461,9 @@ class StreamedTrajectory:
             raise ValueError(f"a streamed trajectory hands on each state once, in "
                              f"order: state {i} asked for, state {self._next} is next")
         if i == self._first + len(self._rows):
-            self._read_block()
+            self._first, self._rows = next(self._blocks)
         self._next += 1
         return self._build(float(self.times[i]), self._rows[i - self._first])
-
-    def _hash(self, chunk) -> None:
-        self._digest.update(chunk)
-        self._bytes_read += len(chunk)
-
-    def _read_block(self) -> None:
-        """Read, hash and check the next block of rows."""
-        self._first += len(self._rows)
-        count = min(self._block_rows, self.times.size - self._first)
-        view = memoryview(self._buffer)[:count * self._row_bytes]
-        got = self._fh.readinto(view)  # a buffered file fills view unless at its end
-        self._hash(view[:got])
-        if got < len(view):
-            self._settle()
-        rows = np.frombuffer(self._buffer, dtype="<c16", count=len(view) // 16)
-        try:
-            rows = _checked_rows(self._path, self.grid, self._band_kind,
-                                 rows.reshape(count * 3, -1))
-        except CorruptedFieldError as exc:
-            self._settle(exc)
-        if self._first + count == self.times.size:
-            self._settle()
-        self._rows = rows.reshape((count,) + self._row_shape)
-
-    def _settle(self, verdict: ValueError | None = None) -> None:
-        """Hash the rest of the file and close it; raise the first verdict."""
-        with self._fh:
-            for chunk in iter(lambda: self._fh.read(READ_BLOCK_BYTES), b""):
-                self._hash(chunk)
-        _check_sha256(self._path, self._digest.hexdigest(), self._sha256)
-        if self._want is not None and self._bytes_read != self._want:
-            raise _size_error(self._path, self._bytes_read, self._want)
-        if verdict is not None:
-            raise verdict
 
     def __enter__(self) -> "StreamedTrajectory":
         return self
@@ -481,13 +474,11 @@ class StreamedTrajectory:
         No state is handed on after the exit."""
         try:
             if exc_type is None or issubclass(exc_type, Exception):
-                while not self._fh.closed:
-                    self._read_block()
+                for _ in self._blocks:
+                    pass
         finally:
-            self._fh.close()
+            self._blocks.close()
             self._next, self._rows = self.times.size, None
-            if len(self._buffer) <= READ_BLOCK_BYTES:
-                _spare_buffers[:] = [self._buffer]
 
 
 def _manifest_and_u0(manifest_path: Path
@@ -513,25 +504,20 @@ def read_trajectory(manifest_path: Path,
 
     Each file is read once: the bytes that are hashed are the bytes that
     are parsed. u0 and the increments on the kz = 0 and kz = n/2 planes
-    are held to the real-field contract, and every increment must be finite;
-    exact increments are the array read. With stream, increments.gsi is
-    not read here: the StreamedTrajectory returned reads and checks it in
-    blocks as its states are asked for.
+    are held to the real-field contract, and every increment must be finite.
+    increments.gsi is read through _increment_blocks: here into one new
+    (T, 3, len(band)) array, and with stream not here at all: the
+    StreamedTrajectory returned reads it as its states are asked for.
     """
     stored = _manifest_and_u0(manifest_path)
     if stream:
         return StreamedTrajectory(*stored)
     path, digest, grid, times, band_kind, u0 = stored
-    data = _sha256_file(path, digest)
-    band = band_modes(grid, band_kind)
-    want = _increments_size(path, data, grid, times.size, band.size)
-    if len(data) != want:
-        raise _size_error(path, len(data), want)
-    increments = np.frombuffer(data, dtype="<c16", offset=_INCREMENTS_HEADER.size)
-    increments = _checked_rows(path, grid, band_kind, increments.reshape(-1, band.size))
-    return Trajectory.from_increments(grid, times, u0,
-                                      increments.reshape(times.size, 3, band.size),
-                                      band=band_kind)
+    increments = np.empty((times.size, 3, band_modes(grid, band_kind).size),
+                          dtype=np.complex128)
+    for first, rows in _increment_blocks(path, digest, grid, times, band_kind):
+        increments[first:first + len(rows)] = rows
+    return Trajectory.from_increments(grid, times, u0, increments, band=band_kind)
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

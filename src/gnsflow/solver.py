@@ -245,9 +245,6 @@ class Trajectory:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def time_tolerance(self) -> float:
-        return time_tolerance(self.horizon)
-
 
 class _States(Sequence):
     """A trajectory's states, each rebuilt on access as a VelocityField view."""
@@ -270,7 +267,8 @@ class _States(Sequence):
 def _check_same_lattice(u: Trajectory, v: Trajectory) -> None:
     if u.grid != v.grid:
         raise ValueError("trajectories must share one grid")
-    if len(u.times) != len(v.times) or np.max(np.abs(u.times - v.times)) > u.time_tolerance():
+    if (len(u.times) != len(v.times)
+            or np.max(np.abs(u.times - v.times)) > time_tolerance(u.horizon)):
         raise ValueError("trajectories must share one time lattice")
 
 
@@ -348,7 +346,7 @@ def duhamel_B(coeffs: QCoefficients, u: Trajectory, v: Trajectory, t_eval: float
     _check_same_lattice(u, v)
     if problem := SOLVER_RULES["quad_order"](quad_order):
         raise ValueError(f"quad_order {problem}")
-    if t_eval < 0.0 or t_eval > u.horizon + u.time_tolerance():
+    if t_eval < 0.0 or t_eval > u.horizon + time_tolerance(u.horizon):
         raise ValueError(f"t_eval {t_eval} outside the trajectory span [0, {u.horizon}]")
     grid = u.grid
     if u is v:

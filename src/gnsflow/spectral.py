@@ -104,8 +104,9 @@ class CorruptedFieldError(ValueError):
 
 
 # Range rules: value -> "must be <allowed>, got <value>", or None if allowed.
-# A constructor's {field: rule} table (GRID_RULES, SOLVER_RULES, DATA_RULES) is
-# the one home of its fields' ranges; the config checks each key it feeds with it.
+# A constructor's {field: rule} table (GRID_RULES, SOLVER_RULES, DATA_RULES,
+# NORM_RULES) is the one home of its fields' ranges; the config checks each
+# key it feeds with it.
 def rule(ok, allowed: str):
     return lambda value: None if ok(value) else f"must be {allowed}, got {value}"
 
@@ -130,6 +131,7 @@ INTEGER = rule(lambda x: isinstance(x, int), "an integer")
 POSITIVE = rule(lambda x: x > 0.0, "positive")
 FINITE = rule(math.isfinite, "finite")
 POSITIVE_FINITE = all_of(POSITIVE, FINITE)
+NONNEGATIVE = at_least(0.0)  # NaN fails it; inf passes (an empty tail, a cutoff)
 OPEN_UNIT = rule(lambda x: 0.0 < x < 1.0, "in (0, 1)")
 
 # the one home of the shell count's range: shell_reduce_max and the config's
@@ -494,8 +496,7 @@ def weighted_l2_stack(grid: Grid, stacks: np.ndarray, s: float, homogeneous: boo
     undefined unless every component has zero mean, so a nonzero mean raises
     ValueError.
     """
-    if cutoff < 0.0:
-        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
+    enforce({"cutoff": NONNEGATIVE}, {"cutoff": cutoff})
     flat = _half_components(grid, stacks)
     if homogeneous and s < 0.0 and cutoff == 0.0:
         _require_zero_mean(flat)

@@ -172,6 +172,19 @@ class TestNormParams:
         with pytest.raises(ValueError):
             NormParams(gamma=1.0, delta=0.1, t_horizon=0.01, lam=4.0, eta0=0.0)
 
+    @pytest.mark.parametrize("name, value, problem", [
+        ("delta", math.inf, "finite"), ("delta", math.nan, "positive"),
+        ("t_horizon", math.inf, "finite"), ("t_horizon", math.nan, "positive"),
+        ("lam", math.inf, "finite"), ("lam", math.nan, ">= 0.0"),
+        ("eta0", math.inf, "finite"), ("eta0", math.nan, "positive")])
+    def test_non_finite_values_are_refused(self, name, value, problem):
+        # delta = inf and eta0 = inf passed the old `> 0.0` tests
+        fields = dict(gamma=1.0, delta=0.1, t_horizon=0.01, lam=4.0, eta0=1e-5)
+        with pytest.raises(ValueError) as exc:
+            NormParams(**(fields | {name: value}))
+        assert str(exc.value) == f"{name} must be {problem}, got {value}"
+        assert diagnostics.NORM_RULES[name](value) == f"must be {problem}, got {value}"
+
 
 class TestSobolevGevrey:
     def test_single_mode_sobolev(self):
@@ -434,6 +447,16 @@ class TestEnvelopeNorms:
         params = NormParams(gamma=1.0, delta=0.1, t_horizon=0.01, lam=1.0)
         with pytest.raises(ValueError):
             envelope_norm(u, -0.01, params, 0.0)
+
+    def test_envelope_norm_rejects_nan_time(self):
+        # NaN passed the old `t < 0.0` test and came back as a nan norm
+        grid = build_grid(8)
+        u = single_pair_velocity(grid, (2, 0, 0), 1.0)
+        params = NormParams(gamma=1.0, delta=0.1, t_horizon=0.01, lam=1.0)
+        with pytest.raises(ValueError, match=r"^t must be >= 0.0, got nan$"):
+            envelope_norm(u, math.nan, params, 0.0)
+        with pytest.raises(ValueError, match="cutoff must be >= 0.0, got nan"):
+            envelope_norm(u, 0.01, params, math.nan)
 
 
 class TestLebesgueNorm:

@@ -1,6 +1,9 @@
+import builtins
 import hashlib
+import io
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -192,24 +195,26 @@ class TestTrajectoryRoundTrip:
         traj = heat_traj(make_field(build_grid(8), rng), [0.0, 0.005, 0.01])
         gio.write_trajectory(tmp_path / "run", traj)
         calls = []
-        real = Path.read_bytes
+        real = io.open
 
-        def spy(self):
-            calls.append(self.name)
-            return real(self)
-        monkeypatch.setattr(Path, "read_bytes", spy)
+        def spy(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                calls.append(Path(file).name)
+            return real(file, *args, **kwargs)
+        # Path.read_bytes opens through io.open, the package's own reads through open
+        monkeypatch.setattr(io, "open", spy)
+        monkeypatch.setattr(builtins, "open", spy)
         back = gio.read_trajectory(tmp_path / "run")
+        monkeypatch.undo()
         assert len(back.states) == 3
-        assert sorted(calls) == sorted([gio.INCREMENTS_FILE, gio.U0_FILE])
+        assert sorted(calls) == sorted([gio.INCREMENTS_FILE, gio.U0_FILE, "manifest.json"])
 
-    def test_increments_are_the_bytes_read_and_u0_matches_read_field(self, tmp_path):
+    def test_increments_are_one_new_array_and_u0_matches_read_field(self, tmp_path):
         traj = picard_traj()
         gio.write_trajectory(tmp_path / "run", traj)
         back = gio.read_trajectory(tmp_path / "run")
-        owner = back.increments
-        while isinstance(owner, np.ndarray):
-            owner = owner.base
-        assert isinstance(owner, bytes)  # one array, no copy of the file's bytes
+        # one array owning its values: no view of a block buffer or of the file's bytes
+        assert back.increments.base is None
         assert back.increments.shape == traj.increments.shape
         assert not back.increments.flags.writeable
         single = gio.read_field(tmp_path / "run" / gio.U0_FILE)

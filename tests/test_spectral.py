@@ -251,6 +251,15 @@ class TestHalfSpectrum:
         with pytest.raises(ValueError, match="half-spectrum"):
             weighted_l2_stack(grid8, stack, -1.0, True)
 
+    def test_cutoff_nan_is_refused_and_inf_is_an_empty_tail(self, grid8, rng):
+        # NaN passed the old `cutoff < 0.0` test and summed an empty tail
+        half = to_half(np.stack([random_hermitian_coeffs(grid8, rng) for _ in range(3)]))
+        with pytest.raises(ValueError, match=r"^cutoff must be >= 0.0, got nan$"):
+            weighted_l2_stack(grid8, half, 1.0, True, cutoff=math.nan)
+        with pytest.raises(ValueError, match="cutoff must be >= 0.0"):
+            weighted_l2_stack(grid8, half, 1.0, True, cutoff=-1.0)
+        assert weighted_l2_stack(grid8, half, 1.0, True, cutoff=math.inf) == 0.0
+
     def test_reductions_reject_full_lattice_input(self, grid8, rng):
         full = np.stack([random_hermitian_coeffs(grid8, rng) for _ in range(3)])
         reductions = (

@@ -1,9 +1,9 @@
 """gnsflow diagnose and report read the stored run in one streamed pass.
 
 increments.gsi is read in blocks of whole rows (io.READ_BLOCK_BYTES), each
-hashed and checked as read_trajectory checks the whole file; the verdicts
-are raised in read_trajectory's order once the file has been read to its
-end, and nothing is written before that.
+hashed and checked as it is read, by the one block reader that the whole
+read drains too; the verdicts are raised in one order once the file has
+been read to its end, and nothing is written before that.
 """
 import contextlib
 import io
@@ -60,10 +60,16 @@ def run(tmp_path, solved):
     return shutil.copytree(solved[1], tmp_path / "run")
 
 
-def walk(trajectory):
-    """Every state of the stored run, as the streamed reader hands them on."""
-    with gio.read_trajectory(trajectory, stream=True) as traj:
+def read_states(trajectory, stream=True):
+    """Every state of the stored run, as the streamed reader hands them on,
+    or from the whole read."""
+    traj = gio.read_trajectory(trajectory, stream=stream)
+    with traj if stream else contextlib.nullcontext():
         return [traj.half_state(i) for i in range(traj.times.size)]
+
+
+# the two ways of draining io._increment_blocks
+BOTH_READS = pytest.mark.parametrize("stream", [False, True], ids=["whole", "streamed"])
 
 
 # CFG's band: a kz = 0 plane position that is not its own partner, and a
@@ -214,54 +220,60 @@ class TestCorruptedRuns:
 
 class TestOrderOfVerdicts:
     """sha256 mismatch, then header or size, then a non-finite value or a
-    broken plane pair, whichever block holds it first."""
+    broken plane pair, whichever block holds it first, through either read."""
 
     @pytest.fixture(autouse=True)
     def one_row_blocks(self, monkeypatch):
         monkeypatch.setattr(gio, "READ_BLOCK_BYTES", 1)
 
-    def test_sha256_mismatch_beats_a_bad_first_row(self, run):
+    @BOTH_READS
+    def test_sha256_mismatch_beats_a_bad_first_row(self, run, stream):
         nan_interior(run / "trajectory", row=0)
         flip_last_byte(run / "trajectory")
         with pytest.raises(gio.FormatError, match="sha256 mismatch"):
-            walk(run / "trajectory")
+            read_states(run / "trajectory", stream)
 
-    def test_size_beats_a_bad_first_row(self, run):
+    @BOTH_READS
+    def test_size_beats_a_bad_first_row(self, run, stream):
         nan_interior(run / "trajectory", row=0)
         truncate(run / "trajectory")
         with pytest.raises(gio.FormatError, match="payload size"):
-            walk(run / "trajectory")
+            read_states(run / "trajectory", stream)
 
-    def test_sha256_mismatch_beats_a_truncation(self, run):
+    @BOTH_READS
+    def test_sha256_mismatch_beats_a_truncation(self, run, stream):
         truncate(run / "trajectory", repoint=False)
         with pytest.raises(gio.FormatError, match="sha256 mismatch"):
-            walk(run / "trajectory")
+            read_states(run / "trajectory", stream)
 
-    def test_trailing_bytes_are_a_size_verdict(self, run):
+    @BOTH_READS
+    def test_trailing_bytes_are_a_size_verdict(self, run, stream):
         path = run / "trajectory" / gio.INCREMENTS_FILE
         path.write_bytes(path.read_bytes() + bytes(16))
         helpers.repoint_digest(run / "trajectory", gio.INCREMENTS_FILE)
         with pytest.raises(gio.FormatError, match="payload size"):
-            walk(run / "trajectory")
+            read_states(run / "trajectory", stream)
 
+    @BOTH_READS
     @pytest.mark.parametrize("repoint, words", [(True, "bad magic"),
                                                 (False, "sha256 mismatch")])
-    def test_header(self, run, repoint, words):
+    def test_header(self, run, stream, repoint, words):
         path = run / "trajectory" / gio.INCREMENTS_FILE
         path.write_bytes(b"NOPE" + path.read_bytes()[4:])
         if repoint:
             helpers.repoint_digest(run / "trajectory", gio.INCREMENTS_FILE)
         with pytest.raises(gio.FormatError, match=words):
-            walk(run / "trajectory")
+            read_states(run / "trajectory", stream)
 
+    @BOTH_READS
     @pytest.mark.parametrize("first, last, error, words", [
         (shift_plane, nan_interior, CorruptedFieldError, "Hermitian deviation"),
         (nan_interior, shift_plane, CorruptedFieldError, "non-finite")])
-    def test_the_first_bad_block_wins(self, run, first, last, error, words):
+    def test_the_first_bad_block_wins(self, run, stream, first, last, error, words):
         first(run / "trajectory", row=2)
         last(run / "trajectory", row=8)
         with pytest.raises(error, match=words):
-            walk(run / "trajectory")
+            read_states(run / "trajectory", stream)
 
     def test_no_state_of_a_bad_block_is_handed_on(self, run):
         nan_interior(run / "trajectory", row=3)
@@ -288,7 +300,7 @@ class TestStreamedStates:
         helpers.shift_increment(run / "trajectory", (5, 0, PLANE_POS), 1e-12)
         monkeypatch.setattr(gio, "READ_BLOCK_BYTES", block_bytes)
         whole = gio.read_trajectory(run / "trajectory")
-        streamed = walk(run / "trajectory")
+        streamed = read_states(run / "trajectory")
         assert len(streamed) == whole.times.size
         for i, half in enumerate(streamed):
             assert half.tobytes() == whole.half_state(i).tobytes(), i
@@ -313,12 +325,23 @@ class TestStreamedStates:
             helpers.shift_increment(run / "trajectory", (row, 0, INTERIOR_POS), 1e-3)
         paths = (solved[1] / "trajectory", run / "trajectory")
         wholes = [gio.read_trajectory(path) for path in paths]
-        walk(paths[0])
+        read_states(paths[0])
         with gio.read_trajectory(paths[0], stream=True) as a, \
                 gio.read_trajectory(paths[1], stream=True) as b:
             for i in range(9):
                 for traj, whole in zip((a, b), wholes):
                     assert traj.half_state(i).tobytes() == whole.half_state(i).tobytes()
+
+    def test_a_whole_read_keeps_its_rows_through_later_streams(self, solved, run):
+        # the whole read fills its own array from the block buffer that the
+        # streams after it reuse; rows that differ from it must not reach it
+        for row in range(9):
+            helpers.shift_increment(run / "trajectory", (row, 0, INTERIOR_POS), 1e-3)
+        whole = gio.read_trajectory(solved[1] / "trajectory")
+        before = whole.increments.tobytes()
+        for _ in range(2):
+            read_states(run / "trajectory")
+        assert whole.increments.tobytes() == before
 
 
 class TestMemory:
